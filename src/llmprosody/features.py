@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -129,8 +130,12 @@ class SpeakerStats:
             )
 
 
-def validate_utterance(utterance: UtteranceFeatures) -> None:
-    """Raise :class:`InvariantViolation` when the utterance is inconsistent."""
+def validate_utterance(utterance: UtteranceFeatures, line_numbers: Sequence[int] | None = None) -> None:
+    """Raise :class:`InvariantViolation` when the utterance is inconsistent.
+
+    ``line_numbers``, when given, holds each phone's source line; messages
+    about a phone then name that line.
+    """
     uid = utterance.id
     if not uid or any(c.isspace() for c in uid):
         raise InvariantViolation(f"utterance id {uid!r} must be non-empty without whitespace")
@@ -142,30 +147,34 @@ def validate_utterance(utterance: UtteranceFeatures) -> None:
         raise InvariantViolation(f"utterance {uid}: text must not contain tabs or newlines")
     if utterance.words != tokenize_words(utterance.text):
         raise InvariantViolation(f"utterance {uid}: word list does not match tokenized text")
+
+    def where(k: int) -> str:
+        return f"utterance {uid}" if line_numbers is None else f"utterance {uid} line {line_numbers[k]}"
+
     n_words = len(utterance.words)
     previous = -1
     referenced = set()
-    for ph in utterance.phones:
+    for k, ph in enumerate(utterance.phones):
         if ph.pause and (ph.word_index is not None or ph.voiced):
             raise InvariantViolation(
-                f"utterance {uid}: pause phone {ph.label!r} must be unvoiced with no word index"
+                f"{where(k)}: pause phone {ph.label!r} must be unvoiced with no word index"
             )
         if ph.voiced != (ph.f0 is not None):
             raise InvariantViolation(
-                f"utterance {uid}: phone {ph.label!r} voiced flag inconsistent with F0 presence"
+                f"{where(k)}: phone {ph.label!r} voiced flag inconsistent with F0 presence"
             )
         if not ph.duration_s > 0:
             raise InvariantViolation(
-                f"utterance {uid}: phone {ph.label!r} duration must be > 0, got {ph.duration_s}"
+                f"{where(k)}: phone {ph.label!r} duration must be > 0, got {ph.duration_s}"
             )
         if ph.word_index is not None:
             if ph.word_index >= n_words:
                 raise InvariantViolation(
-                    f"utterance {uid}: word index {ph.word_index} out of range (W={n_words})"
+                    f"{where(k)}: word index {ph.word_index} out of range (W={n_words})"
                 )
             if ph.word_index < previous:
                 raise InvariantViolation(
-                    f"utterance {uid}: word indices must be non-decreasing "
+                    f"{where(k)}: word indices must be non-decreasing "
                     f"({ph.word_index} after {previous})"
                 )
             previous = ph.word_index
@@ -183,6 +192,7 @@ def make_utterance(
     text: str,
     phones: tuple[PhoneFeature, ...] | list[PhoneFeature],
     normalized: bool,
+    line_numbers: Sequence[int] | None = None,
 ) -> UtteranceFeatures:
     """Build a validated utterance, deriving the word list from ``text``."""
     utterance = UtteranceFeatures(
@@ -193,7 +203,7 @@ def make_utterance(
         phones=tuple(phones),
         normalized=normalized,
     )
-    validate_utterance(utterance)
+    validate_utterance(utterance, line_numbers)
     return utterance
 
 
@@ -251,12 +261,8 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
 
     def finish(block: dict) -> None:
         if not block["phones"]:
-            raise InvariantViolation(f"utterance {block['id']}: has no phones")
-        utterances.append(
-            make_utterance(
-                block["id"], block["speaker_id"], block["text"], block["phones"], block["normalized"]
-            )
-        )
+            raise InvariantViolation(f"utterance {block['utterance_id']}: has no phones")
+        utterances.append(make_utterance(**block))
 
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
@@ -280,11 +286,12 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
                     f"line {line_number}: variant must be 'raw' or 'norm', got {variant!r}"
                 )
             current = {
-                "id": fields[1],
+                "utterance_id": fields[1],
                 "speaker_id": fields[2],
                 "normalized": variant == "norm",
                 "text": fields[4],
                 "phones": [],
+                "line_numbers": [],
             }
             continue
         if current is None:
@@ -295,7 +302,6 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
                 f"line {line_number}: expected 7 tab-separated fields, got {len(fields)}"
             )
         label, word_index_s, duration_s, f0_s, energy_s, voiced_s, pause_s = fields
-        uid = current["id"]
         if voiced_s not in ("0", "1") or pause_s not in ("0", "1"):
             raise FeatureFormatError(f"line {line_number}: voiced/pause flags must be 0 or 1")
         voiced = voiced_s == "1"
@@ -317,23 +323,6 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
             f0 = None
         else:
             f0 = _parse_float(f0_s, "F0", line_number)
-        if voiced and f0 is None:
-            raise InvariantViolation(
-                f"utterance {uid} line {line_number}: voiced phone {label!r} lacks an F0 value"
-            )
-        if not voiced and f0 is not None:
-            raise InvariantViolation(
-                f"utterance {uid} line {line_number}: unvoiced phone {label!r} carries an F0 value"
-            )
-        if pause and (word_index is not None or voiced):
-            raise InvariantViolation(
-                f"utterance {uid} line {line_number}: pause phone {label!r} must be unvoiced "
-                "with no word index"
-            )
-        if not duration > 0:
-            raise InvariantViolation(
-                f"utterance {uid} line {line_number}: duration must be > 0, got {duration}"
-            )
         current["phones"].append(
             PhoneFeature(
                 label=label,
@@ -345,6 +334,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
                 pause=pause,
             )
         )
+        current["line_numbers"].append(line_number)
     if not header_seen:
         raise FeatureFormatError("line 1: empty document (missing feature-file header)")
     if current is not None:

@@ -173,14 +173,14 @@ def map_pitch(
     return g, pi
 
 
-def _clamp(value: float, low: float, high: float, what: str, notes: list[str]) -> float:
-    if value < low:
-        notes.append(f"{what} {value!r} clamped to {low!r}")
-        return low
-    if value > high:
-        notes.append(f"{what} {value!r} clamped to {high!r}")
-        return high
-    return value
+def clamp_to_scale(value: float, scale: tuple[float, float], what: str) -> float:
+    """``value`` clamped into ``scale``; a non-finite value is rejected, not clamped."""
+    low, high = scale
+    if low <= value <= high:
+        return value
+    if not math.isfinite(value):  # nan fails the range test above, like inf
+        raise DataError(f"{what} {value!r} is not a finite number")
+    return low if value < low else high
 
 
 def build_plan(
@@ -192,7 +192,8 @@ def build_plan(
     """Map a suggestion onto a valid :class:`ModificationPlan`.
 
     Suggestion values outside the nominal scales are clamped first and the
-    clamping is recorded in ``plan.clamp_notes``.
+    clamping is recorded in ``plan.clamp_notes``; a non-finite value raises
+    :class:`DataError`.  The result is checked with :func:`validate_plan`.
     """
     words = utterance.words
     if len(suggestion.words) != len(words):
@@ -209,18 +210,23 @@ def build_plan(
                 f"word {position}: suggestion says {entry.key!r}, target text says {word.key!r}"
             )
     notes: list[str] = []
-    g_lo, g_hi = GLOBAL_SCALE
-    l_lo, l_hi = LOCAL_SCALE
-    v_dur = _clamp(suggestion.global_duration, g_lo, g_hi, "global duration", notes)
-    v_pitch = _clamp(suggestion.global_pitch, g_lo, g_hi, "global pitch", notes)
-    v_energy = _clamp(suggestion.global_energy, g_lo, g_hi, "global energy", notes)
+
+    def clamp(value: float, scale: tuple[float, float], what: str) -> float:
+        clamped = clamp_to_scale(value, scale, what)
+        if clamped != value:
+            notes.append(f"{what} {value!r} clamped to {clamped!r}")
+        return clamped
+
+    v_dur = clamp(suggestion.global_duration, GLOBAL_SCALE, "global duration")
+    v_pitch = clamp(suggestion.global_pitch, GLOBAL_SCALE, "global pitch")
+    v_energy = clamp(suggestion.global_energy, GLOBAL_SCALE, "global energy")
     bounds = compute_pitch_bounds(utterance, stats)
     word_coeffs = []
     g_pitch_hz = 0.0
     for entry, word in zip(suggestion.words, words):
-        ld = _clamp(entry.local_duration, l_lo, l_hi, f"word {entry.index} duration", notes)
-        lp = _clamp(entry.local_pitch, l_lo, l_hi, f"word {entry.index} pitch", notes)
-        le = _clamp(entry.local_energy, l_lo, l_hi, f"word {entry.index} energy", notes)
+        ld = clamp(entry.local_duration, LOCAL_SCALE, f"word {entry.index} duration")
+        lp = clamp(entry.local_pitch, LOCAL_SCALE, f"word {entry.index} pitch")
+        le = clamp(entry.local_energy, LOCAL_SCALE, f"word {entry.index} energy")
         g_pitch_hz, pi_hz = map_pitch(v_pitch, lp, bounds, config)
         word_coeffs.append(
             WordCoefficients(
@@ -233,7 +239,7 @@ def build_plan(
         )
     if not word_coeffs:
         raise WordMismatch("a plan requires at least one word")
-    return ModificationPlan(
+    plan = ModificationPlan(
         g_dur=map_global_scale(v_dur),
         g_pitch_hz=g_pitch_hz,
         g_energy=map_global_scale(v_energy),
@@ -241,6 +247,8 @@ def build_plan(
         bounds=bounds,
         clamp_notes=tuple(notes),
     )
+    validate_plan(plan)
+    return plan
 
 
 def serialize_plan(plan: ModificationPlan) -> str:

@@ -29,7 +29,7 @@ class NonPositiveEnergy(DataError):
 
 
 class PlanShapeMismatch(DataError):
-    """The plan's word count does not match the utterance."""
+    """The plan was built for other words than the utterance's."""
 
 
 def denorm_f0(f0_norm: float, stats: SpeakerStats) -> float:
@@ -65,14 +65,15 @@ def apply_plan(
     non-pause phones); voiced phones additionally get linear energy scaled by
     ``g_energy * epsilon_j`` and linear F0 shifted by ``g_pitch_hz + pi_hz_j``
     then clamped into the speaker range.  Structure, labels, and flags are
-    preserved exactly.
+    preserved exactly.  A plan built for other words is refused.
     """
     if not utterance.normalized:
         raise DataError(f"utterance {utterance.id}: apply_plan requires normalized features")
-    if len(plan.words) != len(utterance.words):
+    plan_words = [w.surface for w in plan.words]
+    utterance_words = [w.surface for w in utterance.words]
+    if plan_words != utterance_words:
         raise PlanShapeMismatch(
-            f"plan has {len(plan.words)} words but utterance {utterance.id} has "
-            f"{len(utterance.words)}"
+            f"plan is for words {plan_words} but utterance {utterance.id} has {utterance_words}"
         )
     new_phones = []
     for ph in utterance.phones:

@@ -102,9 +102,6 @@ class PromptSpec:
     target_text: str
     context: str | None = None
     exemplars: tuple[Exemplar, ...] = field(default_factory=lambda: default_exemplars())
-    rules: tuple[str, ...] = DEFAULT_RULES
-    format_instructions: str = DEFAULT_FORMAT_INSTRUCTIONS
-    scale_explanations: str = DEFAULT_SCALE_EXPLANATIONS
 
 
 def validate_spec(spec: PromptSpec) -> None:
@@ -134,8 +131,8 @@ def validate_spec(spec: PromptSpec) -> None:
 def build_prompt(spec: PromptSpec) -> str:
     """Deterministic prompt text for ``spec`` (pure function, no environment reads)."""
     validate_spec(spec)
-    parts: list[str] = [DEFAULT_TASK_DESCRIPTION, "", spec.scale_explanations, "", "Rules:"]
-    parts.extend(f"{i}. {rule}" for i, rule in enumerate(spec.rules, start=1))
+    parts: list[str] = [DEFAULT_TASK_DESCRIPTION, "", DEFAULT_SCALE_EXPLANATIONS, "", "Rules:"]
+    parts.extend(f"{i}. {rule}" for i, rule in enumerate(DEFAULT_RULES, start=1))
     parts.append("")
     parts.append("Examples:")
     for k, exemplar in enumerate(spec.exemplars, start=1):
@@ -149,7 +146,7 @@ def build_prompt(spec: PromptSpec) -> str:
         block = serialize_suggestion(exemplar.suggestion, words, exemplar.reasoning)
         parts.append(block.rstrip("\n"))
     parts.append("")
-    parts.append(spec.format_instructions)
+    parts.append(DEFAULT_FORMAT_INSTRUCTIONS)
     parts.append("")
     parts.append("Now solve this task.")
     parts.extend(_render_context(spec.mode, spec.context))
@@ -242,13 +239,9 @@ def serialize_exemplars(exemplars: tuple[Exemplar, ...]) -> str:
 
 
 @lru_cache(maxsize=1)
-def _default_exemplars_cached() -> tuple[Exemplar, ...]:
+def default_exemplars() -> tuple[Exemplar, ...]:
+    """The packaged set of ten worked examples covering all three modes."""
     document = (
         resources.files("llmprosody").joinpath("assets/exemplars.txt").read_text("utf-8")
     )
     return parse_exemplars(document)
-
-
-def default_exemplars() -> tuple[Exemplar, ...]:
-    """The packaged set of ten worked examples covering all three modes."""
-    return _default_exemplars_cached()

@@ -9,7 +9,9 @@ The grammar the model is taught, and the only thing the parser accepts:
 One WORD line per target word, in ascending index order, echoing the word.
 Misaligned word lists (skipped, invented, duplicated, or reordered words) are
 rejected with per-line diagnostics; out-of-range numeric values are clamped
-and flagged rather than rejected.
+and flagged rather than rejected.  Non-finite values (``nan``, ``inf``) are
+not numbers on any scale: they are rejected like any other non-numeric value,
+so the repair loop asks again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from enum import Enum
 
 from .errors import DataError
 from .features import Word, match_key
-from .mapping import GLOBAL_SCALE, LOCAL_SCALE, LlmScaleSuggestion, WordSuggestion
+from .mapping import GLOBAL_SCALE, LOCAL_SCALE, LlmScaleSuggestion, WordSuggestion, clamp_to_scale
 
 
 class AlignmentMismatch(DataError):
@@ -42,19 +44,18 @@ class ParseDiagnostic:
     kind: DiagnosticKind
     line_number: int
     detail: str
-    clamped: bool = False
+
+    @property
+    def clamped(self) -> bool:
+        return self.kind is DiagnosticKind.VALUE_OUT_OF_RANGE
 
     @property
     def fatal(self) -> bool:
         # clamped values still yield a usable suggestion; everything else is structural
-        return kind_is_fatal(self.kind)
+        return not self.clamped
 
     def __str__(self) -> str:
         return f"line {self.line_number}: {self.kind.value}: {self.detail}"
-
-
-def kind_is_fatal(kind: DiagnosticKind) -> bool:
-    return kind is not DiagnosticKind.VALUE_OUT_OF_RANGE
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,9 @@ _REASONING_RE = re.compile(r"^\s*REASONING\s*:\s?(.*)$")
 _GLOBAL_RE = re.compile(
     r"^\s*GLOBAL\s*:\s*duration=(\S+)\s+pitch=(\S+)\s+energy=(\S+)\s*$"
 )
+# an index longer than 9 digits cannot name a word, and int() refuses very long ones
 _WORD_RE = re.compile(
-    r"^\s*WORD\s+(\d+)\s+(\S+?)\s*:\s*duration=(\S+)\s+pitch=(\S+)\s+energy=(\S+)\s*$"
+    r"^\s*WORD\s+(\d{1,9})\s+(\S+?)\s*:\s*duration=(\S+)\s+pitch=(\S+)\s+energy=(\S+)\s*$"
 )
 
 
@@ -90,35 +92,33 @@ def _parse_value(
 ) -> float | None:
     try:
         value = float(raw)
-    except ValueError:
+        clamped = clamp_to_scale(value, scale, what)
+    except (ValueError, DataError):
         diagnostics.append(
             ParseDiagnostic(
                 DiagnosticKind.VALUE_NOT_NUMERIC, line_number, f"{what} value {raw!r} is not a number"
             )
         )
         return None
-    low, high = scale
-    if value < low or value > high:
-        clamped = min(max(value, low), high)
+    if clamped != value:
+        low, high = scale
         diagnostics.append(
             ParseDiagnostic(
                 DiagnosticKind.VALUE_OUT_OF_RANGE,
                 line_number,
                 f"{what} value {value!r} outside [{low:g}, {high:g}]; clamped to {clamped:g}",
-                clamped=True,
             )
         )
-        return clamped
-    return value
+    return clamped
 
 
 def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
     """Parse raw model output against the expected word list.
 
     Never raises on arbitrary text: structural problems are returned as fatal
-    diagnostics (and ``suggestion`` is None); out-of-range values are clamped
-    and flagged without failing the parse.  Diagnostics cover all independent
-    errors, each with its line number.
+    diagnostics (and ``suggestion`` is None); out-of-range finite values are
+    clamped and flagged without failing the parse.  Diagnostics cover all
+    independent errors, each with its line number.
     """
     if not expected_words:
         raise ValueError("expected_words must be non-empty")
@@ -127,6 +127,8 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
     global_values: tuple[float | None, float | None, float | None] | None = None
     entries: dict[int, WordSuggestion] = {}
     mentioned: set[int] = set()
+    # indices a WordCountMismatch already names as the one expected next
+    already_named: set[int] = set()
     n_words = len(expected_words)
     expected_next = 0
     state = "start"  # start -> reasoning -> words
@@ -198,6 +200,7 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 expected_next = max(expected_next, index + 1)
                 continue
             if index != expected_next:
+                already_named.add(expected_next)
                 diagnostics.append(
                     ParseDiagnostic(
                         DiagnosticKind.WORD_COUNT_MISMATCH,
@@ -252,12 +255,6 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 DiagnosticKind.MISSING_GLOBAL, last_line_number, "no GLOBAL line found"
             )
         )
-    already_named = set()
-    for d in diagnostics:
-        if d.kind is DiagnosticKind.WORD_COUNT_MISMATCH:
-            named = re.search(r"expected word index (\d+)", d.detail)
-            if named:
-                already_named.add(int(named.group(1)))
     unreported = [i for i in range(n_words) if i not in mentioned and i not in already_named]
     if unreported and global_values is not None:
         diagnostics.append(

@@ -10,6 +10,7 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from llmprosody.features import (
     PhoneFeature,
@@ -27,6 +28,9 @@ WORD_POOL = (
 )
 
 PHONE_LABELS = ("AA1", "IY0", "EH1", "T", "K", "N", "S", "L", "R", "M")
+
+# property tests draw the same examples on every run, like the seeded generators
+PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def make_stats(

@@ -35,6 +35,13 @@ def write_preferences(path, counts, systems=("proposed", "baseline", "random")):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class TestVersion:
+    def test_version_comes_from_package_metadata(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert "0.1.0" in result.output
+
+
 class TestStatsCommand:
     def test_writes_parseable_stats(self, runner, tmp_path):
         out = tmp_path / "stats.tsv"
@@ -180,7 +187,8 @@ class TestApplyCommand:
         plan.write_text(
             "GLOBAL\t1.0\t0.0\t1.0\n"
             + "".join(
-                f"WORD\t{i}\tw{i}\t1.0\t0.0\t1.0\n" for i in range(6)
+                f"WORD\t{i}\t{w}\t1.0\t0.0\t1.0\n"
+                for i, w in enumerate(["Turn", "left", "at", "the", "second", "light"])
             )
             + "BOUNDS\t-10.0\t10.0\n"
         )
@@ -204,6 +212,18 @@ class TestApplyCommand:
             main, ["apply", "--features", NORM, "--stats", STATS, "--plan", str(plan)]
         )
         assert result.exit_code == 2
+
+    def test_plan_for_another_utterance_exits_2(self, runner, tmp_path):
+        other = tmp_path / "other.tsv"
+        text = Path(NORM).read_text()
+        other.write_text(text.replace("Turn left at the second light.", "Walk right by the third door."))
+        result = runner.invoke(
+            main,
+            ["apply", "--features", str(other), "--stats", STATS,
+             "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv")],
+        )
+        assert result.exit_code == 2
+        assert "'Turn'" in result.output
 
     def test_missing_plan_file_exits_2(self, runner):
         result = runner.invoke(

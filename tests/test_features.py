@@ -58,6 +58,19 @@ class TestParseFeatures:
         assert "u1" in str(err.value)
         assert "line 4" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("sp\t-\t0.200000", "sp\t0\t0.200000", "line 5"),  # pause with a word index
+            ("W\t1\t", "W\t7\t", "line 6"),  # word index out of range
+            ("D\t1\t0.050000", "D\t1\t0.000000", "line 7"),  # zero duration
+        ],
+    )
+    def test_phone_invariant_names_utterance_and_line(self, old, new, line):
+        with pytest.raises(InvariantViolation) as err:
+            parse_features(WELL_FORMED.replace(old, new))
+        assert "utterance u1 " + line in str(err.value)
+
     def test_malformed_row_reports_line(self):
         bad = WELL_FORMED.replace("AH\t0\t0.090000\t0.100000\t0.400000\t1\t0",
                                   "AH\t0\t0.090000\t0.100000")

@@ -1,7 +1,10 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from llmprosody.errors import DataError
 from llmprosody.features import PhoneFeature, make_utterance
 from llmprosody.mapping import (
     MappingConfig,
@@ -9,6 +12,7 @@ from llmprosody.mapping import (
     PitchBounds,
     PlanFormatError,
     WordMismatch,
+    WordSuggestion,
     build_plan,
     compute_pitch_bounds,
     map_global_scale,
@@ -21,6 +25,7 @@ from llmprosody.mapping import (
 from llmprosody.modifier import denorm_f0
 
 from conftest import (
+    PROPERTIES,
     identity_suggestion,
     make_stats,
     random_stats,
@@ -168,6 +173,17 @@ class TestMapPitch:
             assert pi >= 0.0
             assert bounds.p_min_hz <= g + pi <= bounds.p_max_hz
 
+    def test_float_guard_is_needed(self):
+        # g = 2.12, and 2.12 + (10.6 - 2.12) rounds up to 10.600000000000001:
+        # cutting the local shift to the exact headroom alone breaks the bound
+        bounds = PitchBounds(-10.0, 10.6)
+        g_naive = (1.0 / 5.0) * bounds.p_max_hz
+        assert g_naive + (bounds.p_max_hz - g_naive) > bounds.p_max_hz
+        g, pi = map_pitch(1.0, 5.0, bounds, MappingConfig(local_pitch_cap_fraction=1.0))
+        assert g == g_naive
+        assert pi < bounds.p_max_hz - g
+        assert g + pi <= bounds.p_max_hz
+
 
 class TestBuildPlan:
     def test_all_zero_suggestion_gives_identity_plan(self, rng):
@@ -226,6 +242,47 @@ class TestBuildPlan:
         words[0] = type(words[0])(0, "nonsuch", 0.0, 0.0, 0.0)
         with pytest.raises(WordMismatch):
             build_plan(type(suggestion)(0.0, 0.0, 0.0, words=tuple(words)), utterance, stats)
+
+    @pytest.mark.parametrize("where", ["global", "word"])
+    def test_non_finite_suggestion_raises(self, rng, where):
+        stats = make_stats()
+        utterance = random_utterance(rng, stats)
+        base = identity_suggestion(utterance)
+        if where == "global":
+            suggestion = type(base)(math.nan, 0.0, 0.0, words=base.words)
+        else:
+            first = type(base.words[0])(0, base.words[0].key, 0.0, math.nan, 0.0)
+            suggestion = type(base)(0.0, 0.0, 0.0, words=(first,) + base.words[1:])
+        with pytest.raises(DataError):
+            build_plan(suggestion, utterance, stats)
+
+    @PROPERTIES
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        values=st.lists(
+            st.one_of(st.floats(), st.floats(-6.0, 6.0)), min_size=3 + 3 * 8, max_size=3 + 3 * 8
+        ),
+    )
+    def test_plan_is_valid_or_refused(self, seed, values):
+        rng = random.Random(seed)
+        stats = random_stats(rng)
+        utterance = random_utterance(rng, stats)
+        n = len(utterance.words)
+        suggestion = type(identity_suggestion(utterance))(
+            *values[:3],
+            words=tuple(
+                WordSuggestion(i, word.key, *values[3 + 3 * i:6 + 3 * i])
+                for i, word in enumerate(utterance.words)
+            ),
+        )
+        used = values[:3 + 3 * n]
+        try:
+            plan = build_plan(suggestion, utterance, stats)
+        except DataError:
+            assert not all(math.isfinite(v) for v in used)
+            return
+        assert all(math.isfinite(v) for v in used)
+        validate_plan(plan)
 
     def test_clamp_ordering_matches_endpoint(self, rng):
         # a wild value and the scale endpoint map to the same coefficient

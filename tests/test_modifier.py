@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+
 import pytest
 
 from llmprosody.features import PhoneFeature, make_utterance
@@ -125,6 +127,15 @@ class TestApplyPlanExamples:
         )
         with pytest.raises(PlanShapeMismatch):
             apply_plan(utterance, stats, shorter)
+
+    def test_plan_for_other_words_rejected(self, rng):
+        stats = make_stats()
+        utterance = random_utterance(rng, stats, n_words=4)
+        plan = identity_plan(utterance, stats)
+        first = replace(plan.words[0], surface=plan.words[0].surface + "s")
+        other = replace(plan, words=(first,) + plan.words[1:])
+        with pytest.raises(PlanShapeMismatch):
+            apply_plan(utterance, stats, other)
 
 
 class TestApplyPlanInvariants:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from llmprosody.features import tokenize_words
 from llmprosody.mapping import LlmScaleSuggestion, WordSuggestion
@@ -9,7 +10,7 @@ from llmprosody.response import (
     serialize_suggestion,
 )
 
-from conftest import random_stats, random_suggestion, random_utterance
+from conftest import PROPERTIES, WORD_POOL, random_stats, random_suggestion, random_utterance
 
 THREE_WORDS = tokenize_words("Turn left now.")
 
@@ -103,6 +104,13 @@ class TestParseStructuralErrors:
         mismatches = [d for d in result.diagnostics if d.kind is DiagnosticKind.WORD_COUNT_MISMATCH]
         assert mismatches and "1" in mismatches[0].detail
 
+    def test_skipped_word_is_named_once(self):
+        text = VALID.replace("WORD 1 left: duration=2 pitch=3 energy=1\n", "")
+        result = parse_response(text, THREE_WORDS)
+        assert [str(d) for d in result.diagnostics] == [
+            "line 4: WordCountMismatch: expected word index 1 next, got 2"
+        ]
+
     def test_truncated_response_reports_missing(self):
         text = "\n".join(VALID.split("\n")[:4]) + "\n"
         result = parse_response(text, THREE_WORDS)
@@ -181,6 +189,73 @@ class TestParseStructuralErrors:
     def test_empty_expected_words_is_a_usage_error(self):
         with pytest.raises(ValueError):
             parse_response(VALID, ())
+
+
+class TestParseNonFinite:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "slot, line_number", [("GLOBAL: duration=0", 2), ("WORD 1 left: duration=2", 4)]
+    )
+    def test_non_finite_value_is_fatal_not_clamped(self, value, slot, line_number):
+        text = VALID.replace(slot, slot.rsplit("=", 1)[0] + "=" + value)
+        result = parse_response(text, THREE_WORDS)
+        assert not result.ok
+        bad = [d for d in result.fatal_diagnostics if d.kind is DiagnosticKind.VALUE_NOT_NUMERIC]
+        assert [d.line_number for d in bad] == [line_number]
+        assert not any(d.clamped for d in result.diagnostics)
+
+
+WORD_LISTS = st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=8).map(
+    lambda tokens: tokenize_words(" ".join(tokens))
+)
+ONE_LINE = st.text(alphabet=st.characters(blacklist_characters="\n"), max_size=40)
+VALUE_TEXT = st.one_of(st.floats().map(repr), st.integers(-9, 9).map(str), ONE_LINE)
+GRAMMAR_LINES = st.one_of(
+    ONE_LINE,
+    st.builds("REASONING: {}".format, ONE_LINE),
+    st.builds("GLOBAL: duration={} pitch={} energy={}".format, VALUE_TEXT, VALUE_TEXT, VALUE_TEXT),
+    st.builds(
+        "WORD {} {}: duration={} pitch={} energy={}".format,
+        st.integers(0, 9), st.sampled_from(WORD_POOL), VALUE_TEXT, VALUE_TEXT, VALUE_TEXT,
+    ),
+)
+
+
+class TestParseProperties:
+    @PROPERTIES
+    @given(
+        text=st.one_of(st.text(), st.lists(GRAMMAR_LINES, max_size=12).map("\n".join)),
+        words=WORD_LISTS,
+    )
+    @example(  # an index too long for int() must not escape as ValueError
+        text="REASONING:\nGLOBAL: duration=0 pitch=0 energy=0\nWORD " + "1" * 5000
+        + " the: duration=0 pitch=0 energy=0\n",
+        words=tokenize_words("the"),
+    )
+    def test_never_raises(self, text, words):
+        result = parse_response(text, words)
+        assert result.ok == (result.suggestion is not None)
+        assert result.ok or result.fatal_diagnostics
+        assert not result.fatal_diagnostics or not result.ok
+
+    @PROPERTIES
+    @given(data=st.data())
+    def test_serialize_round_trip(self, data):
+        words = data.draw(WORD_LISTS)
+        g = st.floats(-5.0, 5.0)
+        lo = st.floats(0.0, 5.0)
+        suggestion = LlmScaleSuggestion(
+            data.draw(g), data.draw(g), data.draw(g),
+            words=tuple(
+                WordSuggestion(i, w.key, data.draw(lo), data.draw(lo), data.draw(lo))
+                for i, w in enumerate(words)
+            ),
+        )
+        reasoning = data.draw(ONE_LINE)
+        result = parse_response(serialize_suggestion(suggestion, words, reasoning), words)
+        assert result.ok and result.diagnostics == ()
+        assert result.suggestion == suggestion
+        assert result.reasoning == reasoning
 
 
 class TestSerializeSuggestion:
