@@ -13,6 +13,7 @@ paths given by flags; diagnostics go to standard error.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -44,11 +45,23 @@ def _handle_errors(fn):
     return wrapper
 
 
+def _write_file(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` whole or not at all: write a file beside it, then rename."""
+    temporary = Path(path).parent / f".{Path(path).name}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _write_output(text: str, output: str) -> None:
     if output == "-":
         click.echo(text, nl=False)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        _write_file(output, text)
 
 
 def _select_utterance(
@@ -232,7 +245,7 @@ def plan_cmd(
         suggestion, attempts = llm.suggest_with_repair(spec, backend_fn, policy)
     except llm.RepairExhausted as exc:
         if transcript_path:
-            Path(transcript_path).write_text(_format_transcript(exc.attempts), encoding="utf-8")
+            _write_file(transcript_path, _format_transcript(exc.attempts))
         raise
     plan = mapping.build_plan(
         suggestion, utterance, stats_obj, mapping.MappingConfig(local_pitch_cap_fraction=pitch_cap)
@@ -241,7 +254,7 @@ def plan_cmd(
         click.echo(f"clamped: {note}", err=True)
     _write_output(mapping.serialize_plan(plan), output)
     if transcript_path:
-        Path(transcript_path).write_text(_format_transcript(attempts), encoding="utf-8")
+        _write_file(transcript_path, _format_transcript(attempts))
 
 
 @main.command("apply")

@@ -232,12 +232,17 @@ def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeat
         for ph in utterance.phones:
             word_index = _ABSENT if ph.word_index is None else str(ph.word_index)
             f0 = _ABSENT if ph.f0 is None else _fmt(ph.f0)
+            duration = _fmt(ph.duration_s)
+            if duration == "0.000000":  # written as zero, it could not be parsed back
+                raise InvariantViolation(
+                    f"utterance {utterance.id}: phone duration {ph.duration_s} rounds to 0.000000"
+                )
             lines.append(
                 "\t".join(
                     [
                         ph.label,
                         word_index,
-                        _fmt(ph.duration_s),
+                        duration,
                         f0,
                         _fmt(ph.energy),
                         "1" if ph.voiced else "0",

@@ -1,24 +1,25 @@
 """Assemble the full natural-language prompt sent to the completion backend.
 
-A prompt is built from fixed parts (task description, value-scale
-explanations, rules, response-format instructions), a set of worked examples
-with reasoning, the optional context for the task mode, and the target text
-with its words enumerated one per line.  The enumeration, and the requirement
-that the response echo each index and word, is what keeps the model from
-skipping or inventing words.
+A prompt is a fixed head (task description, value scales, rules), the worked
+examples, the response-format instructions and one target block: the mode's
+context, the target text with its words enumerated one per line, and
+``Response:``.  Each example is the same block plus its canonical response,
+checked and rendered once per :class:`Exemplar` and reused by every prompt.
+The enumeration, and the requirement that the response echo each index and
+word, is what keeps the model from skipping or inventing words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .errors import DataError
 from .features import Word, tokenize_words
 from .mapping import LlmScaleSuggestion
-from .response import parse_response, serialize_suggestion
+from .response import AlignmentMismatch, parse_response, serialize_suggestion
 
 
 class InvalidSpec(DataError):
@@ -44,6 +45,19 @@ class Exemplar:
     target_text: str
     reasoning: str
     suggestion: LlmScaleSuggestion
+
+    @cached_property
+    def prompt_text(self) -> str:
+        """This example's target block and canonical response, checked and rendered once."""
+        if self.mode in _CONTEXT_LABELS and not self.context:
+            raise InvalidSpec(f"exemplar {self.target_text!r} lacks its {self.mode.value} context")
+        words = tokenize_words(self.target_text)
+        try:
+            response = serialize_suggestion(self.suggestion, words, self.reasoning)
+        except AlignmentMismatch as exc:
+            raise InvalidSpec(f"exemplar {self.target_text!r}: {exc}") from None
+        block = _render_target(self.mode, self.context, self.target_text, words)
+        return "\n".join(block + [response.rstrip("\n")])
 
 
 DEFAULT_TASK_DESCRIPTION = """\
@@ -80,17 +94,21 @@ Write one WORD line per listed word, in ascending index order, repeating the
 word after its index exactly as listed."""
 
 
-def _render_context(mode: Mode, context: str | None) -> list[str]:
-    if mode is Mode.STYLE:
-        return [f"Target speaking style: {context}"]
-    if mode is Mode.DIALOGUE:
-        return [f"Previous dialogue line: {context}"]
-    return []
+_HEAD = "\n".join(
+    [DEFAULT_TASK_DESCRIPTION, "", DEFAULT_SCALE_EXPLANATIONS, "", "Rules:"]
+    + [f"{i}. {rule}" for i, rule in enumerate(DEFAULT_RULES, start=1)]
+    + ["", "Examples:"]
+)
+
+_CONTEXT_LABELS = {Mode.STYLE: "Target speaking style", Mode.DIALOGUE: "Previous dialogue line"}
 
 
-def _render_word_list(words: tuple[Word, ...]) -> list[str]:
-    lines = ["Words:"]
-    lines.extend(f"{i} {word.surface}" for i, word in enumerate(words))
+def _render_target(mode: Mode, context: str | None, text: str, words: tuple[Word, ...]) -> list[str]:
+    """Context line (style and dialogue modes), text, enumerated words, ``Response:``."""
+    lines = [f"{_CONTEXT_LABELS[mode]}: {context}"] if mode in _CONTEXT_LABELS else []
+    lines += [f"Text: {text}", "Words:"]
+    lines += [f"{i} {word.surface}" for i, word in enumerate(words)]
+    lines.append("Response:")
     return lines
 
 
@@ -104,55 +122,31 @@ class PromptSpec:
     exemplars: tuple[Exemplar, ...] = field(default_factory=lambda: default_exemplars())
 
 
-def validate_spec(spec: PromptSpec) -> None:
-    if not tokenize_words(spec.target_text):
+def validate_spec(spec: PromptSpec) -> tuple[Word, ...]:
+    """Check the parts of ``spec`` other than its exemplars; return the target's words."""
+    words = tokenize_words(spec.target_text)
+    if not words:
         raise InvalidSpec("target text contains no words")
-    if spec.mode in (Mode.STYLE, Mode.DIALOGUE):
+    if any("\n" in s or "\r" in s for s in (spec.target_text, spec.context or "")):
+        raise InvalidSpec("target text and context must each be a single line")
+    if spec.mode in _CONTEXT_LABELS:
         if not spec.context or not spec.context.strip():
             raise InvalidSpec(f"{spec.mode.value} mode requires a non-empty context")
-        if "\n" in spec.context:
-            raise InvalidSpec("context must be a single line")
     elif spec.context is not None:
         raise InvalidSpec("neutral mode takes no context")
     if len(spec.exemplars) < 1:
         raise InvalidSpec("at least one exemplar is required")
-    for k, exemplar in enumerate(spec.exemplars):
-        words = tokenize_words(exemplar.target_text)
-        keys = tuple(w.key for w in words)
-        got = tuple(e.key for e in exemplar.suggestion.words)
-        if keys != got:
-            raise InvalidSpec(
-                f"exemplar {k}: suggestion words {got} do not align with text words {keys}"
-            )
-        if exemplar.mode in (Mode.STYLE, Mode.DIALOGUE) and not exemplar.context:
-            raise InvalidSpec(f"exemplar {k}: {exemplar.mode.value} exemplar lacks context")
+    return words
 
 
 def build_prompt(spec: PromptSpec) -> str:
     """Deterministic prompt text for ``spec`` (pure function, no environment reads)."""
-    validate_spec(spec)
-    parts: list[str] = [DEFAULT_TASK_DESCRIPTION, "", DEFAULT_SCALE_EXPLANATIONS, "", "Rules:"]
-    parts.extend(f"{i}. {rule}" for i, rule in enumerate(DEFAULT_RULES, start=1))
-    parts.append("")
-    parts.append("Examples:")
+    words = validate_spec(spec)
+    parts = [_HEAD]
     for k, exemplar in enumerate(spec.exemplars, start=1):
-        words = tokenize_words(exemplar.target_text)
-        parts.append("")
-        parts.append(f"Example {k}")
-        parts.extend(_render_context(exemplar.mode, exemplar.context))
-        parts.append(f"Text: {exemplar.target_text}")
-        parts.extend(_render_word_list(words))
-        parts.append("Response:")
-        block = serialize_suggestion(exemplar.suggestion, words, exemplar.reasoning)
-        parts.append(block.rstrip("\n"))
-    parts.append("")
-    parts.append(DEFAULT_FORMAT_INSTRUCTIONS)
-    parts.append("")
-    parts.append("Now solve this task.")
-    parts.extend(_render_context(spec.mode, spec.context))
-    parts.append(f"Text: {spec.target_text}")
-    parts.extend(_render_word_list(tokenize_words(spec.target_text)))
-    parts.append("Response:")
+        parts += ["", f"Example {k}", exemplar.prompt_text]
+    parts += ["", DEFAULT_FORMAT_INSTRUCTIONS, "", "Now solve this task."]
+    parts += _render_target(spec.mode, spec.context, spec.target_text, words)
     return "\n".join(parts) + "\n"
 
 
@@ -167,15 +161,7 @@ def parse_exemplars(document: str) -> tuple[Exemplar, ...]:
     (REASONING/GLOBAL/WORD lines); records are separated by ``---`` lines.
     """
     exemplars: list[Exemplar] = []
-    records = [
-        record
-        for record in _split_records(document)
-        if any(line.strip() for line in record)
-    ]
-    for number, record in enumerate(records, start=1):
-        lines = [line for line in record]
-        while lines and not lines[0].strip():
-            lines.pop(0)
+    for number, lines in enumerate(_split_records(document), start=1):
         mode = Mode.NEUTRAL
         context: str | None = None
         if lines and lines[0].startswith("CONTEXT:"):
@@ -213,13 +199,14 @@ def parse_exemplars(document: str) -> tuple[Exemplar, ...]:
 
 
 def _split_records(document: str) -> list[list[str]]:
+    """The document's non-blank records, each without its leading blank lines."""
     records: list[list[str]] = [[]]
     for line in document.split("\n"):
         if line.strip() == _RECORD_SEPARATOR:
             records.append([])
-        else:
+        elif records[-1] or line.strip():
             records[-1].append(line)
-    return records
+    return [record for record in records if record]
 
 
 def serialize_exemplars(exemplars: tuple[Exemplar, ...]) -> str:

@@ -9,6 +9,9 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+from llmprosody.features import tokenize_words
+from llmprosody.response import serialize_suggestion
+
 
 def naive_apply_plan(utterance, stats, plan):
     """Per-phone loop applying the modification rules directly."""
@@ -64,3 +67,38 @@ def direct_percentile(values, q):
 def tally_preferences(records):
     """Win counts per system via a plain Counter."""
     return Counter(r.chosen_system for r in records)
+
+
+def naive_prompt(spec, task_description, scale_explanations, rules, format_instructions):
+    """The prompt for ``spec``, every part (examples included) rendered afresh in one loop."""
+    labels = {"style": "Target speaking style", "dialogue": "Previous dialogue line"}
+    lines = [task_description, "", scale_explanations, "", "Rules:"]
+    for i, rule in enumerate(rules, start=1):
+        lines.append(f"{i}. {rule}")
+    lines.append("")
+    lines.append("Examples:")
+    for k, exemplar in enumerate(spec.exemplars, start=1):
+        words = tokenize_words(exemplar.target_text)
+        lines.append("")
+        lines.append(f"Example {k}")
+        if exemplar.mode.value in labels:
+            lines.append(f"{labels[exemplar.mode.value]}: {exemplar.context}")
+        lines.append(f"Text: {exemplar.target_text}")
+        lines.append("Words:")
+        for i, word in enumerate(words):
+            lines.append(f"{i} {word.surface}")
+        lines.append("Response:")
+        block = serialize_suggestion(exemplar.suggestion, words, exemplar.reasoning)
+        lines.append(block.rstrip("\n"))
+    lines.append("")
+    lines.append(format_instructions)
+    lines.append("")
+    lines.append("Now solve this task.")
+    if spec.mode.value in labels:
+        lines.append(f"{labels[spec.mode.value]}: {spec.context}")
+    lines.append(f"Text: {spec.target_text}")
+    lines.append("Words:")
+    for i, word in enumerate(tokenize_words(spec.target_text)):
+        lines.append(f"{i} {word.surface}")
+    lines.append("Response:")
+    return "\n".join(lines) + "\n"

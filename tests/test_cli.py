@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,19 @@ class TestPromptCommand:
         result = runner.invoke(main, ["prompt", "--mode", "neutral", "--text", "..."])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mode", "neutral", "--text", "a\nb"],
+            ["--mode", "neutral", "--text", "Turn left.\r"],
+            ["--mode", "style", "--style", "calm\rslow", "--text", "Hi there."],
+            ["--mode", "dialogue", "--previous-line", "Hm?\nWell?", "--text", "Hi there."],
+        ],
+    )
+    def test_multi_line_text_or_context_exits_2(self, runner, args):
+        result = runner.invoke(main, ["prompt", *args])
+        assert result.exit_code == 2
+
 
 class TestPlanCommand:
     def test_mock_plan_matches_golden(self, runner, tmp_path):
@@ -169,6 +183,22 @@ class TestPlanCommand:
         assert result.exit_code == 3
         assert transcript.exists()
         assert "attempts\t2" in transcript.read_text()
+
+    def test_failed_rename_keeps_old_output(self, runner, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        plan = tmp_path / "existing.tsv"
+        plan.write_bytes(b"old plan bytes\n")
+        monkeypatch.setattr(os, "replace", refuse)
+        result = runner.invoke(
+            main,
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock",
+             "-o", str(plan)],
+        )
+        assert result.exit_code == 2
+        assert plan.read_bytes() == b"old plan bytes\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["existing.tsv"]
 
 
 class TestApplyCommand:

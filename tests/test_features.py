@@ -2,12 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from llmprosody.features import (
     DegenerateStats,
     FeatureFormatError,
     InvariantViolation,
     PhoneFeature,
+    SpeakerStats,
     Word,
     compute_speaker_stats,
     make_utterance,
@@ -18,7 +20,15 @@ from llmprosody.features import (
     tokenize_words,
 )
 
-from conftest import make_stats, random_raw_utterance, random_utterance, random_stats
+from conftest import (
+    PHONE_LABELS,
+    PROPERTIES,
+    WORD_POOL,
+    make_stats,
+    random_raw_utterance,
+    random_stats,
+    random_utterance,
+)
 from reference import direct_mean, direct_percentile, direct_sample_std
 
 WELL_FORMED = """\
@@ -168,6 +178,13 @@ class TestSerializeFeatures:
         assert parse_features(serialize_features(batch)) == batch
 
 
+    def test_duration_below_resolution_refused(self):
+        phone = PhoneFeature("AA1", 0, 4e-7, None, 0.0, voiced=False, pause=False)
+        utterance = make_utterance("u1", "spk1", "hi", [phone], normalized=True)
+        with pytest.raises(InvariantViolation, match="rounds to 0.000000"):
+            serialize_features([utterance])
+
+
 class TestTokenizeWords:
     def test_punctuation_stripped(self):
         assert tokenize_words("Hello, world!") == (
@@ -292,3 +309,56 @@ class TestSpeakerStatsFile:
         doc = serialize_speaker_stats(make_stats()).replace("0.25", "0.0")
         with pytest.raises(InvariantViolation):
             parse_speaker_stats(doc)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def feature_documents(draw):
+    """A valid feature document whose numbers are written with any number of digits."""
+    lines = ["#feature-file\tv1"]
+    for u in range(draw(st.integers(1, 3))):
+        words = draw(st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=5))
+        variant = draw(st.sampled_from(["raw", "norm"]))
+        lines.append(f"#utterance\tu{u}\tspk1\t{variant}\t{' '.join(words)}")
+        for j in range(len(words)):
+            for _ in range(draw(st.integers(1, 3))):
+                voiced = draw(st.booleans())
+                f0 = repr(draw(FINITE)) if voiced else "-"
+                label = draw(st.sampled_from(PHONE_LABELS))
+                row = [label, str(j), repr(draw(POSITIVE)), f0, repr(draw(FINITE))]
+                lines.append("\t".join(row + ["1" if voiced else "0", "0"]))
+            if draw(st.booleans()):
+                lines.append(f"sp\t-\t{draw(POSITIVE)!r}\t-\t{draw(FINITE)!r}\t0\t1")
+    return "\n".join(lines) + "\n"
+
+
+class TestFormatProperties:
+    @PROPERTIES
+    @given(
+        mu_logf0=FINITE,
+        sigma_logf0=POSITIVE,
+        mu_loge=FINITE,
+        sigma_loge=POSITIVE,
+        f0_range=st.lists(POSITIVE, min_size=2, max_size=2, unique=True).map(sorted),
+    )
+    def test_stats_round_trip(self, mu_logf0, sigma_logf0, mu_loge, sigma_loge, f0_range):
+        stats = SpeakerStats(mu_logf0, sigma_logf0, mu_loge, sigma_loge, *f0_range)
+        assert parse_speaker_stats(serialize_speaker_stats(stats)) == stats
+
+    @PROPERTIES
+    @given(document=feature_documents())
+    def test_feature_document_fixed_point_after_one_pass(self, document):
+        utterances = parse_features(document)
+        try:
+            canonical = serialize_features(utterances)
+        except InvariantViolation as exc:
+            # a duration under 0.5 us would be written as 0.000000, which parse refuses
+            assert "rounds to 0.000000" in str(exc)
+            assert any(ph.duration_s < 1e-6 for u in utterances for ph in u.phones)
+            return
+        again = parse_features(canonical)
+        assert serialize_features(again) == canonical
+        assert again == parse_features(serialize_features(again))

@@ -302,6 +302,29 @@ class TestPlanFile:
             plan = build_plan(random_suggestion(rng, utterance, wild=True), utterance, stats)
             assert parse_plan(serialize_plan(plan)) == plan
 
+    @PROPERTIES
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        values=st.lists(
+            st.one_of(st.floats(-5.0, 5.0), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=3 + 3 * 8,
+            max_size=3 + 3 * 8,
+        ),
+    )
+    def test_round_trip_property(self, seed, values):
+        rng = random.Random(seed)
+        stats = random_stats(rng)
+        utterance = random_utterance(rng, stats)
+        suggestion = type(identity_suggestion(utterance))(
+            *values[:3],
+            words=tuple(
+                WordSuggestion(i, word.key, *values[3 + 3 * i:6 + 3 * i])
+                for i, word in enumerate(utterance.words)
+            ),
+        )
+        plan = build_plan(suggestion, utterance, stats)
+        assert parse_plan(serialize_plan(plan)) == plan
+
     def test_layout(self):
         stats = make_stats()
         utterance = utterance_at_hz([200.0], stats, text="hey")

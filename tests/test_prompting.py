@@ -1,9 +1,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import llmprosody.prompting as prompting
+from conftest import PROPERTIES, WORD_POOL
 from llmprosody.features import tokenize_words
 from llmprosody.prompting import (
+    DEFAULT_FORMAT_INSTRUCTIONS,
+    DEFAULT_RULES,
+    DEFAULT_SCALE_EXPLANATIONS,
+    DEFAULT_TASK_DESCRIPTION,
     Exemplar,
     ExemplarFormatError,
     InvalidSpec,
@@ -15,6 +22,7 @@ from llmprosody.prompting import (
     serialize_exemplars,
 )
 from llmprosody.response import parse_response, serialize_suggestion
+from reference import naive_prompt
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -115,6 +123,20 @@ class TestInvalidSpec:
                 PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=())
             )
 
+    @pytest.mark.parametrize(
+        "mode,target_text,context",
+        [
+            (Mode.NEUTRAL, "Turn left\nat the light.", None),
+            (Mode.NEUTRAL, "Turn left\rat the light.", None),
+            (Mode.NEUTRAL, "Turn left.\n", None),
+            (Mode.STYLE, "hi there", "calm\rslow"),
+            (Mode.DIALOGUE, "hi there", "Why?\nWell?"),
+        ],
+    )
+    def test_line_break_in_target_or_context(self, mode, target_text, context):
+        with pytest.raises(InvalidSpec):
+            build_prompt(PromptSpec(mode=mode, target_text=target_text, context=context))
+
     def test_misaligned_exemplar(self):
         exemplar = default_exemplars()[0]
         broken = Exemplar(
@@ -125,6 +147,34 @@ class TestInvalidSpec:
             suggestion=exemplar.suggestion,
         )
         with pytest.raises(InvalidSpec):
+            build_prompt(
+                PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(broken,))
+            )
+
+    def test_misaligned_exemplar_fails_on_every_call(self):
+        exemplar = default_exemplars()[0]
+        broken = Exemplar(
+            mode=exemplar.mode,
+            context=exemplar.context,
+            target_text="completely different words",
+            reasoning=exemplar.reasoning,
+            suggestion=exemplar.suggestion,
+        )
+        spec = PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(broken,))
+        for _ in range(2):
+            with pytest.raises(InvalidSpec, match="completely different words"):
+                build_prompt(spec)
+
+    def test_style_exemplar_without_context(self):
+        exemplar = default_exemplars()[0]
+        broken = Exemplar(
+            mode=Mode.STYLE,
+            context=None,
+            target_text=exemplar.target_text,
+            reasoning=exemplar.reasoning,
+            suggestion=exemplar.suggestion,
+        )
+        with pytest.raises(InvalidSpec, match="lacks its style context"):
             build_prompt(
                 PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(broken,))
             )
@@ -191,3 +241,50 @@ class TestExemplarAssets:
     def test_empty_document(self):
         with pytest.raises(ExemplarFormatError):
             parse_exemplars("\n\n")
+
+
+PUNCTUATION = ("", ",", ".", "!", "?", "...", '"', " -")
+TARGET_TEXTS = st.lists(
+    st.tuples(st.sampled_from(WORD_POOL), st.sampled_from(PUNCTUATION)), min_size=1, max_size=12
+).map(lambda tokens: " ".join(word + mark for word, mark in tokens))
+ONE_LINE = st.text(
+    st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)), min_size=1
+).filter(str.strip)
+
+
+class TestPromptOracle:
+    @PROPERTIES
+    @given(data=st.data())
+    def test_matches_naive_prompt(self, data):
+        mode = data.draw(st.sampled_from(list(Mode)))
+        context = None if mode is Mode.NEUTRAL else data.draw(ONE_LINE)
+        order = data.draw(st.permutations(range(len(default_exemplars()))))
+        count = data.draw(st.integers(1, len(order)))
+        spec = PromptSpec(
+            mode=mode,
+            target_text=data.draw(TARGET_TEXTS),
+            context=context,
+            exemplars=tuple(default_exemplars()[i] for i in order[:count]),
+        )
+        expected = naive_prompt(
+            spec,
+            DEFAULT_TASK_DESCRIPTION,
+            DEFAULT_SCALE_EXPLANATIONS,
+            DEFAULT_RULES,
+            DEFAULT_FORMAT_INSTRUCTIONS,
+        )
+        assert build_prompt(spec) == expected
+
+    def test_each_exemplar_rendered_once(self, monkeypatch):
+        exemplars = parse_exemplars(serialize_exemplars(default_exemplars()))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return serialize_suggestion(*args, **kwargs)
+
+        monkeypatch.setattr(prompting, "serialize_suggestion", counting)
+        spec = PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=exemplars)
+        first = build_prompt(spec)
+        assert build_prompt(spec) == first
+        assert len(calls) == len(exemplars)
