@@ -191,15 +191,16 @@ def _format_transcript(attempts: list[llm.Attempt]) -> str:
 @click.option("--utterance-id", default=None, help="Which utterance to plan for.")
 @click.option("--backend", type=click.Choice(["mock", "http"]), default="mock", show_default=True)
 @click.option("--seed", default=0, show_default=True, help="Seed for the mock backend.")
-@click.option("--base-url", default="https://api.openai.com/v1", show_default=True)
-@click.option("--model", default="gpt-4o-mini", show_default=True)
-@click.option("--api-key-env", default="OPENAI_API_KEY", show_default=True,
+@click.option("--base-url", default=llm.BackendConfig.base_url, show_default=True)
+@click.option("--model", default=llm.BackendConfig.model_name, show_default=True)
+@click.option("--api-key-env", default=llm.BackendConfig.api_key_env, show_default=True,
               help="Environment variable holding the API key (http backend).")
-@click.option("--temperature", default=0.0, show_default=True)
-@click.option("--timeout-s", default=30.0, show_default=True)
-@click.option("--max-retries", default=3, show_default=True)
-@click.option("--max-attempts", default=3, show_default=True, help="Suggest/parse/repair rounds.")
-@click.option("--pitch-cap", default=0.5, show_default=True,
+@click.option("--temperature", default=llm.BackendConfig.temperature, show_default=True)
+@click.option("--timeout-s", default=llm.BackendConfig.timeout_s, show_default=True)
+@click.option("--max-retries", default=llm.BackendConfig.max_retries, show_default=True)
+@click.option("--max-attempts", default=llm.RepairPolicy.max_attempts, show_default=True,
+              help="Suggest/parse/repair rounds.")
+@click.option("--pitch-cap", default=mapping.MappingConfig.local_pitch_cap_fraction, show_default=True,
               help="Fraction of the upward pitch headroom one word may claim.")
 @click.option("-o", "--output", default="-", show_default=True, help="Plan file path, or - for stdout.")
 @click.option("--transcript", "transcript_path", default=None, type=click.Path(dir_okay=False),

@@ -237,6 +237,10 @@ def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeat
                 raise InvariantViolation(
                     f"utterance {utterance.id}: phone duration {ph.duration_s} rounds to 0.000000"
                 )
+            if not math.isfinite(ph.energy) or (ph.f0 is not None and not math.isfinite(ph.f0)):
+                raise InvariantViolation(
+                    f"utterance {utterance.id}: phone {ph.label!r} has a non-finite F0 or energy"
+                )
             lines.append(
                 "\t".join(
                     [

@@ -18,7 +18,7 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import requests
 
@@ -100,7 +100,7 @@ class RepairPolicy:
     """How many completions to request before giving up, and what to say."""
 
     max_attempts: int = 3
-    repair_instruction_template: str = (
+    repair_instruction_template: ClassVar[str] = (
         "\n\nYour previous answer was rejected for these reasons:\n"
         "{diagnostics}\n"
         "Answer again. Follow the response format exactly: one REASONING line, "

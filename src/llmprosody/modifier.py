@@ -32,9 +32,16 @@ class PlanShapeMismatch(DataError):
     """The plan was built for other words than the utterance's."""
 
 
+def _exp(log_value: float, what: str, norm: float) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DataError(f"normalized {what} {norm} is too large to de-normalize") from None
+
+
 def denorm_f0(f0_norm: float, stats: SpeakerStats) -> float:
     """Normalized log-F0 -> linear Hz."""
-    return math.exp(f0_norm * stats.sigma_logf0 + stats.mu_logf0)
+    return _exp(f0_norm * stats.sigma_logf0 + stats.mu_logf0, "F0", f0_norm)
 
 
 def renorm_f0(hz: float, stats: SpeakerStats) -> float:
@@ -46,7 +53,7 @@ def renorm_f0(hz: float, stats: SpeakerStats) -> float:
 
 def denorm_energy(energy_norm: float, stats: SpeakerStats) -> float:
     """Normalized log-energy -> linear energy."""
-    return math.exp(energy_norm * stats.sigma_loge + stats.mu_loge)
+    return _exp(energy_norm * stats.sigma_loge + stats.mu_loge, "energy", energy_norm)
 
 
 def renorm_energy(energy: float, stats: SpeakerStats) -> float:

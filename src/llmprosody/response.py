@@ -12,6 +12,12 @@ rejected with per-line diagnostics; out-of-range numeric values are clamped
 and flagged rather than rejected.  Non-finite values (``nan``, ``inf``) are
 not numbers on any scale: they are rejected like any other non-numeric value,
 so the repair loop asks again.
+
+The parser reads the non-blank lines in one pass.  The first one must be the
+REASONING: line; any other first line is reported and then read like the
+lines after it.  Until the first GLOBAL or WORD line, every line is part of
+the reasoning (a WORD line there is reported as a missing GLOBAL line and
+then read as a WORD line).  After it, every line must be a WORD line.
 """
 
 from __future__ import annotations
@@ -83,35 +89,6 @@ _WORD_RE = re.compile(
 )
 
 
-def _parse_value(
-    raw: str,
-    scale: tuple[float, float],
-    what: str,
-    line_number: int,
-    diagnostics: list[ParseDiagnostic],
-) -> float | None:
-    try:
-        value = float(raw)
-        clamped = clamp_to_scale(value, scale, what)
-    except (ValueError, DataError):
-        diagnostics.append(
-            ParseDiagnostic(
-                DiagnosticKind.VALUE_NOT_NUMERIC, line_number, f"{what} value {raw!r} is not a number"
-            )
-        )
-        return None
-    if clamped != value:
-        low, high = scale
-        diagnostics.append(
-            ParseDiagnostic(
-                DiagnosticKind.VALUE_OUT_OF_RANGE,
-                line_number,
-                f"{what} value {value!r} outside [{low:g}, {high:g}]; clamped to {clamped:g}",
-            )
-        )
-    return clamped
-
-
 def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
     """Parse raw model output against the expected word list.
 
@@ -123,161 +100,105 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
     if not expected_words:
         raise ValueError("expected_words must be non-empty")
     diagnostics: list[ParseDiagnostic] = []
+
+    def report(kind: DiagnosticKind, line_number: int, detail: str) -> None:
+        diagnostics.append(ParseDiagnostic(kind, line_number, detail))
+
+    def read_values(
+        match: re.Match[str], scale: tuple[float, float], what: str, line_number: int
+    ) -> tuple[float | None, ...]:
+        # the duration, pitch and energy of a GLOBAL or WORD line are its last three groups
+        low, high = scale
+        values: list[float | None] = []
+        for name, raw in zip(("duration", "pitch", "energy"), match.groups()[-3:]):
+            label = f"{what} {name}"
+            try:
+                value = float(raw)
+                clamped = clamp_to_scale(value, scale, label)
+            except (ValueError, DataError):
+                report(DiagnosticKind.VALUE_NOT_NUMERIC, line_number, f"{label} value {raw!r} is not a number")
+                clamped = None
+            else:
+                if clamped != value:
+                    detail = f"{label} value {value!r} outside [{low:g}, {high:g}]; clamped to {clamped:g}"
+                    report(DiagnosticKind.VALUE_OUT_OF_RANGE, line_number, detail)
+            values.append(clamped)
+        return tuple(values)
+
     reasoning_lines: list[str] = []
-    global_values: tuple[float | None, float | None, float | None] | None = None
+    global_values: tuple[float | None, ...] | None = None
     entries: dict[int, WordSuggestion] = {}
     mentioned: set[int] = set()
     # indices a WordCountMismatch already names as the one expected next
     already_named: set[int] = set()
     n_words = len(expected_words)
     expected_next = 0
-    state = "start"  # start -> reasoning -> words
     lines = text.split("\n")
-    last_line_number = max(1, len(lines))
+    numbered = [(line_number, line) for line_number, line in enumerate(lines, start=1) if line.strip()]
+    if numbered:
+        first_number, first = numbered[0]
+        first_m = _REASONING_RE.match(first)
+        if first_m:
+            reasoning_lines.append(first_m.group(1))
+            del numbered[0]
+        else:  # reported here, then read again below as a reasoning, GLOBAL or WORD line
+            detail = f"expected a REASONING: line first, got {first!r}"
+            report(DiagnosticKind.UNPARSEABLE_LINE, first_number, detail)
+    in_words = False  # set by the first GLOBAL or WORD line
 
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        global_m = _GLOBAL_RE.match(line)
+    for line_number, line in numbered:
         word_m = _WORD_RE.match(line)
-        if state == "start":
-            reasoning_m = _REASONING_RE.match(line)
-            if reasoning_m:
-                reasoning_lines.append(reasoning_m.group(1))
-                state = "reasoning"
-                continue
-            diagnostics.append(
-                ParseDiagnostic(
-                    DiagnosticKind.UNPARSEABLE_LINE,
-                    line_number,
-                    f"expected a REASONING: line first, got {line!r}",
-                )
-            )
-            state = "reasoning"  # recover: keep scanning for GLOBAL/WORD lines
-        if state == "reasoning":
+        if not in_words:
+            global_m = _GLOBAL_RE.match(line)
             if global_m:
-                global_values = (
-                    _parse_value(global_m.group(1), GLOBAL_SCALE, "GLOBAL duration", line_number, diagnostics),
-                    _parse_value(global_m.group(2), GLOBAL_SCALE, "GLOBAL pitch", line_number, diagnostics),
-                    _parse_value(global_m.group(3), GLOBAL_SCALE, "GLOBAL energy", line_number, diagnostics),
-                )
-                state = "words"
+                global_values = read_values(global_m, GLOBAL_SCALE, "GLOBAL", line_number)
+                in_words = True
                 continue
-            if word_m:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        DiagnosticKind.MISSING_GLOBAL,
-                        line_number,
-                        "WORD line before any GLOBAL line",
-                    )
-                )
-                state = "words"  # fall through and process the word line
-            else:
+            if not word_m:
                 reasoning_lines.append(line)
                 continue
-        # state == "words"
-        if word_m:
-            index = int(word_m.group(1))
-            echoed = word_m.group(2)
-            if index in mentioned:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        DiagnosticKind.DUPLICATE_WORD_INDEX,
-                        line_number,
-                        f"word index {index} appears more than once",
-                    )
-                )
-                continue
-            mentioned.add(index)
-            if index >= n_words:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        DiagnosticKind.WORD_COUNT_MISMATCH,
-                        line_number,
-                        f"unexpected word index {index}; the text has {n_words} words",
-                    )
-                )
-                expected_next = max(expected_next, index + 1)
-                continue
+            report(DiagnosticKind.MISSING_GLOBAL, line_number, "WORD line before any GLOBAL line")
+            in_words = True  # fall through and read the WORD line
+        if not word_m:
+            if _GLOBAL_RE.match(line):
+                detail = "duplicate GLOBAL line"
+            else:
+                detail = f"line is neither a WORD line nor blank: {line!r}"
+            report(DiagnosticKind.UNPARSEABLE_LINE, line_number, detail)
+            continue
+        index = int(word_m.group(1))
+        if index in mentioned:
+            detail = f"word index {index} appears more than once"
+            report(DiagnosticKind.DUPLICATE_WORD_INDEX, line_number, detail)
+            continue
+        mentioned.add(index)
+        if index >= n_words:
+            detail = f"unexpected word index {index}; the text has {n_words} words"
+            report(DiagnosticKind.WORD_COUNT_MISMATCH, line_number, detail)
+        else:
             if index != expected_next:
                 already_named.add(expected_next)
-                diagnostics.append(
-                    ParseDiagnostic(
-                        DiagnosticKind.WORD_COUNT_MISMATCH,
-                        line_number,
-                        f"expected word index {expected_next} next, got {index}",
-                    )
-                )
+                detail = f"expected word index {expected_next} next, got {index}"
+                report(DiagnosticKind.WORD_COUNT_MISMATCH, line_number, detail)
             expected = expected_words[index]
-            if match_key(echoed) != expected.key:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        DiagnosticKind.WORD_IDENTITY_MISMATCH,
-                        line_number,
-                        f"word {index} should be {expected.surface!r}, response says {echoed!r}",
-                    )
-                )
-            values = (
-                _parse_value(word_m.group(3), LOCAL_SCALE, f"word {index} duration", line_number, diagnostics),
-                _parse_value(word_m.group(4), LOCAL_SCALE, f"word {index} pitch", line_number, diagnostics),
-                _parse_value(word_m.group(5), LOCAL_SCALE, f"word {index} energy", line_number, diagnostics),
-            )
+            if match_key(word_m.group(2)) != expected.key:
+                detail = f"word {index} should be {expected.surface!r}, response says {word_m.group(2)!r}"
+                report(DiagnosticKind.WORD_IDENTITY_MISMATCH, line_number, detail)
+            values = read_values(word_m, LOCAL_SCALE, f"word {index}", line_number)
             if None not in values:
-                entries[index] = WordSuggestion(
-                    index=index,
-                    key=expected.key,
-                    local_duration=values[0],
-                    local_pitch=values[1],
-                    local_energy=values[2],
-                )
-            expected_next = max(expected_next, index + 1)
-            continue
-        if global_m:
-            diagnostics.append(
-                ParseDiagnostic(
-                    DiagnosticKind.UNPARSEABLE_LINE, line_number, "duplicate GLOBAL line"
-                )
-            )
-            continue
-        diagnostics.append(
-            ParseDiagnostic(
-                DiagnosticKind.UNPARSEABLE_LINE,
-                line_number,
-                f"line is neither a WORD line nor blank: {line!r}",
-            )
-        )
+                entries[index] = WordSuggestion(index, expected.key, *values)
+        expected_next = max(expected_next, index + 1)
 
-    if global_values is None and not any(
-        d.kind is DiagnosticKind.MISSING_GLOBAL for d in diagnostics
-    ):
-        diagnostics.append(
-            ParseDiagnostic(
-                DiagnosticKind.MISSING_GLOBAL, last_line_number, "no GLOBAL line found"
-            )
-        )
+    if not in_words:  # neither a GLOBAL line nor a WORD line standing in for one
+        report(DiagnosticKind.MISSING_GLOBAL, len(lines), "no GLOBAL line found")
     unreported = [i for i in range(n_words) if i not in mentioned and i not in already_named]
     if unreported and global_values is not None:
-        diagnostics.append(
-            ParseDiagnostic(
-                DiagnosticKind.WORD_COUNT_MISMATCH,
-                last_line_number,
-                "missing word indices: " + ", ".join(str(i) for i in unreported),
-            )
-        )
-
-    reasoning = "\n".join(reasoning_lines)
-    fatal = [d for d in diagnostics if d.fatal]
+        detail = "missing word indices: " + ", ".join(str(i) for i in unreported)
+        report(DiagnosticKind.WORD_COUNT_MISMATCH, len(lines), detail)
     suggestion = None
-    if not fatal and global_values is not None and len(entries) == n_words:
-        suggestion = LlmScaleSuggestion(
-            global_duration=global_values[0],
-            global_pitch=global_values[1],
-            global_energy=global_values[2],
-            words=tuple(entries[i] for i in range(n_words)),
-        )
-    return ParseResult(
-        suggestion=suggestion, reasoning=reasoning, diagnostics=tuple(diagnostics)
-    )
+    if global_values is not None and len(entries) == n_words and not any(d.fatal for d in diagnostics):
+        suggestion = LlmScaleSuggestion(*global_values, words=tuple(entries[i] for i in range(n_words)))
+    return ParseResult(suggestion, "\n".join(reasoning_lines), tuple(diagnostics))
 
 
 def _value_text(value: float) -> str:

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from llmprosody.cli import main
+from llmprosody import llm, mapping
+from llmprosody.cli import main, plan_cmd
 from llmprosody.evaluation import (
     PREFERENCES_HEADER,
     RATINGS_HEADER,
@@ -199,6 +200,61 @@ class TestPlanCommand:
         assert result.exit_code == 2
         assert plan.read_bytes() == b"old plan bytes\n"
         assert [path.name for path in tmp_path.iterdir()] == ["existing.tsv"]
+
+    @pytest.mark.parametrize(
+        "option, owner, field",
+        [
+            ("base_url", llm.BackendConfig, "base_url"),
+            ("model", llm.BackendConfig, "model_name"),
+            ("api_key_env", llm.BackendConfig, "api_key_env"),
+            ("temperature", llm.BackendConfig, "temperature"),
+            ("timeout_s", llm.BackendConfig, "timeout_s"),
+            ("max_retries", llm.BackendConfig, "max_retries"),
+            ("max_attempts", llm.RepairPolicy, "max_attempts"),
+            ("pitch_cap", mapping.MappingConfig, "local_pitch_cap_fraction"),
+        ],
+    )
+    def test_default_is_the_library_default(self, option, owner, field):
+        [param] = [p for p in plan_cmd.params if p.name == option]
+        assert param.default == getattr(owner(), field)
+
+
+def with_er_phone(tmp_path, f0="0.400000", energy="0.800000"):
+    """The test utterance with new F0 and energy values for its voiced phone ER."""
+    path = tmp_path / "features.tsv"
+    old = "ER\t0\t0.110000\t0.400000\t0.800000"
+    path.write_text(Path(NORM).read_text().replace(old, f"ER\t0\t0.110000\t{f0}\t{energy}"))
+    return str(path)
+
+
+class TestValuesBeyondFloatRange:
+    def test_huge_f0_plan_exits_2(self, runner, tmp_path):
+        out = tmp_path / "plan.tsv"
+        result = runner.invoke(
+            main,
+            ["plan", "--features", with_er_phone(tmp_path, f0="100000.0"), "--stats", STATS,
+             "-o", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    # 1e6 overflows when de-normalized; 1416.392417 de-normalizes, then overflows when scaled
+    @pytest.mark.parametrize("energy", ["1000000.0", "1416.392417"])
+    def test_huge_energy_apply_exits_2(self, runner, tmp_path, energy):
+        features = with_er_phone(tmp_path, energy=energy)
+        plan = tmp_path / "plan.tsv"
+        result = runner.invoke(
+            main,
+            ["plan", "--features", features, "--stats", STATS, "--seed", "0", "-o", str(plan)],
+        )
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out.tsv"
+        result = runner.invoke(
+            main,
+            ["apply", "--features", features, "--stats", STATS, "--plan", str(plan), "-o", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
 
 
 class TestApplyCommand:

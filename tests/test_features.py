@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -182,6 +183,14 @@ class TestSerializeFeatures:
         phone = PhoneFeature("AA1", 0, 4e-7, None, 0.0, voiced=False, pause=False)
         utterance = make_utterance("u1", "spk1", "hi", [phone], normalized=True)
         with pytest.raises(InvariantViolation, match="rounds to 0.000000"):
+            serialize_features([utterance])
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slot", ["f0", "energy"])
+    def test_non_finite_f0_or_energy_refused(self, slot, value):
+        phone = PhoneFeature("AA1", 0, 0.1, 0.2, 0.3, voiced=True, pause=False)
+        utterance = make_utterance("u1", "spk1", "hi", [replace(phone, **{slot: value})], normalized=True)
+        with pytest.raises(InvariantViolation, match="non-finite F0 or energy"):
             serialize_features([utterance])
 
 

@@ -164,6 +164,7 @@ def fake_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def _config(server, **overrides) -> BackendConfig:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from llmprosody.errors import DataError
 from llmprosody.features import PhoneFeature, make_utterance
 from llmprosody.mapping import (
     ModificationPlan,
@@ -78,6 +79,13 @@ class TestNormalization:
         with pytest.raises(NonPositiveEnergy):
             renorm_energy(0.0, stats)
 
+    def test_beyond_float_range_is_a_data_error(self):
+        stats = make_stats()
+        with pytest.raises(DataError, match="normalized F0 100000.0 is too large"):
+            denorm_f0(100000.0, stats)
+        with pytest.raises(DataError, match="normalized energy 1000000.0 is too large"):
+            denorm_energy(1e6, stats)
+
 
 class TestApplyPlanExamples:
     def test_duration_product(self):
@@ -105,6 +113,20 @@ class TestApplyPlanExamples:
         out = apply_plan(utterance, stats, plan)
         expected = denorm_energy(0.4, stats) * 1.8
         assert denorm_energy(out.phones[0].energy, stats) == pytest.approx(expected, rel=1e-12)
+
+    def test_huge_energy_is_a_data_error(self):
+        phones = [PhoneFeature("AA", 0, 0.10, 0.0, 1e6, True, False)]
+        utterance = make_utterance("u1", "spk1", "hi", phones, normalized=True)
+        with pytest.raises(DataError, match="too large to de-normalize"):
+            apply_plan(utterance, make_stats(), manual_plan(utterance))
+
+    def test_zero_plan_clamps_f0_outside_the_range(self):
+        stats = make_stats(f0_min_hz=100.0, f0_max_hz=300.0)
+        f0_norm = (math.log(90.0) - stats.mu_logf0) / stats.sigma_logf0
+        phones = [PhoneFeature("AA", 0, 0.10, f0_norm, 0.5, True, False)]
+        utterance = make_utterance("u1", "spk1", "hi", phones, normalized=True)
+        out = apply_plan(utterance, stats, identity_plan(utterance, stats))
+        assert denorm_f0(out.phones[0].f0, stats) == pytest.approx(100.0, rel=1e-12)
 
     def test_rejects_raw_features(self, rng):
         stats = make_stats()

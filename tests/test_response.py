@@ -11,6 +11,7 @@ from llmprosody.response import (
 )
 
 from conftest import PROPERTIES, WORD_POOL, random_stats, random_suggestion, random_utterance
+from reference import reference_parse_response
 
 THREE_WORDS = tokenize_words("Turn left now.")
 
@@ -256,6 +257,65 @@ class TestParseProperties:
         assert result.ok and result.diagnostics == ()
         assert result.suggestion == suggestion
         assert result.reasoning == reasoning
+
+
+# values that are numbers in range, out of range, non-finite or not numbers at all
+ODD_VALUE = st.one_of(
+    VALUE_TEXT,
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "5.0000001", "-0.0", "loud", "3,5", "0x1"]),
+)
+
+
+@st.composite
+def mixed_responses(draw):
+    """Responses mixing valid lines with every kind of line the parser must diagnose."""
+    words = draw(WORD_LISTS)
+    index = st.integers(0, len(words) + 2)
+    word_line = st.builds(
+        "WORD {} {}: duration={} pitch={} energy={}".format,
+        index,
+        st.one_of(st.sampled_from([w.surface for w in words]), st.sampled_from(WORD_POOL)),
+        ODD_VALUE, ODD_VALUE, ODD_VALUE,
+    )
+    valid = VALID.split("\n")
+    line = st.one_of(
+        st.sampled_from(["", "  ", "\t"]),
+        ONE_LINE,
+        st.sampled_from(valid),
+        st.builds("REASONING: {}".format, ONE_LINE),
+        st.builds("GLOBAL: duration={} pitch={} energy={}".format, ODD_VALUE, ODD_VALUE, ODD_VALUE),
+        word_line,
+        st.integers(0, len(words) - 1).map(
+            lambda i: f"WORD {i} {words[i].surface}: duration=1 pitch=2 energy=3"
+        ),
+    )
+    return "\n".join(draw(st.lists(line, max_size=14))), words
+
+
+def plain(result):
+    s = result.suggestion
+    suggestion = None if s is None else (
+        s.global_duration, s.global_pitch, s.global_energy,
+        tuple((w.index, w.key, w.local_duration, w.local_pitch, w.local_energy) for w in s.words),
+    )
+    diagnostics = tuple((d.kind.value, d.line_number, d.detail) for d in result.diagnostics)
+    return suggestion, result.reasoning, diagnostics
+
+
+class TestParseMatchesReference:
+    @PROPERTIES
+    @given(case=st.one_of(
+        mixed_responses(),
+        st.tuples(st.lists(GRAMMAR_LINES, max_size=12).map("\n".join), WORD_LISTS),
+    ))
+    @example(case=(VALID, THREE_WORDS))
+    @example(case=("\n\nGLOBAL: duration=0 pitch=1 energy=0\nREASONING: late\n", THREE_WORDS))
+    @example(
+        case=("WORD 5 now: duration=0 pitch=0 energy=0\nGLOBAL: duration=0 pitch=0 energy=0", THREE_WORDS)
+    )
+    def test_same_result_as_reference(self, case):
+        text, words = case
+        assert plain(parse_response(text, words)) == reference_parse_response(text, words)
 
 
 class TestSerializeSuggestion:
