@@ -3,7 +3,9 @@
 Ratings are 1-5 opinion scores per (stimulus, system, rater); preferences are
 three-way forced choices per stimulus set.  Display values round half-up to
 one decimal; the raw values are always kept alongside.  Confidence intervals
-are t-based and labelled as such in the formatted output.
+are t-based and labelled as such in the formatted output.  NumPy and SciPy
+are imported inside the two functions that compute with them, so importing
+this module (and the CLI, which imports it) does not load them.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-
-import numpy as np
-from scipy import stats as sps
 
 from .errors import DataError
 
@@ -92,6 +91,9 @@ def mos_summary(
     confidence: float = 0.95,
 ) -> dict[str, MosSummary]:
     """Mean opinion score per system with a two-tailed t confidence interval."""
+    import numpy as np
+    from scipy import stats as sps
+
     if not 0 < confidence < 1:
         raise DataError(f"confidence must be in (0, 1), got {confidence}")
     by_system: dict[str, list[int]] = {}
@@ -138,6 +140,8 @@ def paired_t_test(
     pairs give (t=0, p=1), constant nonzero differences give p=0 with an
     infinite t.
     """
+    import numpy as np
+    from scipy import stats as sps
 
     def keyed(records) -> dict[tuple[str, str], int]:
         table: dict[tuple[str, str], int] = {}

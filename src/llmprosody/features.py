@@ -14,8 +14,6 @@ import string
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DataError
 
 
@@ -391,6 +389,8 @@ def compute_speaker_stats(
     phones.  The speaker's F0 range is the given percentiles of linear-Hz
     voiced F0.
     """
+    import numpy as np
+
     low, high = range_percentiles
     if not 0 <= low < high <= 100:
         raise DataError(f"percentiles must satisfy 0 <= low < high <= 100, got {range_percentiles}")

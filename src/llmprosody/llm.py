@@ -5,7 +5,8 @@ completion text.  :class:`HttpBackend` talks to a chat/completions-style
 JSON endpoint (model name, message list, temperature in the request; the
 first choice's message content in the response).  :class:`MockBackend` is a
 deterministic stand-in that needs no network and lets the whole pipeline run
-reproducibly from a seed.
+reproducibly from a seed.  ``requests`` is imported by :func:`complete` on
+its first call, so the mock path never loads it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
-
-import requests
 
 from .errors import BackendError, DataError, LlmOutputError
 from .features import Word, tokenize_words
@@ -125,6 +124,8 @@ def complete(
     to ``config.max_retries`` times with exponential backoff and jitter.
     Auth failures are raised immediately.
     """
+    import requests
+
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
         raise AuthError(

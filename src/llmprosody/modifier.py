@@ -48,6 +48,8 @@ def renorm_f0(hz: float, stats: SpeakerStats) -> float:
     """Linear Hz -> normalized log-F0."""
     if not hz > 0:
         raise NonPositiveF0(f"F0 must be > 0 Hz, got {hz}")
+    if hz == math.inf:
+        raise DataError("F0 is too large to re-normalize")
     return (math.log(hz) - stats.mu_logf0) / stats.sigma_logf0
 
 
@@ -60,6 +62,8 @@ def renorm_energy(energy: float, stats: SpeakerStats) -> float:
     """Linear energy -> normalized log-energy."""
     if not energy > 0:
         raise NonPositiveEnergy(f"energy must be > 0, got {energy}")
+    if energy == math.inf:
+        raise DataError("energy is too large to re-normalize")
     return (math.log(energy) - stats.mu_loge) / stats.sigma_loge
 
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,9 @@ from llmprosody.evaluation import (
     PREFERENCES_HEADER,
     RATINGS_HEADER,
     STYLE_LABELS_HEADER,
+    format_mos_summary,
+    mos_summary,
+    parse_ratings,
 )
 from llmprosody.features import parse_speaker_stats
 
@@ -400,3 +405,76 @@ class TestUtteranceSelection:
              "--utterance-id", "zzz", "-o", str(tmp_path / "p.tsv")],
         )
         assert result.exit_code == 2
+
+
+# Run in a fresh interpreter: import the package, run the CLI on the arguments
+# after the first (if any), then write the names of all loaded modules to the
+# file named by the first.
+REPORT_MODULES = """
+import sys
+import llmprosody
+if sys.argv[2:]:
+    from llmprosody.cli import main
+    try:
+        main(sys.argv[2:])
+    except SystemExit as exc:
+        if exc.code:
+            raise
+with open(sys.argv[1], "w", encoding="utf-8") as report:
+    report.write("\\n".join(sys.modules))
+"""
+
+HEAVY = {"numpy", "requests", "scipy"}
+
+
+def run_fresh(tmp_path, args):
+    """Run the CLI on ``args`` in a fresh interpreter; return the process and its top-level modules."""
+    report = tmp_path / "modules.txt"
+    completed = subprocess.run(
+        [sys.executable, "-c", REPORT_MODULES, str(report), *args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    names = report.read_text(encoding="utf-8").split("\n")
+    return completed, {name.partition(".")[0] for name in names}
+
+
+class TestImportsOnDemand:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [],
+            ["--help"],
+            ["prompt", "--text", "Turn left at the second light."],
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock", "-o", "plan.tsv"],
+            ["apply", "--features", NORM, "--stats", STATS,
+             "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", "out.tsv"],
+        ],
+        ids=["import", "help", "prompt", "plan", "apply"],
+    )
+    def test_pipeline_loads_no_numpy_scipy_or_requests(self, tmp_path, args):
+        _, loaded = run_fresh(tmp_path, args)
+        assert loaded & HEAVY == set()
+
+    def test_stats_loads_numpy_only(self, tmp_path):
+        _, loaded = run_fresh(tmp_path, ["stats", RAW, "-o", "stats.tsv"])
+        assert loaded & HEAVY == {"numpy"}
+
+    def test_eval_pref_loads_none_of_them(self, tmp_path):
+        write_preferences(tmp_path / "prefs.tsv", {"proposed": 3, "baseline": 2, "random": 1})
+        _, loaded = run_fresh(tmp_path, ["eval", "pref", "prefs.tsv"])
+        assert loaded & HEAVY == set()
+
+    def test_eval_mos_prints_the_library_summary(self, tmp_path):
+        rows = [RATINGS_HEADER]
+        for system, scores in {"baseline": [3, 4, 2, 5, 3], "proposed": [4, 5, 4, 3, 5]}.items():
+            rows.extend(f"s{i}\t{system}\tr{i % 3}\t{score}" for i, score in enumerate(scores))
+        document = "\n".join(rows) + "\n"
+        (tmp_path / "ratings.tsv").write_text(document, encoding="utf-8")
+        completed, loaded = run_fresh(tmp_path, ["eval", "mos", "ratings.tsv"])
+        assert completed.stdout == format_mos_summary(mos_summary(parse_ratings(document)))
+        assert "scipy" in loaded

@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from llmprosody.errors import DataError
-from llmprosody.features import PhoneFeature, make_utterance
+from llmprosody.features import PhoneFeature, make_utterance, parse_features, parse_speaker_stats
+from llmprosody.llm import MockBackend, suggest_with_repair
 from llmprosody.mapping import (
     ModificationPlan,
     PitchBounds,
@@ -21,6 +23,7 @@ from llmprosody.modifier import (
     renorm_energy,
     renorm_f0,
 )
+from llmprosody.prompting import Mode, PromptSpec
 
 from conftest import (
     identity_suggestion,
@@ -86,6 +89,13 @@ class TestNormalization:
         with pytest.raises(DataError, match="normalized energy 1000000.0 is too large"):
             denorm_energy(1e6, stats)
 
+    def test_infinite_linear_value_is_a_data_error(self):
+        stats = make_stats()
+        with pytest.raises(DataError, match="F0 is too large to re-normalize"):
+            renorm_f0(math.inf, stats)
+        with pytest.raises(DataError, match="energy is too large to re-normalize"):
+            renorm_energy(math.inf, stats)
+
 
 class TestApplyPlanExamples:
     def test_duration_product(self):
@@ -119,6 +129,21 @@ class TestApplyPlanExamples:
         utterance = make_utterance("u1", "spk1", "hi", phones, normalized=True)
         with pytest.raises(DataError, match="too large to de-normalize"):
             apply_plan(utterance, make_stats(), manual_plan(utterance))
+
+    def test_energy_overflowing_when_scaled_is_a_data_error(self):
+        # the energy case of test_cli::TestValuesBeyondFloatRange: 1416.392417
+        # de-normalizes, then the plan of `plan --seed 0` scales it past the float range
+        data = Path(__file__).parent / "data"
+        document = (data / "norm_utterance.tsv").read_text(encoding="utf-8").replace(
+            "ER\t0\t0.110000\t0.400000\t0.800000", "ER\t0\t0.110000\t0.400000\t1416.392417"
+        )
+        (utterance,) = parse_features(document)
+        stats = parse_speaker_stats((data / "stats.tsv").read_text(encoding="utf-8"))
+        spec = PromptSpec(Mode.NEUTRAL, utterance.text)
+        suggestion, _ = suggest_with_repair(spec, MockBackend(seed=0))
+        plan = build_plan(suggestion, utterance, stats)
+        with pytest.raises(DataError, match="energy is too large to re-normalize"):
+            apply_plan(utterance, stats, plan)
 
     def test_zero_plan_clamps_f0_outside_the_range(self):
         stats = make_stats(f0_min_hz=100.0, f0_max_hz=300.0)
