@@ -13,9 +13,13 @@ from .features import (
     UtteranceFeatures,
     Word,
     compute_speaker_stats,
+    denorm_energy,
+    denorm_f0,
     make_utterance,
     parse_features,
     parse_speaker_stats,
+    renorm_energy,
+    renorm_f0,
     serialize_features,
     serialize_speaker_stats,
     tokenize_words,
@@ -46,7 +50,7 @@ from .mapping import (
     parse_plan,
     serialize_plan,
 )
-from .modifier import apply_plan, denorm_energy, denorm_f0, renorm_energy, renorm_f0
+from .modifier import apply_plan
 from .prompting import Exemplar, Mode, PromptSpec, build_prompt, default_exemplars
 from .response import (
     DiagnosticKind,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import click
 
-from . import evaluation, features, llm, mapping, modifier, prompting
+from . import __version__, evaluation, features, llm, mapping, modifier, prompting
 from .errors import BackendError, DataError, LlmOutputError
 
 EXIT_DATA_ERROR = 2
@@ -126,7 +126,7 @@ def _mode_options(fn):
 
 
 @click.group()
-@click.version_option(package_name="llmprosody")
+@click.version_option(version=__version__)
 def main() -> None:
     """Turn natural-language context into prosody modifications."""
 
@@ -273,6 +273,9 @@ def apply_cmd(features_path, stats_path, plan_path, utterance_id, output) -> Non
     stats_obj = features.parse_speaker_stats(Path(stats_path).read_text(encoding="utf-8"))
     plan = mapping.parse_plan(Path(plan_path).read_text(encoding="utf-8"))
     modified = modifier.apply_plan(utterance, stats_obj, plan)
+    bounds = mapping.compute_pitch_bounds(utterance, stats_obj)
+    if plan.bounds != bounds:  # the plan was built with other features or stats
+        raise DataError(f"plan BOUNDS do not match utterance {utterance.id!r} with these stats: {bounds}")
     _write_output(features.serialize_features([modified]), output)
 
 

@@ -5,6 +5,8 @@ Features arrive from an upstream aligner/pitch tracker as one row per phone
 schema is used in two variants: ``raw`` files carry un-normalized log values
 and feed :func:`compute_speaker_stats`; ``norm`` files carry speaker-normalized
 values and feed the modification pipeline.
+The module also owns the log-domain normalization with a speaker's
+:class:`SpeakerStats`: ``denorm_*`` to linear units and ``renorm_*`` back.
 """
 
 from __future__ import annotations
@@ -128,6 +130,49 @@ class SpeakerStats:
             )
 
 
+class NonPositiveF0(DataError):
+    """Linear F0 must be strictly positive before taking the log."""
+
+
+class NonPositiveEnergy(DataError):
+    """Linear energy must be strictly positive before taking the log."""
+
+
+def _exp(log_value: float, what: str, norm: float) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DataError(f"normalized {what} {norm} is too large to de-normalize") from None
+
+
+def denorm_f0(f0_norm: float, stats: SpeakerStats) -> float:
+    """Normalized log-F0 -> linear Hz."""
+    return _exp(f0_norm * stats.sigma_logf0 + stats.mu_logf0, "F0", f0_norm)
+
+
+def renorm_f0(hz: float, stats: SpeakerStats) -> float:
+    """Linear Hz -> normalized log-F0."""
+    if not hz > 0:
+        raise NonPositiveF0(f"F0 must be > 0 Hz, got {hz}")
+    if hz == math.inf:
+        raise DataError("F0 is too large to re-normalize")
+    return (math.log(hz) - stats.mu_logf0) / stats.sigma_logf0
+
+
+def denorm_energy(energy_norm: float, stats: SpeakerStats) -> float:
+    """Normalized log-energy -> linear energy."""
+    return _exp(energy_norm * stats.sigma_loge + stats.mu_loge, "energy", energy_norm)
+
+
+def renorm_energy(energy: float, stats: SpeakerStats) -> float:
+    """Linear energy -> normalized log-energy."""
+    if not energy > 0:
+        raise NonPositiveEnergy(f"energy must be > 0, got {energy}")
+    if energy == math.inf:
+        raise DataError("energy is too large to re-normalize")
+    return (math.log(energy) - stats.mu_loge) / stats.sigma_loge
+
+
 def validate_utterance(utterance: UtteranceFeatures, line_numbers: Sequence[int] | None = None) -> None:
     """Raise :class:`InvariantViolation` when the utterance is inconsistent.
 
@@ -209,13 +254,14 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _parse_float(field: str, what: str, line_number: int) -> float:
+def parse_finite(field: str, what: str, line_number: int, error: type[DataError]) -> float:
+    """``field`` as a finite float, else ``error`` (the format's own class) naming the line."""
     try:
         value = float(field)
     except ValueError:
-        raise FeatureFormatError(f"line {line_number}: {what} {field!r} is not a number") from None
+        raise error(f"line {line_number}: {what} {field!r} is not a number") from None
     if not math.isfinite(value):
-        raise FeatureFormatError(f"line {line_number}: {what} must be finite, got {field!r}")
+        raise error(f"line {line_number}: {what} must be finite, got {field!r}")
     return value
 
 
@@ -324,12 +370,12 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
                 ) from None
             if word_index < 0:
                 raise FeatureFormatError(f"line {line_number}: word index must be >= 0")
-        duration = _parse_float(duration_s, "duration", line_number)
-        energy = _parse_float(energy_s, "energy", line_number)
+        duration = parse_finite(duration_s, "duration", line_number, FeatureFormatError)
+        energy = parse_finite(energy_s, "energy", line_number, FeatureFormatError)
         if f0_s == _ABSENT:
             f0 = None
         else:
-            f0 = _parse_float(f0_s, "F0", line_number)
+            f0 = parse_finite(f0_s, "F0", line_number, FeatureFormatError)
         current["phones"].append(
             PhoneFeature(
                 label=label,
@@ -370,7 +416,7 @@ def parse_speaker_stats(document: str) -> SpeakerStats:
             raise FeatureFormatError(f"line {line_number}: unknown stats key {key!r}")
         if key in values:
             raise FeatureFormatError(f"line {line_number}: duplicate stats key {key!r}")
-        values[key] = _parse_float(value_s, key, line_number)
+        values[key] = parse_finite(value_s, key, line_number, FeatureFormatError)
     missing = [key for key in _STATS_KEYS if key not in values]
     if missing:
         raise FeatureFormatError(f"stats file is missing keys: {', '.join(missing)}")

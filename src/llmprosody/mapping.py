@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DataError
-from .features import SpeakerStats, UtteranceFeatures
-from .modifier import denorm_f0
+from .features import SpeakerStats, UtteranceFeatures, denorm_f0, parse_finite
 
 GLOBAL_SCALE = (-5.0, 5.0)
 LOCAL_SCALE = (0.0, 5.0)
@@ -262,16 +261,6 @@ def serialize_plan(plan: ModificationPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plan_float(field_s: str, what: str, line_number: int) -> float:
-    try:
-        value = float(field_s)
-    except ValueError:
-        raise PlanFormatError(f"line {line_number}: {what} {field_s!r} is not a number") from None
-    if not math.isfinite(value):
-        raise PlanFormatError(f"line {line_number}: {what} must be finite")
-    return value
-
-
 def parse_plan(document: str) -> ModificationPlan:
     """Parse and validate a plan document (inverse of :func:`serialize_plan`)."""
     global_fields: tuple[float, float, float] | None = None
@@ -288,9 +277,9 @@ def parse_plan(document: str) -> ModificationPlan:
             if len(fields) != 4:
                 raise PlanFormatError(f"line {line_number}: GLOBAL needs 3 values")
             global_fields = (
-                _plan_float(fields[1], "g_dur", line_number),
-                _plan_float(fields[2], "g_pitch_hz", line_number),
-                _plan_float(fields[3], "g_energy", line_number),
+                parse_finite(fields[1], "g_dur", line_number, PlanFormatError),
+                parse_finite(fields[2], "g_pitch_hz", line_number, PlanFormatError),
+                parse_finite(fields[3], "g_energy", line_number, PlanFormatError),
             )
         elif tag == "WORD":
             if len(fields) != 6:
@@ -307,9 +296,9 @@ def parse_plan(document: str) -> ModificationPlan:
                 WordCoefficients(
                     index=index,
                     surface=fields[2],
-                    delta=_plan_float(fields[3], "delta", line_number),
-                    pi_hz=_plan_float(fields[4], "pi_hz", line_number),
-                    epsilon=_plan_float(fields[5], "epsilon", line_number),
+                    delta=parse_finite(fields[3], "delta", line_number, PlanFormatError),
+                    pi_hz=parse_finite(fields[4], "pi_hz", line_number, PlanFormatError),
+                    epsilon=parse_finite(fields[5], "epsilon", line_number, PlanFormatError),
                 )
             )
         elif tag == "BOUNDS":
@@ -318,8 +307,8 @@ def parse_plan(document: str) -> ModificationPlan:
             if len(fields) != 3:
                 raise PlanFormatError(f"line {line_number}: BOUNDS needs 2 values")
             bounds = PitchBounds(
-                p_min_hz=_plan_float(fields[1], "p_min_hz", line_number),
-                p_max_hz=_plan_float(fields[2], "p_max_hz", line_number),
+                p_min_hz=parse_finite(fields[1], "p_min_hz", line_number, PlanFormatError),
+                p_max_hz=parse_finite(fields[2], "p_max_hz", line_number, PlanFormatError),
             )
         else:
             raise PlanFormatError(f"line {line_number}: unknown tag {tag!r}")

@@ -9,66 +9,19 @@ speaker's natural F0 range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .features import SpeakerStats, UtteranceFeatures
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .mapping import ModificationPlan
-
-
-class NonPositiveF0(DataError):
-    """Linear F0 must be strictly positive before taking the log."""
-
-
-class NonPositiveEnergy(DataError):
-    """Linear energy must be strictly positive before taking the log."""
+from .features import SpeakerStats, UtteranceFeatures, denorm_energy, denorm_f0, renorm_energy, renorm_f0
+from .mapping import ModificationPlan
 
 
 class PlanShapeMismatch(DataError):
     """The plan was built for other words than the utterance's."""
 
 
-def _exp(log_value: float, what: str, norm: float) -> float:
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DataError(f"normalized {what} {norm} is too large to de-normalize") from None
-
-
-def denorm_f0(f0_norm: float, stats: SpeakerStats) -> float:
-    """Normalized log-F0 -> linear Hz."""
-    return _exp(f0_norm * stats.sigma_logf0 + stats.mu_logf0, "F0", f0_norm)
-
-
-def renorm_f0(hz: float, stats: SpeakerStats) -> float:
-    """Linear Hz -> normalized log-F0."""
-    if not hz > 0:
-        raise NonPositiveF0(f"F0 must be > 0 Hz, got {hz}")
-    if hz == math.inf:
-        raise DataError("F0 is too large to re-normalize")
-    return (math.log(hz) - stats.mu_logf0) / stats.sigma_logf0
-
-
-def denorm_energy(energy_norm: float, stats: SpeakerStats) -> float:
-    """Normalized log-energy -> linear energy."""
-    return _exp(energy_norm * stats.sigma_loge + stats.mu_loge, "energy", energy_norm)
-
-
-def renorm_energy(energy: float, stats: SpeakerStats) -> float:
-    """Linear energy -> normalized log-energy."""
-    if not energy > 0:
-        raise NonPositiveEnergy(f"energy must be > 0, got {energy}")
-    if energy == math.inf:
-        raise DataError("energy is too large to re-normalize")
-    return (math.log(energy) - stats.mu_loge) / stats.sigma_loge
-
-
 def apply_plan(
-    utterance: UtteranceFeatures, stats: SpeakerStats, plan: "ModificationPlan"
+    utterance: UtteranceFeatures, stats: SpeakerStats, plan: ModificationPlan
 ) -> UtteranceFeatures:
     """Return a new utterance with the plan's coefficients applied.
 

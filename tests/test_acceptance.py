@@ -19,10 +19,10 @@ from llmprosody.evaluation import (
     paired_t_test,
     preference_summary,
 )
-from llmprosody.features import compute_speaker_stats
+from llmprosody.features import compute_speaker_stats, denorm_f0
 from llmprosody.llm import MockBackend, RepairExhausted, RepairPolicy, suggest_with_repair
 from llmprosody.mapping import build_plan, map_global_scale, map_local_scale
-from llmprosody.modifier import apply_plan, denorm_f0
+from llmprosody.modifier import apply_plan
 from llmprosody.prompting import Mode, PromptSpec, build_prompt
 from llmprosody.response import parse_response, serialize_suggestion
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,19 @@ class TestVersion:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "0.1.0" in result.output
+
+    def test_version_needs_no_package_metadata(self, tmp_path):
+        shutil.copytree(Path(__file__).parents[1] / "src" / "llmprosody", tmp_path / "llmprosody")
+        completed = subprocess.run(
+            [sys.executable, "-m", "llmprosody", "--version"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "0.1.0" in completed.stdout
 
 
 class TestStatsCommand:
@@ -281,7 +295,7 @@ class TestApplyCommand:
                 f"WORD\t{i}\t{w}\t1.0\t0.0\t1.0\n"
                 for i, w in enumerate(["Turn", "left", "at", "the", "second", "light"])
             )
-            + "BOUNDS\t-10.0\t10.0\n"
+            + "BOUNDS\t-80.96748360719192\t49.5354567616273\n"
         )
         out = tmp_path / "out.tsv"
         result = runner.invoke(
@@ -315,6 +329,25 @@ class TestApplyCommand:
         )
         assert result.exit_code == 2
         assert "'Turn'" in result.output
+
+    def test_plan_built_with_other_stats_exits_2(self, runner, tmp_path):
+        plan = tmp_path / "plan.tsv"
+        result = runner.invoke(
+            main, ["plan", "--features", NORM, "--stats", STATS, "--seed", "7", "-o", str(plan)]
+        )
+        assert result.exit_code == 0, result.output
+        other_stats = tmp_path / "other_stats.tsv"
+        other_stats.write_text(Path(STATS).read_text().replace("f0_max_hz\t300.0", "f0_max_hz\t310.0"))
+        assert parse_speaker_stats(other_stats.read_text()).f0_max_hz == 310.0
+        out = tmp_path / "out.tsv"
+        result = runner.invoke(
+            main,
+            ["apply", "--features", NORM, "--stats", str(other_stats), "--plan", str(plan),
+             "-o", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "BOUNDS" in result.output
+        assert not out.exists()
 
     def test_missing_plan_file_exits_2(self, runner):
         result = runner.invoke(

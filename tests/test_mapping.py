@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from llmprosody.errors import DataError
-from llmprosody.features import PhoneFeature, make_utterance
+from llmprosody.features import PhoneFeature, denorm_f0, make_utterance
 from llmprosody.mapping import (
     MappingConfig,
     NoVoicedPhones,
@@ -22,7 +22,6 @@ from llmprosody.mapping import (
     serialize_plan,
     validate_plan,
 )
-from llmprosody.modifier import denorm_f0
 
 from conftest import (
     PROPERTIES,
@@ -351,6 +350,27 @@ class TestPlanFile:
         )
         with pytest.raises(PlanFormatError):
             parse_plan(doc)
+
+    @pytest.mark.parametrize("bad", ["abc", "inf", "nan"])
+    @pytest.mark.parametrize(
+        "line_number, column, name",
+        [(1, 1, "g_dur"), (1, 2, "g_pitch_hz"), (1, 3, "g_energy"),
+         (2, 3, "delta"), (2, 4, "pi_hz"), (2, 5, "epsilon"),
+         (3, 1, "p_min_hz"), (3, 2, "p_max_hz")],
+    )
+    def test_rejects_bad_number_naming_the_line(self, line_number, column, name, bad):
+        lines = [
+            ["GLOBAL", "1.0", "0.0", "1.0"],
+            ["WORD", "0", "hey", "1.0", "0.0", "1.0"],
+            ["BOUNDS", "-50.0", "50.0"],
+        ]
+        lines[line_number - 1][column] = bad
+        doc = "".join("\t".join(fields) + "\n" for fields in lines)
+        with pytest.raises(PlanFormatError) as caught:
+            parse_plan(doc)
+        message = str(caught.value)
+        assert message.startswith(f"line {line_number}: {name} ")
+        assert repr(bad) in message
 
     def test_rejects_missing_sections(self):
         with pytest.raises(PlanFormatError):

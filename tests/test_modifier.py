@@ -3,29 +3,40 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from llmprosody.errors import DataError
-from llmprosody.features import PhoneFeature, make_utterance, parse_features, parse_speaker_stats
+from llmprosody.features import (
+    NonPositiveEnergy,
+    NonPositiveF0,
+    PhoneFeature,
+    denorm_energy,
+    denorm_f0,
+    make_utterance,
+    parse_features,
+    parse_speaker_stats,
+    renorm_energy,
+    renorm_f0,
+    serialize_features,
+    tokenize_words,
+)
 from llmprosody.llm import MockBackend, suggest_with_repair
 from llmprosody.mapping import (
+    LlmScaleSuggestion,
     ModificationPlan,
     PitchBounds,
     WordCoefficients,
+    WordSuggestion,
     build_plan,
+    parse_plan,
+    serialize_plan,
 )
-from llmprosody.modifier import (
-    NonPositiveEnergy,
-    NonPositiveF0,
-    PlanShapeMismatch,
-    apply_plan,
-    denorm_energy,
-    denorm_f0,
-    renorm_energy,
-    renorm_f0,
-)
+from llmprosody.modifier import PlanShapeMismatch, apply_plan
 from llmprosody.prompting import Mode, PromptSpec
 
 from conftest import (
+    PROPERTIES,
+    WORD_POOL,
     identity_suggestion,
     make_stats,
     random_stats,
@@ -284,3 +295,74 @@ class TestApplyPlanInvariants:
         one_step = apply_plan(utterance, stats, combined)
         for a, b in zip(two_step.phones, one_step.phones):
             assert a.duration_s == pytest.approx(b.duration_s, rel=1e-12)
+
+
+# normalized log values within a few sigma, or far from the mean (F0 outside the speaker's range)
+NORMALIZED = st.floats(-1.0, 1.0) | st.floats(-12.0, 12.0)
+# ... or past the float range of exp
+NORMALIZED_WIDE = NORMALIZED | st.floats(-1e6, 1e6)
+DURATIONS = st.floats(0.001, 2.0)
+# suggestion values: mostly on the scales, sometimes anything a model could write
+SUGGESTED = st.floats(-6.0, 6.0) | st.floats()
+
+
+@st.composite
+def chain_inputs(draw):
+    """Stats, a normalized utterance whose voiced phones may start outside the F0 range, a suggestion."""
+    f0_min_hz = draw(st.floats(50.0, 200.0))
+    f0_max_hz = f0_min_hz + draw(st.floats(1.0, 400.0))
+    stats = make_stats(
+        mu_hz=draw(st.floats(f0_min_hz, f0_max_hz)),
+        sigma_logf0=draw(st.floats(0.05, 1.0)),
+        mu_loge=draw(st.floats(-3.0, 3.0)),
+        sigma_loge=draw(st.floats(0.05, 1.0)),
+        f0_min_hz=f0_min_hz,
+        f0_max_hz=f0_max_hz,
+    )
+    text = " ".join(draw(st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=5)))
+    words = tokenize_words(text)
+    normalized = NORMALIZED_WIDE if draw(st.integers(0, 3)) == 0 else NORMALIZED
+    phones = []
+    if draw(st.booleans()):
+        phones.append(PhoneFeature("sil", None, draw(DURATIONS), None, draw(normalized), False, True))
+    for j in range(len(words)):
+        # the first phone is voiced, so that most utterances have pitch bounds
+        for voiced in [j == 0 or draw(st.booleans())] + draw(st.lists(st.booleans(), max_size=2)):
+            f0 = draw(normalized) if voiced else None
+            phones.append(PhoneFeature("AA1", j, draw(DURATIONS), f0, draw(normalized), voiced, False))
+        if draw(st.booleans()):
+            phones.append(PhoneFeature("sp", None, draw(DURATIONS), None, draw(normalized), False, True))
+    utterance = make_utterance("u1", "spk1", text, phones, normalized=True)
+    suggestion = LlmScaleSuggestion(
+        *(draw(SUGGESTED) for _ in range(3)),
+        words=tuple(
+            WordSuggestion(i, word.key, *(draw(SUGGESTED) for _ in range(3)))
+            for i, word in enumerate(words)
+        ),
+    )
+    return stats, utterance, suggestion
+
+
+def pause_rows(document):
+    return [line for line in document.split("\n") if line.endswith("\t0\t1")]
+
+
+class TestEndToEndProperty:
+    @PROPERTIES
+    @given(chain_inputs())
+    def test_plan_file_to_feature_file(self, inputs):
+        """build, write and read a plan, apply it, write and read the result: DataError or the invariants."""
+        stats, utterance, suggestion = inputs
+        before = serialize_features([utterance])
+        try:
+            plan = parse_plan(serialize_plan(build_plan(suggestion, utterance, stats)))
+            after = serialize_features([apply_plan(utterance, stats, plan)])
+            modified = parse_features(after)[0]
+        except DataError:
+            return
+        assert pause_rows(after) == pause_rows(before)
+        for ph in modified.phones:
+            if ph.voiced:
+                hz = denorm_f0(ph.f0, stats)
+                # the file keeps 6 decimals of the normalized value
+                assert stats.f0_min_hz * (1 - 1e-5) <= hz <= stats.f0_max_hz * (1 + 1e-5)
