@@ -161,7 +161,10 @@ def renorm_f0(hz: float, stats: SpeakerStats) -> float:
 
 def denorm_energy(energy_norm: float, stats: SpeakerStats) -> float:
     """Normalized log-energy -> linear energy."""
-    return _exp(energy_norm * stats.sigma_loge + stats.mu_loge, "energy", energy_norm)
+    energy = _exp(energy_norm * stats.sigma_loge + stats.mu_loge, "energy", energy_norm)
+    if energy == 0.0:
+        raise DataError(f"normalized energy {energy_norm} is too small to de-normalize")
+    return energy
 
 
 def renorm_energy(energy: float, stats: SpeakerStats) -> float:

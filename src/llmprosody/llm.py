@@ -5,8 +5,8 @@ completion text.  :class:`HttpBackend` talks to a chat/completions-style
 JSON endpoint (model name, message list, temperature in the request; the
 first choice's message content in the response).  :class:`MockBackend` is a
 deterministic stand-in that needs no network and lets the whole pipeline run
-reproducibly from a seed.  ``requests`` is imported by :func:`complete` on
-its first call, so the mock path never loads it.
+reproducibly from a seed.  :func:`complete` uses the standard library's
+``urllib.request``, so HTTP needs no third-party package.
 """
 
 from __future__ import annotations
@@ -122,9 +122,13 @@ def complete(
 
     Timeouts, connection errors, HTTP 429, and 5xx responses are retried up
     to ``config.max_retries`` times with exponential backoff and jitter.
-    Auth failures are raised immediately.
+    Auth failures are raised immediately.  The transport modules are imported
+    here, on first call, so commands that never call this do not load them.
     """
-    import requests
+    import http.client
+    import json
+    import urllib.error
+    import urllib.request
 
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
@@ -132,12 +136,12 @@ def complete(
             f"no API key found in environment variable {config.api_key_env!r}"
         )
     url = config.base_url.rstrip("/") + "/chat/completions"
-    body = {
+    body = json.dumps({
         "model": config.model_name,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": config.temperature,
-    }
-    headers = {"Authorization": f"Bearer {api_key}"}
+    }).encode("utf-8")
+    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
     attempts = 0
     last_transient = ""
     rate_limited = False
@@ -146,32 +150,35 @@ def complete(
             delay = _BACKOFF_BASE_S * (2 ** (attempts - 1))
             sleep(delay + random.uniform(0, delay / 2))
         attempts += 1
+        # A new Request per attempt: a proxy handler rewrites its host in place.
+        request = urllib.request.Request(url, data=body, headers=headers)
         try:
-            resp = requests.post(url, json=body, headers=headers, timeout=config.timeout_s)
-        except requests.exceptions.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=config.timeout_s) as resp:
+                status, payload = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            status = exc.code
+            exc.close()
+        except (OSError, http.client.HTTPException) as exc:
             rate_limited = False
             last_transient = f"request failed: {type(exc).__name__}"
             logger.warning("completion attempt %d failed (%s)", attempts, last_transient)
             continue
-        if resp.status_code in (401, 403):
-            raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-        if resp.status_code == 429:
+        if status in (401, 403):
+            raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+        if status == 429:
             rate_limited = True
             last_transient = "rate limited (HTTP 429)"
             logger.warning("completion attempt %d rate limited", attempts)
             continue
-        if resp.status_code >= 500:
+        if status >= 500:
             rate_limited = False
-            last_transient = f"server error (HTTP {resp.status_code})"
+            last_transient = f"server error (HTTP {status})"
             logger.warning("completion attempt %d failed (%s)", attempts, last_transient)
             continue
-        if resp.status_code != 200:
-            raise NetworkError(
-                f"unexpected HTTP {resp.status_code} from endpoint", attempts=attempts
-            )
+        if status != 200:
+            raise NetworkError(f"unexpected HTTP {status} from endpoint", attempts=attempts)
         try:
-            data = resp.json()
-            content = data["choices"][0]["message"]["content"]
+            content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise MalformedApiResponse(
                 f"could not extract completion text: {type(exc).__name__}"
@@ -306,8 +313,6 @@ def suggest_batch(
     """Run :func:`suggest_with_repair` for several specs with bounded parallelism."""
     if max_parallel < 1:
         raise DataError(f"max_parallel must be >= 1, got {max_parallel}")
-    if max_parallel == 1 or len(specs) <= 1:
-        return [suggest_with_repair(spec, backend, policy) for spec in specs]
     with ThreadPoolExecutor(max_workers=max_parallel) as pool:
         futures = [pool.submit(suggest_with_repair, spec, backend, policy) for spec in specs]
         return [f.result() for f in futures]

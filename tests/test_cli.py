@@ -1,7 +1,10 @@
+import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -275,6 +278,24 @@ class TestValuesBeyondFloatRange:
         assert result.exit_code == 2, result.output
         assert not out.exists()
 
+    def test_tiny_energy_apply_exits_2_naming_the_value(self, runner, tmp_path):
+        # -1500.0 de-normalizes to exp(-749.0), which underflows to 0.0
+        features = with_er_phone(tmp_path, energy="-1500.0")
+        plan = tmp_path / "plan.tsv"
+        result = runner.invoke(
+            main,
+            ["plan", "--features", features, "--stats", STATS, "--seed", "0", "-o", str(plan)],
+        )
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out.tsv"
+        result = runner.invoke(
+            main,
+            ["apply", "--features", features, "--stats", STATS, "--plan", str(plan), "-o", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "normalized energy -1500.0 is too small to de-normalize" in result.output
+        assert not out.exists()
+
 
 class TestApplyCommand:
     def test_apply_matches_golden(self, runner, tmp_path):
@@ -458,15 +479,46 @@ with open(sys.argv[1], "w", encoding="utf-8") as report:
 """
 
 HEAVY = {"numpy", "requests", "scipy"}
+SRC_DIR = str(Path(__file__).parents[1] / "src")
 
 
-def run_fresh(tmp_path, args):
-    """Run the CLI on ``args`` in a fresh interpreter; return the process and its top-level modules."""
+class _MockCompletionHandler(BaseHTTPRequestHandler):
+    """A chat/completions endpoint that answers like the mock backend with seed 7."""
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        content = llm.mock_complete(request["messages"][0]["content"], 7)
+        body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def mock_completion_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _MockCompletionHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/v1"
+    server.shutdown()
+    server.server_close()
+
+
+def run_fresh(tmp_path, args, env=None):
+    """Run the CLI on ``args`` in a fresh interpreter; return the process and its top-level modules.
+
+    ``env`` adds to or overrides the environment, ``PYTHONPATH`` included.
+    """
     report = tmp_path / "modules.txt"
     completed = subprocess.run(
         [sys.executable, "-c", REPORT_MODULES, str(report), *args],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        env={**os.environ, "PYTHONPATH": SRC_DIR, **(env or {})},
         capture_output=True,
         text=True,
         timeout=120,
@@ -491,6 +543,20 @@ class TestImportsOnDemand:
     )
     def test_pipeline_loads_no_numpy_scipy_or_requests(self, tmp_path, args):
         _, loaded = run_fresh(tmp_path, args)
+        assert loaded & HEAVY == set()
+
+    def test_http_plan_needs_only_the_declared_dependencies(self, tmp_path, mock_completion_server):
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        (blocked / "requests.py").write_text('raise ImportError("requests is not installed")\n')
+        _, loaded = run_fresh(
+            tmp_path,
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "http",
+             "--base-url", mock_completion_server, "--api-key-env", "LLMPROSODY_TEST_KEY",
+             "-o", "plan.tsv"],
+            env={"PYTHONPATH": os.pathsep.join([str(blocked), SRC_DIR]), "LLMPROSODY_TEST_KEY": "k"},
+        )
+        assert (tmp_path / "plan.tsv").read_bytes() == (GOLDEN_DIR / "cli_plan_seed7.tsv").read_bytes()
         assert loaded & HEAVY == set()
 
     def test_stats_loads_numpy_only(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -118,13 +119,14 @@ class TestSuggestWithRepair:
         with pytest.raises(Exception):
             RepairPolicy(max_attempts=0)
 
-    def test_batch_matches_sequential(self):
+    @pytest.mark.parametrize("max_parallel", [1, 2, 4])
+    def test_batch_matches_sequential(self, max_parallel):
         specs = [
             PromptSpec(mode=Mode.NEUTRAL, target_text=f"word number {i} here") for i in range(6)
         ]
         backend = MockBackend(seed=5)
         sequential = [suggest_with_repair(s, backend) for s in specs]
-        parallel = suggest_batch(specs, backend, max_parallel=4)
+        parallel = suggest_batch(specs, backend, max_parallel=max_parallel)
         assert [s for s, _ in parallel] == [s for s, _ in sequential]
 
 
@@ -277,6 +279,22 @@ class TestComplete:
         # the key never leaks into the transcript
         for attempt in attempts:
             assert "k" != attempt.prompt and "Bearer" not in attempt.prompt
+
+    def test_proxy_variables_are_honoured(self, fake_server, monkeypatch):
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{fake_server.server_port}")
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        fake_server.script.append((200, _ok_body()))
+        # urlopen reads the proxy variables once, when it builds its default
+        # opener; drop the cached one before and after so they are read here
+        urllib.request.install_opener(None)
+        try:
+            config = _config(fake_server, base_url="http://llm.example.invalid/v1")
+            assert complete("p", config, sleep=NO_SLEEP) == "fine"
+        finally:
+            urllib.request.install_opener(None)
+        assert fake_server.requests[0]["path"] == "http://llm.example.invalid/v1/chat/completions"
 
     def test_config_validation(self):
         with pytest.raises(Exception):

@@ -100,6 +100,11 @@ class TestNormalization:
         with pytest.raises(DataError, match="normalized energy 1000000.0 is too large"):
             denorm_energy(1e6, stats)
 
+    def test_energy_below_float_range_is_a_data_error(self):
+        # exp(-1500 * 0.5 + 1.0) underflows to 0.0, which no energy can be
+        with pytest.raises(DataError, match="normalized energy -1500.0 is too small to de-normalize"):
+            denorm_energy(-1500.0, make_stats())
+
     def test_infinite_linear_value_is_a_data_error(self):
         stats = make_stats()
         with pytest.raises(DataError, match="F0 is too large to re-normalize"):
