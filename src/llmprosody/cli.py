@@ -8,6 +8,9 @@ write the mapped plan), ``apply`` (apply a plan to a feature file), and
 Exit codes: 0 success, 2 input/data error, 3 model-output error after
 repairs, 4 backend/transport error.  Data goes to standard output or the
 paths given by flags; diagnostics go to standard error.
+
+Importing it loads the package's ``errors``, ``config``, ``features``, ``mapping``, ``modifier``
+and ``evaluation``; ``prompt`` adds ``prompting`` and ``response``, and ``plan`` also ``llm``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, evaluation, features, llm, mapping, modifier, prompting
+from . import __version__, config, evaluation, features, mapping, modifier
 from .errors import BackendError, DataError, LlmOutputError
 
 EXIT_DATA_ERROR = 2
@@ -97,10 +100,16 @@ def _load_context(mode: str, style: str | None, previous_line: str | None) -> st
     return None
 
 
-def _load_exemplars(path: str | None) -> tuple[prompting.Exemplar, ...]:
-    if path is None:
-        return prompting.default_exemplars()
-    return prompting.parse_exemplars(Path(path).read_text(encoding="utf-8"))
+def _prompt_spec(mode: str, context: str | None, text: str, exemplars_path: str | None):
+    """The ``PromptSpec`` of ``prompt`` and ``plan``: the built-in examples, or those of the file."""
+    from . import prompting
+
+    if exemplars_path is None:
+        exemplars = prompting.default_exemplars()
+    else:
+        exemplars = prompting.parse_exemplars(Path(exemplars_path).read_text(encoding="utf-8"))
+    return prompting.PromptSpec(
+        mode=prompting.Mode(mode), target_text=text, context=context, exemplars=exemplars)
 
 
 def _mode_options(fn):
@@ -157,17 +166,13 @@ def stats(raw_features, output, min_duration_s, percentile_low, percentile_high)
 @_handle_errors
 def prompt_cmd(mode, style, previous_line, exemplars_path, text) -> None:
     """Print the prompt that would be sent to the model."""
-    context = _load_context(mode, style, previous_line)
-    spec = prompting.PromptSpec(
-        mode=prompting.Mode(mode),
-        target_text=text,
-        context=context,
-        exemplars=_load_exemplars(exemplars_path),
-    )
+    from . import prompting
+
+    spec = _prompt_spec(mode, _load_context(mode, style, previous_line), text, exemplars_path)
     click.echo(prompting.build_prompt(spec), nl=False)
 
 
-def _format_transcript(attempts: list[llm.Attempt]) -> str:
+def _format_transcript(attempts: list) -> str:
     lines = [f"attempts\t{len(attempts)}"]
     for number, attempt in enumerate(attempts, start=1):
         lines.append(f"== attempt {number} ==")
@@ -191,14 +196,14 @@ def _format_transcript(attempts: list[llm.Attempt]) -> str:
 @click.option("--utterance-id", default=None, help="Which utterance to plan for.")
 @click.option("--backend", type=click.Choice(["mock", "http"]), default="mock", show_default=True)
 @click.option("--seed", default=0, show_default=True, help="Seed for the mock backend.")
-@click.option("--base-url", default=llm.BackendConfig.base_url, show_default=True)
-@click.option("--model", default=llm.BackendConfig.model_name, show_default=True)
-@click.option("--api-key-env", default=llm.BackendConfig.api_key_env, show_default=True,
+@click.option("--base-url", default=config.BackendConfig.base_url, show_default=True)
+@click.option("--model", default=config.BackendConfig.model_name, show_default=True)
+@click.option("--api-key-env", default=config.BackendConfig.api_key_env, show_default=True,
               help="Environment variable holding the API key (http backend).")
-@click.option("--temperature", default=llm.BackendConfig.temperature, show_default=True)
-@click.option("--timeout-s", default=llm.BackendConfig.timeout_s, show_default=True)
-@click.option("--max-retries", default=llm.BackendConfig.max_retries, show_default=True)
-@click.option("--max-attempts", default=llm.RepairPolicy.max_attempts, show_default=True,
+@click.option("--temperature", default=config.BackendConfig.temperature, show_default=True)
+@click.option("--timeout-s", default=config.BackendConfig.timeout_s, show_default=True)
+@click.option("--max-retries", default=config.BackendConfig.max_retries, show_default=True)
+@click.option("--max-attempts", default=config.RepairPolicy.max_attempts, show_default=True,
               help="Suggest/parse/repair rounds.")
 @click.option("--pitch-cap", default=mapping.MappingConfig.local_pitch_cap_fraction, show_default=True,
               help="Fraction of the upward pitch headroom one word may claim.")
@@ -212,6 +217,8 @@ def plan_cmd(
     timeout_s, max_retries, max_attempts, pitch_cap, output, transcript_path,
 ) -> None:
     """Ask a backend for a suggestion and write the mapped modification plan."""
+    from . import llm
+
     context = _load_context(mode, style, previous_line)
     utterances = features.parse_features(Path(features_path).read_text(encoding="utf-8"))
     utterance = _select_utterance(utterances, utterance_id)
@@ -222,17 +229,12 @@ def plan_cmd(
         raise DataError(
             f"--text words do not match utterance {utterance.id!r}'s words"
         )
-    spec = prompting.PromptSpec(
-        mode=prompting.Mode(mode),
-        target_text=target_text,
-        context=context,
-        exemplars=_load_exemplars(exemplars_path),
-    )
+    spec = _prompt_spec(mode, context, target_text, exemplars_path)
     if backend == "mock":
         backend_fn = llm.MockBackend(seed=seed)
     else:
         backend_fn = llm.HttpBackend(
-            llm.BackendConfig(
+            config.BackendConfig(
                 base_url=base_url,
                 model_name=model,
                 api_key_env=api_key_env,
@@ -241,7 +243,7 @@ def plan_cmd(
                 max_retries=max_retries,
             )
         )
-    policy = llm.RepairPolicy(max_attempts=max_attempts)
+    policy = config.RepairPolicy(max_attempts=max_attempts)
     try:
         suggestion, attempts = llm.suggest_with_repair(spec, backend_fn, policy)
     except llm.RepairExhausted as exc:

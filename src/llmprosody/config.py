@@ -1,0 +1,53 @@
+"""Settings of the completion backend and the repair loop, apart from :mod:`llmprosody.llm`
+so that the CLI reads ``plan``'s defaults without loading the LLM, prompt and response layers."""
+
+from dataclasses import dataclass
+from typing import ClassVar
+
+from .errors import DataError
+
+
+@dataclass(frozen=True)
+class BackendConfig:
+    """Connection settings for a chat/completions-compatible endpoint.
+
+    The API key is read from the environment variable named by
+    ``api_key_env`` and sent as a bearer token; it is never logged and never
+    included in error messages.
+    """
+
+    base_url: str = "https://api.openai.com/v1"
+    model_name: str = "gpt-4o-mini"
+    api_key_env: str = "OPENAI_API_KEY"
+    temperature: float = 0.0
+    timeout_s: float = 30.0
+    max_retries: int = 3
+    max_parallel: int = 1
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise DataError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not self.timeout_s > 0:
+            raise DataError(f"timeout_s must be > 0, got {self.timeout_s}")
+        if self.max_parallel < 1:
+            raise DataError(f"max_parallel must be >= 1, got {self.max_parallel}")
+        if self.temperature < 0:
+            raise DataError(f"temperature must be >= 0, got {self.temperature}")
+
+
+@dataclass(frozen=True)
+class RepairPolicy:
+    """How many completions to request before giving up, and what to say."""
+
+    max_attempts: int = 3
+    repair_instruction_template: ClassVar[str] = (
+        "\n\nYour previous answer was rejected for these reasons:\n"
+        "{diagnostics}\n"
+        "Answer again. Follow the response format exactly: one REASONING line, "
+        "one GLOBAL line, then one WORD line for every listed word in the "
+        "listed order. Do not skip, reorder, or invent words."
+    )
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise DataError(f"max_attempts must be >= 1, got {self.max_attempts}")

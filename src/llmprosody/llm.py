@@ -17,10 +17,10 @@ import os
 import random
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, Sequence
 
+from .config import BackendConfig, RepairPolicy
 from .errors import BackendError, DataError, LlmOutputError
 from .features import Word, tokenize_words
 from .mapping import LlmScaleSuggestion, WordSuggestion
@@ -64,52 +64,6 @@ class RepairExhausted(LlmOutputError):
     @property
     def diagnostics(self) -> tuple[ParseDiagnostic, ...]:
         return tuple(d for attempt in self.attempts for d in attempt.diagnostics)
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    """Connection settings for a chat/completions-compatible endpoint.
-
-    The API key is read from the environment variable named by
-    ``api_key_env`` and sent as a bearer token; it is never logged and never
-    included in error messages.
-    """
-
-    base_url: str = "https://api.openai.com/v1"
-    model_name: str = "gpt-4o-mini"
-    api_key_env: str = "OPENAI_API_KEY"
-    temperature: float = 0.0
-    timeout_s: float = 30.0
-    max_retries: int = 3
-    max_parallel: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise DataError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not self.timeout_s > 0:
-            raise DataError(f"timeout_s must be > 0, got {self.timeout_s}")
-        if self.max_parallel < 1:
-            raise DataError(f"max_parallel must be >= 1, got {self.max_parallel}")
-        if self.temperature < 0:
-            raise DataError(f"temperature must be >= 0, got {self.temperature}")
-
-
-@dataclass(frozen=True)
-class RepairPolicy:
-    """How many completions to request before giving up, and what to say."""
-
-    max_attempts: int = 3
-    repair_instruction_template: ClassVar[str] = (
-        "\n\nYour previous answer was rejected for these reasons:\n"
-        "{diagnostics}\n"
-        "Answer again. Follow the response format exactly: one REASONING line, "
-        "one GLOBAL line, then one WORD line for every listed word in the "
-        "listed order. Do not skip, reorder, or invent words."
-    )
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise DataError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
 
 def complete(
@@ -313,6 +267,8 @@ def suggest_batch(
     """Run :func:`suggest_with_repair` for several specs with bounded parallelism."""
     if max_parallel < 1:
         raise DataError(f"max_parallel must be >= 1, got {max_parallel}")
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=max_parallel) as pool:
         futures = [pool.submit(suggest_with_repair, spec, backend, policy) for spec in specs]
         return [f.result() for f in futures]

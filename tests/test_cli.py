@@ -186,8 +186,6 @@ class TestPlanCommand:
         assert result.exit_code == 0, result.output
 
     def test_repair_exhaustion_exits_3(self, runner, tmp_path, monkeypatch):
-        import llmprosody.cli as cli_module
-
         class BrokenBackend:
             def __init__(self, seed):
                 self.seed = seed
@@ -195,7 +193,7 @@ class TestPlanCommand:
             def __call__(self, prompt):
                 return "GLOBAL: nope\n"
 
-        monkeypatch.setattr(cli_module.llm, "MockBackend", BrokenBackend)
+        monkeypatch.setattr(llm, "MockBackend", BrokenBackend)
         transcript = tmp_path / "transcript.txt"
         result = runner.invoke(
             main,
@@ -577,3 +575,45 @@ class TestImportsOnDemand:
         completed, loaded = run_fresh(tmp_path, ["eval", "mos", "ratings.tsv"])
         assert completed.stdout == format_mos_summary(mos_summary(parse_ratings(document)))
         assert "scipy" in loaded
+
+
+CLI_MODULES = {f"llmprosody.{name}" for name in
+               ["cli", "config", "errors", "evaluation", "features", "mapping", "modifier"]}
+LLM_LAYERS = {"llmprosody.llm", "llmprosody.prompting", "llmprosody.response"}
+
+
+def loaded_modules(tmp_path, args):
+    """Run the CLI on ``args`` in a fresh interpreter; return the full names of its loaded modules."""
+    run_fresh(tmp_path, args)
+    return set((tmp_path / "modules.txt").read_text(encoding="utf-8").split("\n"))
+
+
+def package_modules(names):
+    return {name for name in names if name.startswith("llmprosody.")}
+
+
+class TestPackageModulesPerCommand:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--help"],
+            ["stats", RAW, "-o", "stats.tsv"],
+            ["apply", "--features", NORM, "--stats", STATS,
+             "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", "out.tsv"],
+        ],
+        ids=["help", "stats", "apply"],
+    )
+    def test_loads_no_llm_prompt_or_response_layer(self, tmp_path, args):
+        assert package_modules(loaded_modules(tmp_path, args)) == CLI_MODULES
+
+    def test_prompt_loads_prompting_and_response_only(self, tmp_path):
+        loaded = loaded_modules(tmp_path, ["prompt", "--text", "Turn left at the second light."])
+        assert package_modules(loaded) == CLI_MODULES | {"llmprosody.prompting", "llmprosody.response"}
+
+    def test_mock_plan_loads_llm_layers_but_no_thread_pool(self, tmp_path):
+        loaded = loaded_modules(
+            tmp_path,
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock", "-o", "plan.tsv"],
+        )
+        assert package_modules(loaded) == CLI_MODULES | LLM_LAYERS
+        assert "concurrent.futures" not in loaded
