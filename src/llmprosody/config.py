@@ -1,6 +1,7 @@
 """Settings of the completion backend and the repair loop, apart from :mod:`llmprosody.llm`
 so that the CLI reads ``plan``'s defaults without loading the LLM, prompt and response layers."""
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -31,8 +32,9 @@ class BackendConfig:
             raise DataError(f"timeout_s must be > 0, got {self.timeout_s}")
         if self.max_parallel < 1:
             raise DataError(f"max_parallel must be >= 1, got {self.max_parallel}")
-        if self.temperature < 0:
-            raise DataError(f"temperature must be >= 0, got {self.temperature}")
+        # nan and inf would pass a bare `< 0` test, and JSON has no way to send them
+        if not 0 <= self.temperature < math.inf:
+            raise DataError(f"temperature must be a finite number >= 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,14 @@ def validate_utterance(utterance: UtteranceFeatures, line_numbers: Sequence[int]
     ``line_numbers``, when given, holds each phone's source line; messages
     about a phone then name that line.
     """
+    _validate_all_but_words(utterance, line_numbers)
+    if utterance.words != tokenize_words(utterance.text):
+        raise InvariantViolation(f"utterance {utterance.id}: word list does not match tokenized text")
+
+
+def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence[int] | None) -> None:
+    # every check of validate_utterance except that the words are the tokenized
+    # text, which holds by construction in make_utterance
     uid = utterance.id
     if not uid or any(c.isspace() for c in uid):
         raise InvariantViolation(f"utterance id {uid!r} must be non-empty without whitespace")
@@ -191,8 +199,6 @@ def validate_utterance(utterance: UtteranceFeatures, line_numbers: Sequence[int]
         )
     if "\t" in utterance.text or "\n" in utterance.text:
         raise InvariantViolation(f"utterance {uid}: text must not contain tabs or newlines")
-    if utterance.words != tokenize_words(utterance.text):
-        raise InvariantViolation(f"utterance {uid}: word list does not match tokenized text")
 
     def where(k: int) -> str:
         return f"utterance {uid}" if line_numbers is None else f"utterance {uid} line {line_numbers[k]}"
@@ -249,12 +255,8 @@ def make_utterance(
         phones=tuple(phones),
         normalized=normalized,
     )
-    validate_utterance(utterance, line_numbers)
+    _validate_all_but_words(utterance, line_numbers)
     return utterance
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
 
 
 def parse_finite(field: str, what: str, line_number: int, error: type[DataError]) -> float:
@@ -277,9 +279,9 @@ def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeat
             f"{_UTTERANCE_TAG}\t{utterance.id}\t{utterance.speaker_id}\t{variant}\t{utterance.text}"
         )
         for ph in utterance.phones:
-            word_index = _ABSENT if ph.word_index is None else str(ph.word_index)
-            f0 = _ABSENT if ph.f0 is None else _fmt(ph.f0)
-            duration = _fmt(ph.duration_s)
+            word_index = _ABSENT if ph.word_index is None else ph.word_index
+            f0 = _ABSENT if ph.f0 is None else f"{ph.f0:.6f}"
+            duration = f"{ph.duration_s:.6f}"
             if duration == "0.000000":  # written as zero, it could not be parsed back
                 raise InvariantViolation(
                     f"utterance {utterance.id}: phone duration {ph.duration_s} rounds to 0.000000"
@@ -288,19 +290,9 @@ def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeat
                 raise InvariantViolation(
                     f"utterance {utterance.id}: phone {ph.label!r} has a non-finite F0 or energy"
                 )
-            lines.append(
-                "\t".join(
-                    [
-                        ph.label,
-                        word_index,
-                        duration,
-                        f0,
-                        _fmt(ph.energy),
-                        "1" if ph.voiced else "0",
-                        "1" if ph.pause else "0",
-                    ]
-                )
-            )
+            voiced = "1" if ph.voiced else "0"
+            pause = "1" if ph.pause else "0"
+            lines.append(f"{ph.label}\t{word_index}\t{duration}\t{f0}\t{ph.energy:.6f}\t{voiced}\t{pause}")
     return "\n".join(lines) + "\n"
 
 

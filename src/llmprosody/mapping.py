@@ -210,22 +210,25 @@ def build_plan(
             )
     notes: list[str] = []
 
-    def clamp(value: float, scale: tuple[float, float], what: str) -> float:
+    def clamp(value: float, scale: tuple[float, float], name: str, index: int | None = None) -> float:
+        low, high = scale
+        if low <= value <= high:  # the common case: nothing to clamp, so no label to build
+            return value
+        what = f"global {name}" if index is None else f"word {index} {name}"
         clamped = clamp_to_scale(value, scale, what)
-        if clamped != value:
-            notes.append(f"{what} {value!r} clamped to {clamped!r}")
+        notes.append(f"{what} {value!r} clamped to {clamped!r}")
         return clamped
 
-    v_dur = clamp(suggestion.global_duration, GLOBAL_SCALE, "global duration")
-    v_pitch = clamp(suggestion.global_pitch, GLOBAL_SCALE, "global pitch")
-    v_energy = clamp(suggestion.global_energy, GLOBAL_SCALE, "global energy")
+    v_dur = clamp(suggestion.global_duration, GLOBAL_SCALE, "duration")
+    v_pitch = clamp(suggestion.global_pitch, GLOBAL_SCALE, "pitch")
+    v_energy = clamp(suggestion.global_energy, GLOBAL_SCALE, "energy")
     bounds = compute_pitch_bounds(utterance, stats)
     word_coeffs = []
     g_pitch_hz = 0.0
     for entry, word in zip(suggestion.words, words):
-        ld = clamp(entry.local_duration, LOCAL_SCALE, f"word {entry.index} duration")
-        lp = clamp(entry.local_pitch, LOCAL_SCALE, f"word {entry.index} pitch")
-        le = clamp(entry.local_energy, LOCAL_SCALE, f"word {entry.index} energy")
+        ld = clamp(entry.local_duration, LOCAL_SCALE, "duration", entry.index)
+        lp = clamp(entry.local_pitch, LOCAL_SCALE, "pitch", entry.index)
+        le = clamp(entry.local_energy, LOCAL_SCALE, "energy", entry.index)
         g_pitch_hz, pi_hz = map_pitch(v_pitch, lp, bounds, config)
         word_coeffs.append(
             WordCoefficients(

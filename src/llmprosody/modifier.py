@@ -4,7 +4,8 @@ Durations scale multiplicatively.  F0 and energy are stored as normalized
 log values, so modification goes de-normalize -> adjust in linear units ->
 re-normalize.  Unvoiced phones keep their F0/energy untouched and pause
 phones are never modified at all; pitch results are clamped into the
-speaker's natural F0 range.
+speaker's natural F0 range.  A value the plan leaves where it was keeps its
+stored bits, so a zero plan returns an in-range utterance unchanged.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .errors import DataError
-from .features import SpeakerStats, UtteranceFeatures, denorm_energy, denorm_f0, renorm_energy, renorm_f0
+from .features import (
+    PhoneFeature, SpeakerStats, UtteranceFeatures, denorm_energy, denorm_f0, renorm_energy, renorm_f0,
+)
 from .mapping import ModificationPlan
 
 
@@ -28,8 +31,10 @@ def apply_plan(
     Per phone in word j: duration is multiplied by ``g_dur * delta_j`` (all
     non-pause phones); voiced phones additionally get linear energy scaled by
     ``g_energy * epsilon_j`` and linear F0 shifted by ``g_pitch_hz + pi_hz_j``
-    then clamped into the speaker range.  Structure, labels, and flags are
-    preserved exactly.  A plan built for other words is refused.
+    then clamped into the speaker range.  An F0 whose shifted, clamped Hz
+    equals its starting Hz, and an energy scaled by exactly 1, keep their
+    stored values.  Structure, labels, and flags are preserved exactly.  A
+    plan built for other words is refused.
     """
     if not utterance.normalized:
         raise DataError(f"utterance {utterance.id}: apply_plan requires normalized features")
@@ -39,24 +44,27 @@ def apply_plan(
         raise PlanShapeMismatch(
             f"plan is for words {plan_words} but utterance {utterance.id} has {utterance_words}"
         )
+    g_dur, g_pitch_hz = plan.g_dur, plan.g_pitch_hz
+    f0_min_hz, f0_max_hz = stats.f0_min_hz, stats.f0_max_hz
+    # per word: (delta, pi_hz, energy scale); a phone outside every word gets the neutral word values
+    per_word = [(w.delta, w.pi_hz, plan.g_energy * w.epsilon) for w in plan.words]
+    no_word = (1.0, 0.0, plan.g_energy)
     new_phones = []
     for ph in utterance.phones:
         if ph.pause:
             new_phones.append(ph)
             continue
-        if ph.word_index is not None:
-            coeff = plan.words[ph.word_index]
-            delta, pi_hz, epsilon = coeff.delta, coeff.pi_hz, coeff.epsilon
-        else:
-            delta, pi_hz, epsilon = 1.0, 0.0, 1.0
-        duration = ph.duration_s * plan.g_dur * delta
+        delta, pi_hz, scale = no_word if ph.word_index is None else per_word[ph.word_index]
+        duration = ph.duration_s * g_dur * delta
         f0 = ph.f0
         energy = ph.energy
         if ph.voiced:
-            hz = denorm_f0(ph.f0, stats) + plan.g_pitch_hz + pi_hz
-            hz = min(max(hz, stats.f0_min_hz), stats.f0_max_hz)
-            f0 = renorm_f0(hz, stats)
-            linear = denorm_energy(ph.energy, stats) * (plan.g_energy * epsilon)
-            energy = renorm_energy(linear, stats)
-        new_phones.append(replace(ph, duration_s=duration, f0=f0, energy=energy))
+            hz0 = denorm_f0(f0, stats)
+            hz = min(max(hz0 + g_pitch_hz + pi_hz, f0_min_hz), f0_max_hz)
+            if hz != hz0:  # an unmoved F0 keeps its stored value, with no log/exp round trip
+                f0 = renorm_f0(hz, stats)
+            linear = denorm_energy(energy, stats)  # refuses an energy beyond the float range
+            if scale != 1.0:
+                energy = renorm_energy(linear * scale, stats)
+        new_phones.append(PhoneFeature(ph.label, ph.word_index, duration, f0, energy, ph.voiced, ph.pause))
     return replace(utterance, phones=tuple(new_phones))

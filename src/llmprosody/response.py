@@ -22,6 +22,7 @@ then read as a WORD line).  After it, every line must be a WORD line.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -105,23 +106,28 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
         diagnostics.append(ParseDiagnostic(kind, line_number, detail))
 
     def read_values(
-        match: re.Match[str], scale: tuple[float, float], what: str, line_number: int
+        match: re.Match[str], scale: tuple[float, float], line_number: int, index: int | None = None
     ) -> tuple[float | None, ...]:
-        # the duration, pitch and energy of a GLOBAL or WORD line are its last three groups
+        # the duration, pitch and energy of a GLOBAL (index None) or WORD line are its last three groups
         low, high = scale
         values: list[float | None] = []
         for name, raw in zip(("duration", "pitch", "energy"), match.groups()[-3:]):
-            label = f"{what} {name}"
             try:
                 value = float(raw)
+            except ValueError:
+                value = math.nan  # refused by clamp_to_scale below, like nan and inf
+            if low <= value <= high:  # the common case: nothing to report, so no label to build
+                values.append(value)
+                continue
+            label = f"GLOBAL {name}" if index is None else f"word {index} {name}"
+            try:
                 clamped = clamp_to_scale(value, scale, label)
-            except (ValueError, DataError):
+            except DataError:
                 report(DiagnosticKind.VALUE_NOT_NUMERIC, line_number, f"{label} value {raw!r} is not a number")
                 clamped = None
             else:
-                if clamped != value:
-                    detail = f"{label} value {value!r} outside [{low:g}, {high:g}]; clamped to {clamped:g}"
-                    report(DiagnosticKind.VALUE_OUT_OF_RANGE, line_number, detail)
+                detail = f"{label} value {value!r} outside [{low:g}, {high:g}]; clamped to {clamped:g}"
+                report(DiagnosticKind.VALUE_OUT_OF_RANGE, line_number, detail)
             values.append(clamped)
         return tuple(values)
 
@@ -151,7 +157,7 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
         if not in_words:
             global_m = _GLOBAL_RE.match(line)
             if global_m:
-                global_values = read_values(global_m, GLOBAL_SCALE, "GLOBAL", line_number)
+                global_values = read_values(global_m, GLOBAL_SCALE, line_number)
                 in_words = True
                 continue
             if not word_m:
@@ -184,7 +190,7 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
             if match_key(word_m.group(2)) != expected.key:
                 detail = f"word {index} should be {expected.surface!r}, response says {word_m.group(2)!r}"
                 report(DiagnosticKind.WORD_IDENTITY_MISMATCH, line_number, detail)
-            values = read_values(word_m, LOCAL_SCALE, f"word {index}", line_number)
+            values = read_values(word_m, LOCAL_SCALE, line_number, index)
             if None not in values:
                 entries[index] = WordSuggestion(index, expected.key, *values)
         expected_next = max(expected_next, index + 1)

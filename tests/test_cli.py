@@ -167,6 +167,20 @@ class TestPlanCommand:
         )
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_http_with_non_finite_temperature_exits_2(self, runner, tmp_path, monkeypatch, temperature):
+        # refused while the backend is configured, before the missing key is noticed
+        monkeypatch.delenv("LLMPROSODY_MISSING_KEY", raising=False)
+        result = runner.invoke(
+            main,
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "http",
+             "--api-key-env", "LLMPROSODY_MISSING_KEY", "--temperature", temperature,
+             "-o", str(tmp_path / "p.tsv")],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"temperature must be a finite number >= 0, got {temperature}" in result.output
+        assert not (tmp_path / "p.tsv").exists()
+
     def test_text_word_mismatch_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             main,

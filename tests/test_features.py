@@ -19,6 +19,7 @@ from llmprosody.features import (
     serialize_features,
     serialize_speaker_stats,
     tokenize_words,
+    validate_utterance,
 )
 
 from conftest import (
@@ -144,6 +145,15 @@ class TestParseFeatures:
         )
         with pytest.raises(InvariantViolation):
             parse_features(doc)
+
+
+class TestValidateUtterance:
+    def test_words_not_matching_the_text_rejected(self):
+        (utterance,) = parse_features(WELL_FORMED.split("#utterance\tu2")[0])
+        validate_utterance(utterance)
+        other = replace(utterance, words=(Word("Hello", "hello"), Word("there", "there")))
+        with pytest.raises(InvariantViolation, match="word list does not match tokenized text"):
+            validate_utterance(other)
 
 
 class TestSerializeFeatures:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from llmprosody.errors import DataError
 from llmprosody.features import tokenize_words
 from llmprosody.llm import (
     AuthError,
@@ -303,3 +304,9 @@ class TestComplete:
             BackendConfig(timeout_s=0)
         with pytest.raises(Exception):
             BackendConfig(max_parallel=0)
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_non_finite_temperature_refused(self, temperature):
+        # JSON has no NaN or Infinity, so the request body could not carry it
+        with pytest.raises(DataError, match=f"temperature must be a finite number >= 0, got {temperature}"):
+            BackendConfig(temperature=temperature)

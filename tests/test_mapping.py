@@ -211,6 +211,16 @@ class TestBuildPlan:
         assert len(plan.clamp_notes) == 1
         assert "global duration" in plan.clamp_notes[0]
 
+    def test_out_of_range_word_value_clamps_and_reports(self, rng):
+        stats = make_stats()
+        utterance = random_utterance(rng, stats, n_words=3)
+        suggestion = identity_suggestion(utterance)
+        third = suggestion.words[2]
+        words = suggestion.words[:2] + (type(third)(2, third.key, 0.0, 7.0, -1.5),)
+        plan = build_plan(type(suggestion)(0.0, 0.0, 0.0, words=words), utterance, stats)
+        assert plan.clamp_notes == ("word 2 pitch 7.0 clamped to 5.0", "word 2 energy -1.5 clamped to 0.0")
+        assert plan.words[2].epsilon == 1.0
+
     def test_plan_ranges_hold_for_wild_suggestions(self, rng):
         for case in range(300):
             stats = random_stats(rng)

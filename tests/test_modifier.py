@@ -161,6 +161,14 @@ class TestApplyPlanExamples:
         with pytest.raises(DataError, match="energy is too large to re-normalize"):
             apply_plan(utterance, stats, plan)
 
+    def test_zero_plan_returns_an_equal_utterance(self):
+        # a log/exp round trip on unmoved values would shift 11 F0 and 9 energy
+        # values of the 21 phones by about 1e-15
+        data = Path(__file__).parent / "data"
+        (utterance,) = parse_features((data / "norm_utterance.tsv").read_text(encoding="utf-8"))
+        stats = parse_speaker_stats((data / "stats.tsv").read_text(encoding="utf-8"))
+        assert apply_plan(utterance, stats, identity_plan(utterance, stats)) == utterance
+
     def test_zero_plan_clamps_f0_outside_the_range(self):
         stats = make_stats(f0_min_hz=100.0, f0_max_hz=300.0)
         f0_norm = (math.log(90.0) - stats.mu_logf0) / stats.sigma_logf0
