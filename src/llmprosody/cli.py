@@ -253,8 +253,10 @@ def plan_cmd(
     plan = mapping.build_plan(
         suggestion, utterance, stats_obj, mapping.MappingConfig(local_pitch_cap_fraction=pitch_cap)
     )
-    for note in plan.clamp_notes:
-        click.echo(f"clamped: {note}", err=True)
+    # the parser clamped out-of-range model values before build_plan, so they are its diagnostics
+    for diagnostic in attempts[-1].diagnostics:
+        if diagnostic.clamped:
+            click.echo(f"clamped: {diagnostic}", err=True)
     _write_output(mapping.serialize_plan(plan), output)
     if transcript_path:
         _write_file(transcript_path, _format_transcript(attempts))

@@ -1,7 +1,11 @@
 """Shared exception hierarchy.
 
-The three categories map onto the CLI exit codes: DataError -> 2,
-LlmOutputError -> 3, BackendError -> 4.
+The class of an error is its category and the message is its kind: each
+failure raises one of the three categories with a message naming the check
+that failed.  The categories map onto the CLI exit codes: DataError -> 2,
+LlmOutputError -> 3, BackendError -> 4.  The only subclasses are the three
+that carry ``.attempts`` (``llm.RateLimited``, ``llm.NetworkError`` and
+``llm.RepairExhausted``).
 """
 
 

@@ -18,30 +18,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from .errors import DataError
 
 
-class InsufficientData(DataError):
-    """Too few ratings for the requested summary."""
-
-
-class NoPairs(DataError):
-    """Fewer than two complete pairs for a paired test."""
-
-
-class MixedSystemSets(DataError):
-    """Preference records do not all share one system set."""
-
-
-class EmptyInput(DataError):
-    """No records to aggregate."""
-
-
-class UnlabeledSet(DataError):
-    """A preference set has no style label."""
-
-
-class RecordFormatError(DataError):
-    """A ratings/preferences document does not follow the expected format."""
-
-
 @dataclass(frozen=True)
 class RatingRecord:
     stimulus_id: str
@@ -51,7 +27,7 @@ class RatingRecord:
 
     def __post_init__(self) -> None:
         if self.score not in (1, 2, 3, 4, 5):
-            raise RecordFormatError(f"score must be an integer 1..5, got {self.score!r}")
+            raise DataError(f"score must be an integer 1..5, got {self.score!r}")
 
 
 @dataclass(frozen=True)
@@ -63,13 +39,9 @@ class PreferenceRecord:
 
     def __post_init__(self) -> None:
         if len(self.systems_in_set) != 3 or len(set(self.systems_in_set)) != 3:
-            raise RecordFormatError(
-                f"systems_in_set must name 3 distinct systems, got {self.systems_in_set!r}"
-            )
+            raise DataError(f"systems_in_set must name 3 distinct systems, got {self.systems_in_set!r}")
         if self.chosen_system not in self.systems_in_set:
-            raise RecordFormatError(
-                f"chosen system {self.chosen_system!r} not in {self.systems_in_set!r}"
-            )
+            raise DataError(f"chosen system {self.chosen_system!r} not in {self.systems_in_set!r}")
 
 
 def _round_half_up_1(value: Decimal) -> Decimal:
@@ -100,13 +72,13 @@ def mos_summary(
     for record in records:
         by_system.setdefault(record.system_id, []).append(record.score)
     if not by_system:
-        raise EmptyInput("no rating records")
+        raise DataError("no rating records")
     summaries: dict[str, MosSummary] = {}
     for system in sorted(by_system):
         scores = by_system[system]
         n = len(scores)
         if n < 2:
-            raise InsufficientData(f"system {system!r} has {n} rating(s); need at least 2")
+            raise DataError(f"system {system!r} has {n} rating(s); need at least 2")
         mean = float(np.mean(scores))
         sd = float(np.std(scores, ddof=1))
         tcrit = float(sps.t.ppf(0.5 + confidence / 2.0, n - 1))
@@ -156,7 +128,7 @@ def paired_t_test(
     table_b = keyed(b)
     keys = sorted(set(table_a) & set(table_b))
     if len(keys) < 2:
-        raise NoPairs(f"need at least 2 complete pairs, got {len(keys)}")
+        raise DataError(f"need at least 2 complete pairs, got {len(keys)}")
     diffs = np.array([table_a[k] - table_b[k] for k in keys], dtype=float)
     df = len(keys) - 1
     if np.all(diffs == 0):
@@ -191,10 +163,10 @@ def preference_summary(
 ) -> PreferenceSummary:
     """Win percentage per system over three-way preference records."""
     if not records:
-        raise EmptyInput("no preference records")
+        raise DataError("no preference records")
     system_sets = {frozenset(record.systems_in_set) for record in records}
     if len(system_sets) != 1:
-        raise MixedSystemSets(f"records mix {len(system_sets)} different system sets")
+        raise DataError(f"records mix {len(system_sets)} different system sets")
     systems = sorted(system_sets.pop())
     wins = Counter(record.chosen_system for record in records)
     total = len(records)
@@ -217,12 +189,12 @@ def style_breakdown(
 ) -> dict[str, PreferenceSummary]:
     """Group preference records by style label and summarize each group."""
     if not records:
-        raise EmptyInput("no preference records")
+        raise DataError("no preference records")
     groups: dict[str, list[PreferenceRecord]] = {}
     for record in records:
         style = style_of_set.get(record.set_id)
         if style is None:
-            raise UnlabeledSet(f"set {record.set_id!r} has no style label")
+            raise DataError(f"set {record.set_id!r} has no style label")
         groups.setdefault(style, []).append(record)
     return {style: preference_summary(groups[style]) for style in sorted(groups)}
 
@@ -235,13 +207,13 @@ STYLE_LABELS_HEADER = "set_id\tstyle"
 def _rows(document: str, header: str, n_fields: int, what: str):
     lines = document.split("\n")
     if not lines or lines[0] != header:
-        raise RecordFormatError(f"{what} file must start with header {header!r}")
+        raise DataError(f"{what} file must start with header {header!r}")
     for line_number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) != n_fields:
-            raise RecordFormatError(
+            raise DataError(
                 f"line {line_number}: expected {n_fields} tab-separated fields, got {len(fields)}"
             )
         yield line_number, fields
@@ -253,17 +225,15 @@ def parse_ratings(document: str) -> list[RatingRecord]:
         try:
             score = int(fields[3])
         except ValueError:
-            raise RecordFormatError(
-                f"line {line_number}: score {fields[3]!r} is not an integer"
-            ) from None
+            raise DataError(f"line {line_number}: score {fields[3]!r} is not an integer") from None
         try:
             records.append(
                 RatingRecord(
                     stimulus_id=fields[0], system_id=fields[1], rater_id=fields[2], score=score
                 )
             )
-        except RecordFormatError as exc:
-            raise RecordFormatError(f"line {line_number}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"line {line_number}: {exc}") from None
     return records
 
 
@@ -280,8 +250,8 @@ def parse_preferences(document: str) -> list[PreferenceRecord]:
                     systems_in_set=systems,
                 )
             )
-        except RecordFormatError as exc:
-            raise RecordFormatError(f"line {line_number}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"line {line_number}: {exc}") from None
     return records
 
 
@@ -289,7 +259,7 @@ def parse_style_labels(document: str) -> dict[str, str]:
     labels: dict[str, str] = {}
     for line_number, fields in _rows(document, STYLE_LABELS_HEADER, 2, "style labels"):
         if fields[0] in labels:
-            raise RecordFormatError(f"line {line_number}: duplicate set id {fields[0]!r}")
+            raise DataError(f"line {line_number}: duplicate set id {fields[0]!r}")
         labels[fields[0]] = fields[1]
     return labels
 

@@ -19,18 +19,6 @@ from typing import Sequence
 from .errors import DataError
 
 
-class FeatureFormatError(DataError):
-    """A feature or stats document does not follow the expected format."""
-
-
-class InvariantViolation(DataError):
-    """A structurally valid document describes inconsistent data."""
-
-
-class DegenerateStats(DataError):
-    """The corpus is too small or too uniform to yield usable statistics."""
-
-
 FILE_HEADER = "#feature-file\tv1"
 _UTTERANCE_TAG = "#utterance"
 _ABSENT = "-"
@@ -121,21 +109,11 @@ class SpeakerStats:
 
     def __post_init__(self) -> None:
         if not self.sigma_logf0 > 0:
-            raise InvariantViolation(f"sigma_logf0 must be > 0, got {self.sigma_logf0}")
+            raise DataError(f"sigma_logf0 must be > 0, got {self.sigma_logf0}")
         if not self.sigma_loge > 0:
-            raise InvariantViolation(f"sigma_loge must be > 0, got {self.sigma_loge}")
+            raise DataError(f"sigma_loge must be > 0, got {self.sigma_loge}")
         if not 0 < self.f0_min_hz < self.f0_max_hz:
-            raise InvariantViolation(
-                f"F0 range must satisfy 0 < min < max, got [{self.f0_min_hz}, {self.f0_max_hz}]"
-            )
-
-
-class NonPositiveF0(DataError):
-    """Linear F0 must be strictly positive before taking the log."""
-
-
-class NonPositiveEnergy(DataError):
-    """Linear energy must be strictly positive before taking the log."""
+            raise DataError(f"F0 range must satisfy 0 < min < max, got [{self.f0_min_hz}, {self.f0_max_hz}]")
 
 
 def _exp(log_value: float, what: str, norm: float) -> float:
@@ -153,7 +131,7 @@ def denorm_f0(f0_norm: float, stats: SpeakerStats) -> float:
 def renorm_f0(hz: float, stats: SpeakerStats) -> float:
     """Linear Hz -> normalized log-F0."""
     if not hz > 0:
-        raise NonPositiveF0(f"F0 must be > 0 Hz, got {hz}")
+        raise DataError(f"F0 must be > 0 Hz, got {hz}")
     if hz == math.inf:
         raise DataError("F0 is too large to re-normalize")
     return (math.log(hz) - stats.mu_logf0) / stats.sigma_logf0
@@ -170,21 +148,21 @@ def denorm_energy(energy_norm: float, stats: SpeakerStats) -> float:
 def renorm_energy(energy: float, stats: SpeakerStats) -> float:
     """Linear energy -> normalized log-energy."""
     if not energy > 0:
-        raise NonPositiveEnergy(f"energy must be > 0, got {energy}")
+        raise DataError(f"energy must be > 0, got {energy}")
     if energy == math.inf:
         raise DataError("energy is too large to re-normalize")
     return (math.log(energy) - stats.mu_loge) / stats.sigma_loge
 
 
 def validate_utterance(utterance: UtteranceFeatures, line_numbers: Sequence[int] | None = None) -> None:
-    """Raise :class:`InvariantViolation` when the utterance is inconsistent.
+    """Raise :class:`DataError` when the utterance is inconsistent.
 
     ``line_numbers``, when given, holds each phone's source line; messages
     about a phone then name that line.
     """
     _validate_all_but_words(utterance, line_numbers)
     if utterance.words != tokenize_words(utterance.text):
-        raise InvariantViolation(f"utterance {utterance.id}: word list does not match tokenized text")
+        raise DataError(f"utterance {utterance.id}: word list does not match tokenized text")
 
 
 def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence[int] | None) -> None:
@@ -192,13 +170,13 @@ def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence
     # text, which holds by construction in make_utterance
     uid = utterance.id
     if not uid or any(c.isspace() for c in uid):
-        raise InvariantViolation(f"utterance id {uid!r} must be non-empty without whitespace")
+        raise DataError(f"utterance id {uid!r} must be non-empty without whitespace")
     if not utterance.speaker_id or any(c.isspace() for c in utterance.speaker_id):
-        raise InvariantViolation(
+        raise DataError(
             f"utterance {uid}: speaker id {utterance.speaker_id!r} must be non-empty without whitespace"
         )
     if "\t" in utterance.text or "\n" in utterance.text:
-        raise InvariantViolation(f"utterance {uid}: text must not contain tabs or newlines")
+        raise DataError(f"utterance {uid}: text must not contain tabs or newlines")
 
     def where(k: int) -> str:
         return f"utterance {uid}" if line_numbers is None else f"utterance {uid} line {line_numbers[k]}"
@@ -208,24 +186,16 @@ def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence
     referenced = set()
     for k, ph in enumerate(utterance.phones):
         if ph.pause and (ph.word_index is not None or ph.voiced):
-            raise InvariantViolation(
-                f"{where(k)}: pause phone {ph.label!r} must be unvoiced with no word index"
-            )
+            raise DataError(f"{where(k)}: pause phone {ph.label!r} must be unvoiced with no word index")
         if ph.voiced != (ph.f0 is not None):
-            raise InvariantViolation(
-                f"{where(k)}: phone {ph.label!r} voiced flag inconsistent with F0 presence"
-            )
+            raise DataError(f"{where(k)}: phone {ph.label!r} voiced flag inconsistent with F0 presence")
         if not ph.duration_s > 0:
-            raise InvariantViolation(
-                f"{where(k)}: phone {ph.label!r} duration must be > 0, got {ph.duration_s}"
-            )
+            raise DataError(f"{where(k)}: phone {ph.label!r} duration must be > 0, got {ph.duration_s}")
         if ph.word_index is not None:
             if ph.word_index >= n_words:
-                raise InvariantViolation(
-                    f"{where(k)}: word index {ph.word_index} out of range (W={n_words})"
-                )
+                raise DataError(f"{where(k)}: word index {ph.word_index} out of range (W={n_words})")
             if ph.word_index < previous:
-                raise InvariantViolation(
+                raise DataError(
                     f"{where(k)}: word indices must be non-decreasing "
                     f"({ph.word_index} after {previous})"
                 )
@@ -233,9 +203,7 @@ def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence
             referenced.add(ph.word_index)
     missing = set(range(n_words)) - referenced
     if missing:
-        raise InvariantViolation(
-            f"utterance {uid}: words {sorted(missing)} are not referenced by any phone"
-        )
+        raise DataError(f"utterance {uid}: words {sorted(missing)} are not referenced by any phone")
 
 
 def make_utterance(
@@ -259,14 +227,14 @@ def make_utterance(
     return utterance
 
 
-def parse_finite(field: str, what: str, line_number: int, error: type[DataError]) -> float:
-    """``field`` as a finite float, else ``error`` (the format's own class) naming the line."""
+def parse_finite(field: str, what: str, line_number: int) -> float:
+    """``field`` as a finite float, else :class:`DataError` naming the line."""
     try:
         value = float(field)
     except ValueError:
-        raise error(f"line {line_number}: {what} {field!r} is not a number") from None
+        raise DataError(f"line {line_number}: {what} {field!r} is not a number") from None
     if not math.isfinite(value):
-        raise error(f"line {line_number}: {what} must be finite, got {field!r}")
+        raise DataError(f"line {line_number}: {what} must be finite, got {field!r}")
     return value
 
 
@@ -283,13 +251,11 @@ def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeat
             f0 = _ABSENT if ph.f0 is None else f"{ph.f0:.6f}"
             duration = f"{ph.duration_s:.6f}"
             if duration == "0.000000":  # written as zero, it could not be parsed back
-                raise InvariantViolation(
+                raise DataError(
                     f"utterance {utterance.id}: phone duration {ph.duration_s} rounds to 0.000000"
                 )
             if not math.isfinite(ph.energy) or (ph.f0 is not None and not math.isfinite(ph.f0)):
-                raise InvariantViolation(
-                    f"utterance {utterance.id}: phone {ph.label!r} has a non-finite F0 or energy"
-                )
+                raise DataError(f"utterance {utterance.id}: phone {ph.label!r} has a non-finite F0 or energy")
             voiced = "1" if ph.voiced else "0"
             pause = "1" if ph.pause else "0"
             lines.append(f"{ph.label}\t{word_index}\t{duration}\t{f0}\t{ph.energy:.6f}\t{voiced}\t{pause}")
@@ -309,7 +275,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
 
     def finish(block: dict) -> None:
         if not block["phones"]:
-            raise InvariantViolation(f"utterance {block['utterance_id']}: has no phones")
+            raise DataError(f"utterance {block['utterance_id']}: has no phones")
         utterances.append(make_utterance(**block))
 
     for line_number, line in enumerate(lines, start=1):
@@ -317,9 +283,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
             continue
         if not header_seen:
             if line != FILE_HEADER:
-                raise FeatureFormatError(
-                    f"line {line_number}: expected feature-file header, got {line!r}"
-                )
+                raise DataError(f"line {line_number}: expected feature-file header, got {line!r}")
             header_seen = True
             continue
         if line.startswith(_UTTERANCE_TAG):
@@ -327,12 +291,10 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
                 finish(current)
             fields = line.split("\t", 4)
             if len(fields) != 5 or fields[0] != _UTTERANCE_TAG:
-                raise FeatureFormatError(f"line {line_number}: malformed utterance header")
+                raise DataError(f"line {line_number}: malformed utterance header")
             variant = fields[3]
             if variant not in ("raw", "norm"):
-                raise FeatureFormatError(
-                    f"line {line_number}: variant must be 'raw' or 'norm', got {variant!r}"
-                )
+                raise DataError(f"line {line_number}: variant must be 'raw' or 'norm', got {variant!r}")
             current = {
                 "utterance_id": fields[1],
                 "speaker_id": fields[2],
@@ -343,15 +305,13 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
             }
             continue
         if current is None:
-            raise FeatureFormatError(f"line {line_number}: phone row before any utterance header")
+            raise DataError(f"line {line_number}: phone row before any utterance header")
         fields = line.split("\t")
         if len(fields) != 7:
-            raise FeatureFormatError(
-                f"line {line_number}: expected 7 tab-separated fields, got {len(fields)}"
-            )
+            raise DataError(f"line {line_number}: expected 7 tab-separated fields, got {len(fields)}")
         label, word_index_s, duration_s, f0_s, energy_s, voiced_s, pause_s = fields
         if voiced_s not in ("0", "1") or pause_s not in ("0", "1"):
-            raise FeatureFormatError(f"line {line_number}: voiced/pause flags must be 0 or 1")
+            raise DataError(f"line {line_number}: voiced/pause flags must be 0 or 1")
         voiced = voiced_s == "1"
         pause = pause_s == "1"
         if word_index_s == _ABSENT:
@@ -360,17 +320,17 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
             try:
                 word_index = int(word_index_s)
             except ValueError:
-                raise FeatureFormatError(
+                raise DataError(
                     f"line {line_number}: word index {word_index_s!r} is not an integer"
                 ) from None
             if word_index < 0:
-                raise FeatureFormatError(f"line {line_number}: word index must be >= 0")
-        duration = parse_finite(duration_s, "duration", line_number, FeatureFormatError)
-        energy = parse_finite(energy_s, "energy", line_number, FeatureFormatError)
+                raise DataError(f"line {line_number}: word index must be >= 0")
+        duration = parse_finite(duration_s, "duration", line_number)
+        energy = parse_finite(energy_s, "energy", line_number)
         if f0_s == _ABSENT:
             f0 = None
         else:
-            f0 = parse_finite(f0_s, "F0", line_number, FeatureFormatError)
+            f0 = parse_finite(f0_s, "F0", line_number)
         current["phones"].append(
             PhoneFeature(
                 label=label,
@@ -384,7 +344,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
         )
         current["line_numbers"].append(line_number)
     if not header_seen:
-        raise FeatureFormatError("line 1: empty document (missing feature-file header)")
+        raise DataError("line 1: empty document (missing feature-file header)")
     if current is not None:
         finish(current)
     return utterances
@@ -405,16 +365,16 @@ def parse_speaker_stats(document: str) -> SpeakerStats:
             continue
         fields = line.split("\t")
         if len(fields) != 2:
-            raise FeatureFormatError(f"line {line_number}: expected key<TAB>value")
+            raise DataError(f"line {line_number}: expected key<TAB>value")
         key, value_s = fields
         if key not in _STATS_KEYS:
-            raise FeatureFormatError(f"line {line_number}: unknown stats key {key!r}")
+            raise DataError(f"line {line_number}: unknown stats key {key!r}")
         if key in values:
-            raise FeatureFormatError(f"line {line_number}: duplicate stats key {key!r}")
-        values[key] = parse_finite(value_s, key, line_number, FeatureFormatError)
+            raise DataError(f"line {line_number}: duplicate stats key {key!r}")
+        values[key] = parse_finite(value_s, key, line_number)
     missing = [key for key in _STATS_KEYS if key not in values]
     if missing:
-        raise FeatureFormatError(f"stats file is missing keys: {', '.join(missing)}")
+        raise DataError(f"stats file is missing keys: {', '.join(missing)}")
     return SpeakerStats(**values)
 
 
@@ -437,28 +397,22 @@ def compute_speaker_stats(
         raise DataError(f"percentiles must satisfy 0 <= low < high <= 100, got {range_percentiles}")
     for utterance in utterances:
         if utterance.normalized:
-            raise DataError(
-                f"utterance {utterance.id}: statistics require raw features, got normalized"
-            )
+            raise DataError(f"utterance {utterance.id}: statistics require raw features, got normalized")
     kept = [u for u in utterances if u.total_duration_s() >= min_duration_s]
     logf0 = [ph.f0 for u in kept for ph in u.phones if ph.voiced]
     loge = [ph.energy for u in kept for ph in u.phones if not ph.pause]
     if len(logf0) < 2:
-        raise DegenerateStats(
-            f"need at least 2 voiced phones after filtering, got {len(logf0)}"
-        )
+        raise DataError(f"need at least 2 voiced phones after filtering, got {len(logf0)}")
     mu_logf0 = float(np.mean(logf0))
     sigma_logf0 = float(np.std(logf0, ddof=1))
     mu_loge = float(np.mean(loge))
     sigma_loge = float(np.std(loge, ddof=1))
     if sigma_logf0 == 0.0 or sigma_loge == 0.0:
-        raise DegenerateStats("zero variance in log-F0 or log-energy")
+        raise DataError("zero variance in log-F0 or log-energy")
     hz = np.exp(logf0)
     f0_min_hz, f0_max_hz = (float(v) for v in np.percentile(hz, [low, high]))
     if not f0_min_hz < f0_max_hz:
-        raise DegenerateStats(
-            f"degenerate F0 range: percentiles give [{f0_min_hz}, {f0_max_hz}]"
-        )
+        raise DataError(f"degenerate F0 range: percentiles give [{f0_min_hz}, {f0_max_hz}]")
     return SpeakerStats(
         mu_logf0=mu_logf0,
         sigma_logf0=sigma_logf0,

@@ -32,10 +32,6 @@ logger = logging.getLogger(__name__)
 _BACKOFF_BASE_S = 0.5
 
 
-class AuthError(BackendError):
-    """Missing or rejected API credentials; never retried."""
-
-
 class RateLimited(BackendError):
     def __init__(self, message: str, attempts: int):
         super().__init__(message)
@@ -46,14 +42,6 @@ class NetworkError(BackendError):
     def __init__(self, message: str, attempts: int = 1):
         super().__init__(message)
         self.attempts = attempts
-
-
-class MalformedApiResponse(BackendError):
-    """The endpoint answered 200 but not in the expected shape."""
-
-
-class UnrecognizedPrompt(DataError):
-    """The mock backend could not find an enumerated word list in the prompt."""
 
 
 class RepairExhausted(LlmOutputError):
@@ -86,9 +74,7 @@ def complete(
 
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
-        raise AuthError(
-            f"no API key found in environment variable {config.api_key_env!r}"
-        )
+        raise BackendError(f"no API key found in environment variable {config.api_key_env!r}")
     url = config.base_url.rstrip("/") + "/chat/completions"
     body = json.dumps({
         "model": config.model_name,
@@ -118,7 +104,7 @@ def complete(
             logger.warning("completion attempt %d failed (%s)", attempts, last_transient)
             continue
         if status in (401, 403):
-            raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+            raise BackendError(f"endpoint rejected credentials (HTTP {status})")
         if status == 429:
             rate_limited = True
             last_transient = "rate limited (HTTP 429)"
@@ -134,11 +120,9 @@ def complete(
         try:
             content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
-            raise MalformedApiResponse(
-                f"could not extract completion text: {type(exc).__name__}"
-            ) from None
+            raise BackendError(f"could not extract completion text: {type(exc).__name__}") from None
         if not isinstance(content, str):
-            raise MalformedApiResponse("completion content is not a string")
+            raise BackendError("completion content is not a string")
         return content
     if rate_limited:
         raise RateLimited(
@@ -167,7 +151,7 @@ def _extract_target_words(prompt: str) -> list[str]:
     lines = prompt.split("\n")
     starts = [i for i, line in enumerate(lines) if line == _WORD_LIST_HEADER]
     if not starts:
-        raise UnrecognizedPrompt("prompt contains no enumerated word list")
+        raise DataError("prompt contains no enumerated word list")
     surfaces = []
     for line in lines[starts[-1] + 1:]:
         m = _WORD_LINE_RE.match(line)
@@ -175,7 +159,7 @@ def _extract_target_words(prompt: str) -> list[str]:
             break
         surfaces.append(m.group(2))
     if not surfaces:
-        raise UnrecognizedPrompt("prompt's word list is empty")
+        raise DataError("prompt's word list is empty")
     return surfaces
 
 

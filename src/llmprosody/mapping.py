@@ -20,18 +20,6 @@ GLOBAL_SCALE = (-5.0, 5.0)
 LOCAL_SCALE = (0.0, 5.0)
 
 
-class NoVoicedPhones(DataError):
-    """Pitch bounds need at least one voiced phone."""
-
-
-class WordMismatch(DataError):
-    """Suggestion word entries do not line up with the target text."""
-
-
-class PlanFormatError(DataError):
-    """A plan document does not follow the expected format."""
-
-
 @dataclass(frozen=True)
 class WordSuggestion:
     """The model's raw local values for one word, on the [0, 5] scale."""
@@ -130,7 +118,7 @@ def compute_pitch_bounds(utterance: UtteranceFeatures, stats: SpeakerStats) -> P
         raise DataError(f"utterance {utterance.id}: pitch bounds require normalized features")
     hz = [denorm_f0(ph.f0, stats) for ph in utterance.phones if ph.voiced]
     if not hz:
-        raise NoVoicedPhones(f"utterance {utterance.id} has no voiced phones")
+        raise DataError(f"utterance {utterance.id} has no voiced phones")
     p_min = min(0.0, stats.f0_min_hz - min(hz))
     p_max = max(0.0, stats.f0_max_hz - max(hz))
     return PitchBounds(p_min_hz=p_min, p_max_hz=p_max)
@@ -196,18 +184,12 @@ def build_plan(
     """
     words = utterance.words
     if len(suggestion.words) != len(words):
-        raise WordMismatch(
-            f"suggestion has {len(suggestion.words)} words, target text has {len(words)}"
-        )
+        raise DataError(f"suggestion has {len(suggestion.words)} words, target text has {len(words)}")
     for position, (entry, word) in enumerate(zip(suggestion.words, words)):
         if entry.index != position:
-            raise WordMismatch(
-                f"suggestion word at position {position} carries index {entry.index}"
-            )
+            raise DataError(f"suggestion word at position {position} carries index {entry.index}")
         if entry.key != word.key:
-            raise WordMismatch(
-                f"word {position}: suggestion says {entry.key!r}, target text says {word.key!r}"
-            )
+            raise DataError(f"word {position}: suggestion says {entry.key!r}, target text says {word.key!r}")
     notes: list[str] = []
 
     def clamp(value: float, scale: tuple[float, float], name: str, index: int | None = None) -> float:
@@ -240,7 +222,7 @@ def build_plan(
             )
         )
     if not word_coeffs:
-        raise WordMismatch("a plan requires at least one word")
+        raise DataError("a plan requires at least one word")
     plan = ModificationPlan(
         g_dur=map_global_scale(v_dur),
         g_pitch_hz=g_pitch_hz,
@@ -276,51 +258,51 @@ def parse_plan(document: str) -> ModificationPlan:
         tag = fields[0]
         if tag == "GLOBAL":
             if global_fields is not None:
-                raise PlanFormatError(f"line {line_number}: duplicate GLOBAL line")
+                raise DataError(f"line {line_number}: duplicate GLOBAL line")
             if len(fields) != 4:
-                raise PlanFormatError(f"line {line_number}: GLOBAL needs 3 values")
+                raise DataError(f"line {line_number}: GLOBAL needs 3 values")
             global_fields = (
-                parse_finite(fields[1], "g_dur", line_number, PlanFormatError),
-                parse_finite(fields[2], "g_pitch_hz", line_number, PlanFormatError),
-                parse_finite(fields[3], "g_energy", line_number, PlanFormatError),
+                parse_finite(fields[1], "g_dur", line_number),
+                parse_finite(fields[2], "g_pitch_hz", line_number),
+                parse_finite(fields[3], "g_energy", line_number),
             )
         elif tag == "WORD":
             if len(fields) != 6:
-                raise PlanFormatError(f"line {line_number}: WORD needs index, surface, 3 values")
+                raise DataError(f"line {line_number}: WORD needs index, surface, 3 values")
             try:
                 index = int(fields[1])
             except ValueError:
-                raise PlanFormatError(f"line {line_number}: word index {fields[1]!r}") from None
+                raise DataError(f"line {line_number}: word index {fields[1]!r}") from None
             if index != len(words):
-                raise PlanFormatError(
+                raise DataError(
                     f"line {line_number}: word index {index} out of order (expected {len(words)})"
                 )
             words.append(
                 WordCoefficients(
                     index=index,
                     surface=fields[2],
-                    delta=parse_finite(fields[3], "delta", line_number, PlanFormatError),
-                    pi_hz=parse_finite(fields[4], "pi_hz", line_number, PlanFormatError),
-                    epsilon=parse_finite(fields[5], "epsilon", line_number, PlanFormatError),
+                    delta=parse_finite(fields[3], "delta", line_number),
+                    pi_hz=parse_finite(fields[4], "pi_hz", line_number),
+                    epsilon=parse_finite(fields[5], "epsilon", line_number),
                 )
             )
         elif tag == "BOUNDS":
             if bounds is not None:
-                raise PlanFormatError(f"line {line_number}: duplicate BOUNDS line")
+                raise DataError(f"line {line_number}: duplicate BOUNDS line")
             if len(fields) != 3:
-                raise PlanFormatError(f"line {line_number}: BOUNDS needs 2 values")
+                raise DataError(f"line {line_number}: BOUNDS needs 2 values")
             bounds = PitchBounds(
-                p_min_hz=parse_finite(fields[1], "p_min_hz", line_number, PlanFormatError),
-                p_max_hz=parse_finite(fields[2], "p_max_hz", line_number, PlanFormatError),
+                p_min_hz=parse_finite(fields[1], "p_min_hz", line_number),
+                p_max_hz=parse_finite(fields[2], "p_max_hz", line_number),
             )
         else:
-            raise PlanFormatError(f"line {line_number}: unknown tag {tag!r}")
+            raise DataError(f"line {line_number}: unknown tag {tag!r}")
     if global_fields is None:
-        raise PlanFormatError("plan document lacks a GLOBAL line")
+        raise DataError("plan document lacks a GLOBAL line")
     if bounds is None:
-        raise PlanFormatError("plan document lacks a BOUNDS line")
+        raise DataError("plan document lacks a BOUNDS line")
     if not words:
-        raise PlanFormatError("plan document lacks WORD lines")
+        raise DataError("plan document lacks WORD lines")
     plan = ModificationPlan(
         g_dur=global_fields[0],
         g_pitch_hz=global_fields[1],
@@ -333,21 +315,21 @@ def parse_plan(document: str) -> ModificationPlan:
 
 
 def validate_plan(plan: ModificationPlan) -> None:
-    """Raise :class:`PlanFormatError` unless the plan meets every invariant."""
+    """Raise :class:`DataError` unless the plan meets every invariant."""
     if not 0.5 <= plan.g_dur <= 2.0:
-        raise PlanFormatError(f"g_dur {plan.g_dur} outside [0.5, 2]")
+        raise DataError(f"g_dur {plan.g_dur} outside [0.5, 2]")
     if not 0.5 <= plan.g_energy <= 2.0:
-        raise PlanFormatError(f"g_energy {plan.g_energy} outside [0.5, 2]")
+        raise DataError(f"g_energy {plan.g_energy} outside [0.5, 2]")
     for word in plan.words:
         if not 1.0 <= word.delta <= 2.0:
-            raise PlanFormatError(f"word {word.index}: delta {word.delta} outside [1, 2]")
+            raise DataError(f"word {word.index}: delta {word.delta} outside [1, 2]")
         if not 1.0 <= word.epsilon <= 2.0:
-            raise PlanFormatError(f"word {word.index}: epsilon {word.epsilon} outside [1, 2]")
+            raise DataError(f"word {word.index}: epsilon {word.epsilon} outside [1, 2]")
         if word.pi_hz < 0:
-            raise PlanFormatError(f"word {word.index}: pi_hz {word.pi_hz} must be >= 0")
+            raise DataError(f"word {word.index}: pi_hz {word.pi_hz} must be >= 0")
         shift = plan.g_pitch_hz + word.pi_hz
         if not plan.bounds.p_min_hz <= shift <= plan.bounds.p_max_hz:
-            raise PlanFormatError(
+            raise DataError(
                 f"word {word.index}: pitch shift {shift} outside "
                 f"[{plan.bounds.p_min_hz}, {plan.bounds.p_max_hz}]"
             )

@@ -19,10 +19,6 @@ from .features import (
 from .mapping import ModificationPlan
 
 
-class PlanShapeMismatch(DataError):
-    """The plan was built for other words than the utterance's."""
-
-
 def apply_plan(
     utterance: UtteranceFeatures, stats: SpeakerStats, plan: ModificationPlan
 ) -> UtteranceFeatures:
@@ -41,9 +37,7 @@ def apply_plan(
     plan_words = [w.surface for w in plan.words]
     utterance_words = [w.surface for w in utterance.words]
     if plan_words != utterance_words:
-        raise PlanShapeMismatch(
-            f"plan is for words {plan_words} but utterance {utterance.id} has {utterance_words}"
-        )
+        raise DataError(f"plan is for words {plan_words} but utterance {utterance.id} has {utterance_words}")
     g_dur, g_pitch_hz = plan.g_dur, plan.g_pitch_hz
     f0_min_hz, f0_max_hz = stats.f0_min_hz, stats.f0_max_hz
     # per word: (delta, pi_hz, energy scale); a phone outside every word gets the neutral word values

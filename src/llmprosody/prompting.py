@@ -19,15 +19,7 @@ from importlib import resources
 from .errors import DataError
 from .features import Word, tokenize_words
 from .mapping import LlmScaleSuggestion
-from .response import AlignmentMismatch, parse_response, serialize_suggestion
-
-
-class InvalidSpec(DataError):
-    """The prompt specification is internally inconsistent."""
-
-
-class ExemplarFormatError(DataError):
-    """An exemplar asset document is malformed."""
+from .response import parse_response, serialize_suggestion
 
 
 class Mode(str, Enum):
@@ -49,13 +41,11 @@ class Exemplar:
     @cached_property
     def prompt_text(self) -> str:
         """This example's target block and canonical response, checked and rendered once."""
-        if self.mode in _CONTEXT_LABELS and not self.context:
-            raise InvalidSpec(f"exemplar {self.target_text!r} lacks its {self.mode.value} context")
-        words = tokenize_words(self.target_text)
         try:
+            words = _target_words(self.mode, self.context, self.target_text)
             response = serialize_suggestion(self.suggestion, words, self.reasoning)
-        except AlignmentMismatch as exc:
-            raise InvalidSpec(f"exemplar {self.target_text!r}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"exemplar {self.target_text!r}: {exc}") from None
         block = _render_target(self.mode, self.context, self.target_text, words)
         return "\n".join(block + [response.rstrip("\n")])
 
@@ -122,20 +112,26 @@ class PromptSpec:
     exemplars: tuple[Exemplar, ...] = field(default_factory=lambda: default_exemplars())
 
 
+def _target_words(mode: Mode, context: str | None, text: str) -> tuple[Word, ...]:
+    """The words of one target block, the prompt's or an example's, after checking its parts."""
+    words = tokenize_words(text)
+    if not words:
+        raise DataError("target text contains no words")
+    if any("\n" in s or "\r" in s for s in (text, context or "")):
+        raise DataError("target text and context must each be a single line")
+    if mode in _CONTEXT_LABELS:
+        if not context or not context.strip():
+            raise DataError(f"{mode.value} mode requires a non-empty context")
+    elif context is not None:
+        raise DataError("neutral mode takes no context")
+    return words
+
+
 def validate_spec(spec: PromptSpec) -> tuple[Word, ...]:
     """Check the parts of ``spec`` other than its exemplars; return the target's words."""
-    words = tokenize_words(spec.target_text)
-    if not words:
-        raise InvalidSpec("target text contains no words")
-    if any("\n" in s or "\r" in s for s in (spec.target_text, spec.context or "")):
-        raise InvalidSpec("target text and context must each be a single line")
-    if spec.mode in _CONTEXT_LABELS:
-        if not spec.context or not spec.context.strip():
-            raise InvalidSpec(f"{spec.mode.value} mode requires a non-empty context")
-    elif spec.context is not None:
-        raise InvalidSpec("neutral mode takes no context")
+    words = _target_words(spec.mode, spec.context, spec.target_text)
     if len(spec.exemplars) < 1:
-        raise InvalidSpec("at least one exemplar is required")
+        raise DataError("at least one exemplar is required")
     return words
 
 
@@ -169,21 +165,19 @@ def parse_exemplars(document: str) -> tuple[Exemplar, ...]:
             kind, sep, text = value.partition(":")
             kind = kind.strip().lower()
             if not sep or kind not in ("style", "dialogue") or not text.strip():
-                raise ExemplarFormatError(
-                    f"record {number}: CONTEXT must be 'style: <text>' or 'dialogue: <text>'"
-                )
+                raise DataError(f"record {number}: CONTEXT must be 'style: <text>' or 'dialogue: <text>'")
             mode = Mode(kind)
             context = text.strip()
         if not lines or not lines[0].startswith("TEXT:"):
-            raise ExemplarFormatError(f"record {number}: missing TEXT: line")
+            raise DataError(f"record {number}: missing TEXT: line")
         target_text = lines.pop(0)[len("TEXT:"):].strip()
         words = tokenize_words(target_text)
         if not words:
-            raise ExemplarFormatError(f"record {number}: target text has no words")
+            raise DataError(f"record {number}: target text has no words")
         result = parse_response("\n".join(lines), words)
         if not result.ok or result.diagnostics:
             problems = "; ".join(str(d) for d in result.diagnostics) or "no suggestion"
-            raise ExemplarFormatError(f"record {number}: invalid response block ({problems})")
+            raise DataError(f"record {number}: invalid response block ({problems})")
         exemplars.append(
             Exemplar(
                 mode=mode,
@@ -194,7 +188,7 @@ def parse_exemplars(document: str) -> tuple[Exemplar, ...]:
             )
         )
     if not exemplars:
-        raise ExemplarFormatError("exemplar document contains no records")
+        raise DataError("exemplar document contains no records")
     return tuple(exemplars)
 
 

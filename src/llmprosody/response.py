@@ -32,10 +32,6 @@ from .features import Word, match_key
 from .mapping import GLOBAL_SCALE, LOCAL_SCALE, LlmScaleSuggestion, WordSuggestion, clamp_to_scale
 
 
-class AlignmentMismatch(DataError):
-    """Suggestion and word list do not describe the same words."""
-
-
 class DiagnosticKind(Enum):
     MISSING_GLOBAL = "MissingGlobal"
     WORD_COUNT_MISMATCH = "WordCountMismatch"
@@ -226,16 +222,12 @@ def serialize_suggestion(
     suggestion's keys.
     """
     if not surface_words:
-        raise AlignmentMismatch("a suggestion requires at least one word")
+        raise DataError("a suggestion requires at least one word")
     if len(surface_words) != len(suggestion.words):
-        raise AlignmentMismatch(
-            f"suggestion has {len(suggestion.words)} words, word list has {len(surface_words)}"
-        )
+        raise DataError(f"suggestion has {len(suggestion.words)} words, word list has {len(surface_words)}")
     for entry, word in zip(suggestion.words, surface_words):
         if entry.key != word.key:
-            raise AlignmentMismatch(
-                f"word {entry.index}: suggestion key {entry.key!r} != word key {word.key!r}"
-            )
+            raise DataError(f"word {entry.index}: suggestion key {entry.key!r} != word key {word.key!r}")
     lines = [f"REASONING: {reasoning}" if reasoning else "REASONING:"]
     lines.append(
         "GLOBAL: "

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -218,6 +219,30 @@ class TestPlanCommand:
         assert result.exit_code == 3
         assert transcript.exists()
         assert "attempts\t2" in transcript.read_text()
+
+    def test_clamped_model_values_are_reported(self, runner, tmp_path, monkeypatch):
+        class PitchBackend:
+            pitch = "9"
+
+            def __init__(self, seed):
+                self.seed = seed
+
+            def __call__(self, prompt):
+                answer = llm.mock_complete(prompt, self.seed)
+                new_global = f"GLOBAL: duration=0 pitch={self.pitch} energy=0"
+                return re.sub("^GLOBAL: .*$", new_global, answer, flags=re.M)
+
+        monkeypatch.setattr(llm, "MockBackend", PitchBackend)
+        args = ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock"]
+        clamped = runner.invoke(main, args + ["-o", str(tmp_path / "pitch9.tsv")])
+        PitchBackend.pitch = "5"
+        in_range = runner.invoke(main, args + ["-o", str(tmp_path / "pitch5.tsv")])
+        assert clamped.exit_code == 0 and in_range.exit_code == 0
+        # the plan goes to a file, so the output is what the command wrote to stderr
+        expected = "clamped: line 2: ValueOutOfRange: GLOBAL pitch value 9.0 outside [-5, 5]; clamped to 5\n"
+        assert clamped.output == expected
+        assert in_range.output == ""
+        assert (tmp_path / "pitch9.tsv").read_bytes() == (tmp_path / "pitch5.tsv").read_bytes()
 
     def test_failed_rename_keeps_old_output(self, runner, tmp_path, monkeypatch):
         def refuse(src, dst):

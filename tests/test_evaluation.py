@@ -2,15 +2,10 @@ import math
 
 import pytest
 
+from llmprosody.errors import DataError
 from llmprosody.evaluation import (
-    EmptyInput,
-    InsufficientData,
-    MixedSystemSets,
-    NoPairs,
     PreferenceRecord,
     RatingRecord,
-    RecordFormatError,
-    UnlabeledSet,
     format_mos_summary,
     format_preference_summary,
     format_style_breakdown,
@@ -66,7 +61,7 @@ class TestMosSummary:
         assert summary["baseline"].display == "3.1±0.2"
 
     def test_single_rating_insufficient(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(DataError, match=r"system 'sysA' has 1 rating\(s\); need at least 2"):
             mos_summary(ratings("sysA", [4]))
 
     def test_order_and_rater_relabeling_invariance(self, rng):
@@ -92,7 +87,7 @@ class TestMosSummary:
         assert summary["sysA"].ci_halfwidth == pytest.approx(expected, abs=1e-12)
 
     def test_score_validation(self):
-        with pytest.raises(RecordFormatError):
+        with pytest.raises(DataError, match="score must be an integer 1..5, got 6"):
             RatingRecord("s1", "sysA", "r1", 6)
 
 
@@ -124,7 +119,7 @@ class TestPairedTTest:
         assert result.flag == "zero_variance"
 
     def test_single_pair_rejected(self):
-        with pytest.raises(NoPairs):
+        with pytest.raises(DataError, match="need at least 2 complete pairs, got 1"):
             paired_t_test(ratings("sysA", [4]), ratings("sysB", [3]))
 
     def test_pairs_matched_by_stimulus_and_rater(self):
@@ -143,7 +138,8 @@ class TestPairedTTest:
             try:
                 forward = paired_t_test(a, b)
                 backward = paired_t_test(b, a)
-            except NoPairs:
+            except DataError as exc:
+                assert "complete pairs" in str(exc)
                 continue
             assert forward.t == pytest.approx(-backward.t, abs=1e-12)
             assert forward.p == pytest.approx(backward.p, abs=1e-12)
@@ -229,17 +225,17 @@ class TestPreferenceSummary:
     def test_mixed_sets_rejected(self):
         records = preference_records({"proposed": 2, "baseline": 1, "random": 1})
         odd = PreferenceRecord("setX", "r1", "third", ("first", "second", "third"))
-        with pytest.raises(MixedSystemSets):
+        with pytest.raises(DataError, match="records mix 2 different system sets"):
             preference_summary(records + [odd])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="no preference records"):
             preference_summary([])
 
     def test_record_validation(self):
-        with pytest.raises(RecordFormatError):
+        with pytest.raises(DataError, match="chosen system 'other' not in"):
             PreferenceRecord("s", "r", "other", ("a", "b", "c"))
-        with pytest.raises(RecordFormatError):
+        with pytest.raises(DataError, match="systems_in_set must name 3 distinct systems"):
             PreferenceRecord("s", "r", "a", ("a", "b"))
 
 
@@ -301,7 +297,7 @@ class TestStyleBreakdown:
     def test_unlabeled_set_rejected(self):
         records, labels = _styled_records({"excited": {"proposed": 2, "baseline": 1, "random": 1}})
         del labels[records[0].set_id]
-        with pytest.raises(UnlabeledSet):
+        with pytest.raises(DataError, match="has no style label"):
             style_breakdown(records, labels)
 
 
@@ -326,11 +322,11 @@ class TestFileFormats:
         assert records[1] == RatingRecord("s1", "proposed", "r1", 4)
 
     def test_parse_ratings_bad_header(self):
-        with pytest.raises(RecordFormatError):
+        with pytest.raises(DataError, match="ratings file must start with header"):
             parse_ratings("nope\n" + RATINGS_DOC)
 
     def test_parse_ratings_bad_score_names_line(self):
-        with pytest.raises(RecordFormatError) as err:
+        with pytest.raises(DataError, match="score 'ten' is not an integer") as err:
             parse_ratings(RATINGS_DOC.replace("s2\tbaseline\tr2\t2", "s2\tbaseline\tr2\tten"))
         assert "line 4" in str(err.value)
 
@@ -339,7 +335,7 @@ class TestFileFormats:
         assert records[0].systems_in_set == ("proposed", "baseline", "random")
 
     def test_parse_preferences_bad_choice(self):
-        with pytest.raises(RecordFormatError) as err:
+        with pytest.raises(DataError, match="chosen system 'oracle' not in") as err:
             parse_preferences(PREFS_DOC.replace("set1\tr2\tbaseline", "set1\tr2\toracle"))
         assert "line 3" in str(err.value)
 

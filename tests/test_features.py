@@ -5,10 +5,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from llmprosody.errors import DataError
 from llmprosody.features import (
-    DegenerateStats,
-    FeatureFormatError,
-    InvariantViolation,
     PhoneFeature,
     SpeakerStats,
     Word,
@@ -65,7 +63,7 @@ class TestParseFeatures:
             "AH\t0\t0.060000\t0.350000\t0.500000\t1\t0",
             "AH\t0\t0.060000\t-\t0.500000\t1\t0",
         )
-        with pytest.raises(InvariantViolation) as err:
+        with pytest.raises(DataError, match="voiced flag inconsistent with F0 presence") as err:
             parse_features(bad)
         assert "u1" in str(err.value)
         assert "line 4" in str(err.value)
@@ -79,34 +77,35 @@ class TestParseFeatures:
         ],
     )
     def test_phone_invariant_names_utterance_and_line(self, old, new, line):
-        with pytest.raises(InvariantViolation) as err:
+        kind = {"line 5": "must be unvoiced", "line 6": "out of range", "line 7": "duration must be > 0"}[line]
+        with pytest.raises(DataError, match=kind) as err:
             parse_features(WELL_FORMED.replace(old, new))
         assert "utterance u1 " + line in str(err.value)
 
     def test_malformed_row_reports_line(self):
         bad = WELL_FORMED.replace("AH\t0\t0.090000\t0.100000\t0.400000\t1\t0",
                                   "AH\t0\t0.090000\t0.100000")
-        with pytest.raises(FeatureFormatError) as err:
+        with pytest.raises(DataError, match="expected 7 tab-separated fields") as err:
             parse_features(bad)
         assert "line 9" in str(err.value)
 
     def test_non_numeric_duration(self):
         bad = WELL_FORMED.replace("0.080000", "zero")
-        with pytest.raises(FeatureFormatError) as err:
+        with pytest.raises(DataError, match="duration 'zero' is not a number") as err:
             parse_features(bad)
         assert "line 3" in str(err.value)
 
     def test_missing_header(self):
-        with pytest.raises(FeatureFormatError):
+        with pytest.raises(DataError, match="expected feature-file header"):
             parse_features(WELL_FORMED.split("\n", 1)[1])
 
     def test_bad_variant(self):
-        with pytest.raises(FeatureFormatError):
+        with pytest.raises(DataError, match="variant must be 'raw' or 'norm'"):
             parse_features(WELL_FORMED.replace("\tnorm\t", "\tweird\t"))
 
     def test_word_index_out_of_range(self):
         bad = WELL_FORMED.replace("W\t1\t", "W\t7\t")
-        with pytest.raises(InvariantViolation) as err:
+        with pytest.raises(DataError, match="word index 7 out of range") as err:
             parse_features(bad)
         assert "u1" in str(err.value)
 
@@ -115,7 +114,7 @@ class TestParseFeatures:
             "D\t1\t0.050000\t-\t0.200000\t0\t0",
             "D\t1\t0.050000\t0.100000\t0.200000\t0\t0",
         )
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(DataError, match="voiced flag inconsistent with F0 presence"):
             parse_features(bad)
 
     def test_pause_with_word_index_rejected(self):
@@ -123,7 +122,7 @@ class TestParseFeatures:
             "sp\t-\t0.200000\t-\t-0.100000\t0\t1",
             "sp\t0\t0.200000\t-\t-0.100000\t0\t1",
         )
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(DataError, match="must be unvoiced with no word index"):
             parse_features(bad)
 
     def test_unreferenced_word_rejected(self):
@@ -132,7 +131,7 @@ class TestParseFeatures:
             "#utterance\tu1\tspk1\tnorm\tHello world\n"
             "AH\t0\t0.060000\t0.350000\t0.500000\t1\t0\n"
         )
-        with pytest.raises(InvariantViolation) as err:
+        with pytest.raises(DataError, match="are not referenced by any phone") as err:
             parse_features(doc)
         assert "[1]" in str(err.value)
 
@@ -143,7 +142,7 @@ class TestParseFeatures:
             "W\t1\t0.070000\t-0.100000\t0.300000\t1\t0\n"
             "AH\t0\t0.060000\t0.350000\t0.500000\t1\t0\n"
         )
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(DataError, match="word indices must be non-decreasing"):
             parse_features(doc)
 
 
@@ -152,7 +151,7 @@ class TestValidateUtterance:
         (utterance,) = parse_features(WELL_FORMED.split("#utterance\tu2")[0])
         validate_utterance(utterance)
         other = replace(utterance, words=(Word("Hello", "hello"), Word("there", "there")))
-        with pytest.raises(InvariantViolation, match="word list does not match tokenized text"):
+        with pytest.raises(DataError, match="word list does not match tokenized text"):
             validate_utterance(other)
 
 
@@ -192,7 +191,7 @@ class TestSerializeFeatures:
     def test_duration_below_resolution_refused(self):
         phone = PhoneFeature("AA1", 0, 4e-7, None, 0.0, voiced=False, pause=False)
         utterance = make_utterance("u1", "spk1", "hi", [phone], normalized=True)
-        with pytest.raises(InvariantViolation, match="rounds to 0.000000"):
+        with pytest.raises(DataError, match="rounds to 0.000000"):
             serialize_features([utterance])
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -200,7 +199,7 @@ class TestSerializeFeatures:
     def test_non_finite_f0_or_energy_refused(self, slot, value):
         phone = PhoneFeature("AA1", 0, 0.1, 0.2, 0.3, voiced=True, pause=False)
         utterance = make_utterance("u1", "spk1", "hi", [replace(phone, **{slot: value})], normalized=True)
-        with pytest.raises(InvariantViolation, match="non-finite F0 or energy"):
+        with pytest.raises(DataError, match="non-finite F0 or energy"):
             serialize_features([utterance])
 
 
@@ -279,7 +278,7 @@ class TestComputeSpeakerStats:
             PhoneFeature("IY", 0, 1.0, math.log(200.0), 0.7, True, False),
         ]
         corpus = [make_utterance("u1", "spk1", "hi", phones, normalized=False)]
-        with pytest.raises(DegenerateStats):
+        with pytest.raises(DataError, match="zero variance in log-F0 or log-energy"):
             compute_speaker_stats(corpus)
 
     def test_too_few_voiced_degenerate(self):
@@ -288,7 +287,7 @@ class TestComputeSpeakerStats:
             PhoneFeature("T", 0, 1.0, None, 0.7, False, False),
         ]
         corpus = [make_utterance("u1", "spk1", "hi", phones, normalized=False)]
-        with pytest.raises(DegenerateStats):
+        with pytest.raises(DataError, match="need at least 2 voiced phones"):
             compute_speaker_stats(corpus)
 
     def test_rejects_normalized_input(self, rng):
@@ -320,13 +319,13 @@ class TestSpeakerStatsFile:
     def test_missing_key(self):
         doc = serialize_speaker_stats(make_stats())
         truncated = "\n".join(doc.strip().split("\n")[:-1]) + "\n"
-        with pytest.raises(FeatureFormatError) as err:
+        with pytest.raises(DataError, match="stats file is missing keys") as err:
             parse_speaker_stats(truncated)
         assert "f0_max_hz" in str(err.value)
 
     def test_invalid_sigma(self):
         doc = serialize_speaker_stats(make_stats()).replace("0.25", "0.0")
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(DataError, match="sigma_logf0 must be > 0"):
             parse_speaker_stats(doc)
 
 
@@ -373,7 +372,7 @@ class TestFormatProperties:
         utterances = parse_features(document)
         try:
             canonical = serialize_features(utterances)
-        except InvariantViolation as exc:
+        except DataError as exc:
             # a duration under 0.5 us would be written as 0.000000, which parse refuses
             assert "rounds to 0.000000" in str(exc)
             assert any(ph.duration_s < 1e-6 for u in utterances for ph in u.phones)

@@ -6,19 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from llmprosody.errors import DataError
+from llmprosody.errors import BackendError, DataError
 from llmprosody.features import tokenize_words
 from llmprosody.llm import (
-    AuthError,
     BackendConfig,
     HttpBackend,
-    MalformedApiResponse,
     MockBackend,
     NetworkError,
     RateLimited,
     RepairExhausted,
     RepairPolicy,
-    UnrecognizedPrompt,
     complete,
     mock_complete,
     suggest_batch,
@@ -64,7 +61,7 @@ class TestMockComplete:
         assert structure(a) == structure(b)
 
     def test_prompt_without_word_list(self):
-        with pytest.raises(UnrecognizedPrompt):
+        with pytest.raises(DataError, match="prompt contains no enumerated word list"):
             mock_complete("annotate this text please", seed=0)
 
 
@@ -189,7 +186,7 @@ NO_SLEEP = lambda seconds: None
 class TestComplete:
     def test_missing_key_fails_before_any_request(self, fake_server, monkeypatch):
         monkeypatch.delenv("LLMPROSODY_TEST_KEY", raising=False)
-        with pytest.raises(AuthError):
+        with pytest.raises(BackendError, match="no API key found in environment variable"):
             complete("hello", _config(fake_server), sleep=NO_SLEEP)
         assert fake_server.requests == []
 
@@ -230,14 +227,14 @@ class TestComplete:
     def test_auth_rejection_is_immediate(self, fake_server, monkeypatch):
         monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
         fake_server.script.append((401, b"{}"))
-        with pytest.raises(AuthError):
+        with pytest.raises(BackendError, match=r"endpoint rejected credentials \(HTTP 401\)"):
             complete("p", _config(fake_server), sleep=NO_SLEEP)
         assert len(fake_server.requests) == 1
 
     def test_malformed_payload(self, fake_server, monkeypatch):
         monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
         fake_server.script.append((200, b'{"unexpected": true}'))
-        with pytest.raises(MalformedApiResponse):
+        with pytest.raises(BackendError, match="could not extract completion text: KeyError"):
             complete("p", _config(fake_server), sleep=NO_SLEEP)
 
     def test_connection_refused_becomes_network_error(self, monkeypatch):

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 
 from llmprosody.errors import DataError
 from llmprosody.features import (
-    NonPositiveEnergy,
-    NonPositiveF0,
     PhoneFeature,
     denorm_energy,
     denorm_f0,
@@ -31,7 +29,7 @@ from llmprosody.mapping import (
     parse_plan,
     serialize_plan,
 )
-from llmprosody.modifier import PlanShapeMismatch, apply_plan
+from llmprosody.modifier import apply_plan
 from llmprosody.prompting import Mode, PromptSpec
 
 from conftest import (
@@ -86,11 +84,11 @@ class TestNormalization:
 
     def test_non_positive_inputs(self):
         stats = make_stats()
-        with pytest.raises(NonPositiveF0):
+        with pytest.raises(DataError, match="F0 must be > 0 Hz, got 0.0"):
             renorm_f0(0.0, stats)
-        with pytest.raises(NonPositiveF0):
+        with pytest.raises(DataError, match="F0 must be > 0 Hz, got -5.0"):
             renorm_f0(-5.0, stats)
-        with pytest.raises(NonPositiveEnergy):
+        with pytest.raises(DataError, match="energy must be > 0, got 0.0"):
             renorm_energy(0.0, stats)
 
     def test_beyond_float_range_is_a_data_error(self):
@@ -196,7 +194,7 @@ class TestApplyPlanExamples:
             words=plan.words[:-1],
             bounds=plan.bounds,
         )
-        with pytest.raises(PlanShapeMismatch):
+        with pytest.raises(DataError, match="^plan is for words .* but utterance"):
             apply_plan(utterance, stats, shorter)
 
     def test_plan_for_other_words_rejected(self, rng):
@@ -205,7 +203,7 @@ class TestApplyPlanExamples:
         plan = identity_plan(utterance, stats)
         first = replace(plan.words[0], surface=plan.words[0].surface + "s")
         other = replace(plan, words=(first,) + plan.words[1:])
-        with pytest.raises(PlanShapeMismatch):
+        with pytest.raises(DataError, match="^plan is for words .* but utterance"):
             apply_plan(utterance, stats, other)
 
 

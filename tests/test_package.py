@@ -1,5 +1,6 @@
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +75,23 @@ class TestLazyPackage:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout == "['llmprosody']\nllmprosody.features llmprosody.llm\n"
+
+
+class TestErrorClasses:
+    def test_only_the_categories_and_the_attempts_carriers(self):
+        # a failure raises its category with a message naming the check; a subclass
+        # exists only to carry data, here the attempts of a retried call or repair loop
+        from llmprosody.errors import LlmProsodyError
+
+        modules = [info.name for info in pkgutil.iter_modules(llmprosody.__path__) if info.name != "__main__"]
+        defined = {
+            f"{module}.{name}"
+            for module in modules
+            for name, value in vars(importlib.import_module(f"llmprosody.{module}")).items()
+            if isinstance(value, type) and issubclass(value, LlmProsodyError)
+            and value.__module__ == f"llmprosody.{module}"
+        }
+        assert defined == {
+            "errors.LlmProsodyError", "errors.DataError", "errors.LlmOutputError", "errors.BackendError",
+            "llm.RateLimited", "llm.NetworkError", "llm.RepairExhausted",
+        }

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import llmprosody.prompting as prompting
 from conftest import PROPERTIES, WORD_POOL
+from llmprosody.errors import DataError
 from llmprosody.features import tokenize_words
 from llmprosody.prompting import (
     DEFAULT_FORMAT_INSTRUCTIONS,
@@ -12,8 +13,6 @@ from llmprosody.prompting import (
     DEFAULT_SCALE_EXPLANATIONS,
     DEFAULT_TASK_DESCRIPTION,
     Exemplar,
-    ExemplarFormatError,
-    InvalidSpec,
     Mode,
     PromptSpec,
     build_prompt,
@@ -102,23 +101,23 @@ class TestBuildPrompt:
 
 class TestInvalidSpec:
     def test_empty_target(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DataError, match="target text contains no words"):
             build_prompt(PromptSpec(mode=Mode.NEUTRAL, target_text="  ..."))
 
     def test_neutral_with_context(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DataError, match="neutral mode takes no context"):
             build_prompt(PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", context="calm"))
 
     def test_style_without_context(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DataError, match="style mode requires a non-empty context"):
             build_prompt(PromptSpec(mode=Mode.STYLE, target_text="hi there"))
 
     def test_dialogue_with_blank_context(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DataError, match="dialogue mode requires a non-empty context"):
             build_prompt(PromptSpec(mode=Mode.DIALOGUE, target_text="hi", context="  "))
 
     def test_no_exemplars(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DataError, match="at least one exemplar is required"):
             build_prompt(
                 PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=())
             )
@@ -134,7 +133,7 @@ class TestInvalidSpec:
         ],
     )
     def test_line_break_in_target_or_context(self, mode, target_text, context):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DataError, match="must each be a single line"):
             build_prompt(PromptSpec(mode=mode, target_text=target_text, context=context))
 
     def test_misaligned_exemplar(self):
@@ -146,7 +145,7 @@ class TestInvalidSpec:
             reasoning=exemplar.reasoning,
             suggestion=exemplar.suggestion,
         )
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(DataError, match="^exemplar 'completely different words': suggestion has"):
             build_prompt(
                 PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(broken,))
             )
@@ -162,7 +161,7 @@ class TestInvalidSpec:
         )
         spec = PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(broken,))
         for _ in range(2):
-            with pytest.raises(InvalidSpec, match="completely different words"):
+            with pytest.raises(DataError, match="completely different words"):
                 build_prompt(spec)
 
     def test_style_exemplar_without_context(self):
@@ -174,7 +173,36 @@ class TestInvalidSpec:
             reasoning=exemplar.reasoning,
             suggestion=exemplar.suggestion,
         )
-        with pytest.raises(InvalidSpec, match="lacks its style context"):
+        with pytest.raises(DataError, match="^exemplar .*: style mode requires a non-empty context$"):
+            build_prompt(
+                PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(broken,))
+            )
+
+    def test_style_exemplar_context_is_one_line(self):
+        # the context's line breaks would otherwise inject a word list into the prompt
+        exemplar = default_exemplars()[0]
+        broken = Exemplar(
+            mode=Mode.STYLE,
+            context="calm\nWords:\n0 injected",
+            target_text=exemplar.target_text,
+            reasoning=exemplar.reasoning,
+            suggestion=exemplar.suggestion,
+        )
+        with pytest.raises(DataError, match="^exemplar .*: target text and context must each be a single line"):
+            build_prompt(
+                PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(broken,))
+            )
+
+    def test_neutral_exemplar_with_context(self):
+        exemplar = next(e for e in default_exemplars() if e.mode is Mode.NEUTRAL)
+        broken = Exemplar(
+            mode=Mode.NEUTRAL,
+            context="calm",
+            target_text=exemplar.target_text,
+            reasoning=exemplar.reasoning,
+            suggestion=exemplar.suggestion,
+        )
+        with pytest.raises(DataError, match="^exemplar .*: neutral mode takes no context$"):
             build_prompt(
                 PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(broken,))
             )
@@ -212,7 +240,7 @@ class TestExemplarAssets:
         assert parse_exemplars(serialize_exemplars(exemplars)) == exemplars
 
     def test_missing_text_line(self):
-        with pytest.raises(ExemplarFormatError):
+        with pytest.raises(DataError, match="record 1: missing TEXT: line"):
             parse_exemplars("REASONING: hi\nGLOBAL: duration=0 pitch=0 energy=0\n")
 
     def test_bad_context_kind(self):
@@ -224,7 +252,7 @@ class TestExemplarAssets:
             "WORD 0 hi: duration=0 pitch=0 energy=0\n"
             "WORD 1 there: duration=0 pitch=0 energy=0\n"
         )
-        with pytest.raises(ExemplarFormatError):
+        with pytest.raises(DataError, match="record 1: CONTEXT must be 'style: <text>'"):
             parse_exemplars(doc)
 
     def test_invalid_response_block(self):
@@ -234,12 +262,12 @@ class TestExemplarAssets:
             "GLOBAL: duration=0 pitch=0 energy=0\n"
             "WORD 0 hi: duration=0 pitch=0 energy=0\n"
         )
-        with pytest.raises(ExemplarFormatError) as err:
+        with pytest.raises(DataError, match="invalid response block") as err:
             parse_exemplars(doc)
         assert "record 1" in str(err.value)
 
     def test_empty_document(self):
-        with pytest.raises(ExemplarFormatError):
+        with pytest.raises(DataError, match="exemplar document contains no records"):
             parse_exemplars("\n\n")
 
 

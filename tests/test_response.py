@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from llmprosody.errors import DataError
 from llmprosody.features import tokenize_words
 from llmprosody.mapping import LlmScaleSuggestion, WordSuggestion
 from llmprosody.response import (
-    AlignmentMismatch,
     DiagnosticKind,
     parse_response,
     serialize_suggestion,
@@ -345,7 +345,7 @@ class TestSerializeSuggestion:
 
     def test_empty_word_list_rejected(self):
         suggestion = LlmScaleSuggestion(0.0, 0.0, 0.0, words=())
-        with pytest.raises(AlignmentMismatch):
+        with pytest.raises(DataError, match="a suggestion requires at least one word"):
             serialize_suggestion(suggestion, ())
 
     def test_misaligned_words_rejected(self):
@@ -354,7 +354,7 @@ class TestSerializeSuggestion:
             0.0, 0.0, 0.0,
             words=(WordSuggestion(0, "a", 0.0, 0.0, 0.0), WordSuggestion(1, "c", 0.0, 0.0, 0.0)),
         )
-        with pytest.raises(AlignmentMismatch):
+        with pytest.raises(DataError, match="word 1: suggestion key 'c' != word key 'b'"):
             serialize_suggestion(suggestion, words)
 
     def test_reasoning_embedded(self):
