@@ -6,7 +6,8 @@ JSON endpoint (model name, message list, temperature in the request; the
 first choice's message content in the response).  :class:`MockBackend` is a
 deterministic stand-in that needs no network and lets the whole pipeline run
 reproducibly from a seed.  :func:`complete` uses the standard library's
-``urllib.request``, so HTTP needs no third-party package.
+``http.client`` over kept-alive connections pooled per host across calls and
+threads, so HTTP needs no third-party package.
 """
 
 from __future__ import annotations
@@ -64,24 +65,34 @@ def complete(
 
     Timeouts, connection errors, HTTP 429, and 5xx responses are retried up
     to ``config.max_retries`` times with exponential backoff and jitter.
-    Auth failures are raised immediately.  The transport modules are imported
-    here, on first call, so commands that never call this do not load them.
+    Auth failures are raised immediately, and so is any other status,
+    redirects included: none is followed.  Each attempt takes a kept-alive
+    connection from the process-wide pool, or opens one, and returns it once
+    the whole response is read.  The transport modules are imported here, on
+    first call, so commands that never call this do not load them.
     """
     import http.client
     import json
-    import urllib.error
+    import urllib.parse
     import urllib.request
 
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
         raise BackendError(f"no API key found in environment variable {config.api_key_env!r}")
-    url = config.base_url.rstrip("/") + "/chat/completions"
+    url = urllib.parse.urlsplit(config.base_url.rstrip("/") + "/chat/completions")
+    if url.scheme not in ("http", "https"):
+        raise BackendError(f"base URL must use http or https, got {url.scheme!r}")
+    path = url.path + (f"?{url.query}" if url.query else "")
     body = json.dumps({
         "model": config.model_name,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": config.temperature,
     }).encode("utf-8")
-    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+    headers = {
+        "Authorization": f"Bearer {api_key}",
+        "Content-Type": "application/json",
+        "User-Agent": f"Python-urllib/{urllib.request.__version__}",
+    }
     attempts = 0
     last_transient = ""
     rate_limited = False
@@ -90,19 +101,25 @@ def complete(
             delay = _BACKOFF_BASE_S * (2 ** (attempts - 1))
             sleep(delay + random.uniform(0, delay / 2))
         attempts += 1
-        # A new Request per attempt: a proxy handler rewrites its host in place.
-        request = urllib.request.Request(url, data=body, headers=headers)
+        conn = None
         try:
-            with urllib.request.urlopen(request, timeout=config.timeout_s) as resp:
+            route = _POOL.take(url.scheme, url.netloc, config.timeout_s)
+            conn, prefix, proxy_headers = route
+            conn.request("POST", prefix + path, body, {**headers, **proxy_headers})
+            with conn.getresponse() as resp:
                 status, payload = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            status = exc.code
-            exc.close()
-        except (OSError, http.client.HTTPException) as exc:
+        except BaseException as exc:
+            if conn is not None:
+                conn.close()
+            if not isinstance(exc, (OSError, http.client.HTTPException)):
+                raise
             rate_limited = False
             last_transient = f"request failed: {type(exc).__name__}"
             logger.warning("completion attempt %d failed (%s)", attempts, last_transient)
             continue
+        # a response without keep-alive has closed the connection already
+        if conn.sock is not None:
+            _POOL.give_back(url.scheme, url.netloc, route)
         if status in (401, 403):
             raise BackendError(f"endpoint rejected credentials (HTTP {status})")
         if status == 429:
@@ -132,6 +149,113 @@ def complete(
         f"gave up after {attempts} attempts; last failure: {last_transient}",
         attempts=attempts,
     )
+
+
+class _ConnectionPool:
+    """Idle kept-alive connections shared by every thread, keyed by scheme and host:port.
+
+    A connection serves one request at a time: :meth:`take` removes it from
+    the pool and :meth:`give_back` returns it once its response is read.  It
+    travels as a route, ``(connection, path prefix, extra headers)``: through
+    an HTTP proxy a request names the absolute URL (``"http://host:port"`` +
+    path) and carries the proxy's ``Proxy-Authorization``; otherwise both
+    are empty.
+    """
+
+    def __init__(self) -> None:
+        import threading  # already loaded by logging
+
+        self._lock = threading.Lock()
+        self._idle: dict[tuple[str, str], list[tuple]] = {}
+        self._ssl_context = None
+
+    def take(self, scheme: str, netloc: str, timeout: float) -> tuple:
+        """An idle connection whose peer has not closed it, else a new one."""
+        while True:
+            with self._lock:
+                idle = self._idle.get((scheme, netloc))
+                route = idle.pop() if idle else None
+            if route is None:
+                return self._open(scheme, netloc, timeout)
+            conn = route[0]
+            if not _is_dropped(conn.sock):
+                conn.timeout = timeout
+                conn.sock.settimeout(timeout)
+                return route
+            conn.close()
+
+    def give_back(self, scheme: str, netloc: str, route: tuple) -> None:
+        with self._lock:
+            self._idle.setdefault((scheme, netloc), []).append(route)
+
+    def close_idle(self) -> None:
+        """Close and forget every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for routes in idle.values():
+            for conn, _, _ in routes:
+                conn.close()
+
+    def _open(self, scheme: str, netloc: str, timeout: float) -> tuple:
+        """A new connection, through the proxy that the environment names now, if any."""
+        import http.client
+        import urllib.request
+
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and urllib.request.proxy_bypass(netloc):
+            proxy = None
+        proxy_netloc, proxy_headers = _parse_proxy(proxy) if proxy else (None, {})
+        if scheme == "http":
+            if proxy_netloc is None:
+                return http.client.HTTPConnection(netloc, timeout=timeout), "", {}
+            conn = http.client.HTTPConnection(proxy_netloc, timeout=timeout)
+            return conn, f"http://{netloc}", proxy_headers
+        conn = http.client.HTTPSConnection(
+            proxy_netloc or netloc, timeout=timeout, context=self._context()
+        )
+        if proxy_netloc is not None:
+            conn.set_tunnel(netloc, headers=proxy_headers)
+        return conn, "", {}
+
+    def _context(self):
+        """The one TLS context of the process: system CA store, hostname checked."""
+        with self._lock:
+            if self._ssl_context is None:
+                import ssl
+
+                context = ssl.create_default_context()
+                context.set_alpn_protocols(["http/1.1"])
+                self._ssl_context = context
+            return self._ssl_context
+
+
+_POOL = _ConnectionPool()
+
+
+def _is_dropped(sock) -> bool:
+    """Whether an idle socket is readable: its peer closed it, or sent data no request asked for."""
+    import select
+
+    if not hasattr(select, "poll"):  # Windows
+        return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _parse_proxy(proxy: str) -> tuple[str, dict[str, str]]:
+    """``host:port`` of a proxy URL, and the Basic auth header its credentials ask for."""
+    import base64
+    import urllib.parse
+
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+    userinfo, _, host_port = parts.netloc.rpartition("@")
+    user, _, password = userinfo.partition(":")
+    if not (user and password):
+        return host_port, {}
+    credentials = f"{urllib.parse.unquote(user)}:{urllib.parse.unquote(password)}"
+    token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+    return host_port, {"Proxy-Authorization": f"Basic {token}"}
 
 
 @dataclass(frozen=True)
