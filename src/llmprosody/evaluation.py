@@ -4,8 +4,9 @@ Ratings are 1-5 opinion scores per (stimulus, system, rater); preferences are
 three-way forced choices per stimulus set.  Display values round half-up to
 one decimal; the raw values are always kept alongside.  Confidence intervals
 are t-based and labelled as such in the formatted output.  NumPy and SciPy
-are imported inside the two functions that compute with them, so importing
-this module (and the CLI, which imports it) does not load them.
+are imported inside the two functions that compute with them, and
+``decimal`` inside the one helper that rounds, so importing this module (and
+the CLI, which imports it) loads none of them.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import DataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatingRecord:
     stimulus_id: str
     system_id: str
@@ -30,7 +30,7 @@ class RatingRecord:
             raise DataError(f"score must be an integer 1..5, got {self.score!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferenceRecord:
     set_id: str
     rater_id: str
@@ -44,11 +44,14 @@ class PreferenceRecord:
             raise DataError(f"chosen system {self.chosen_system!r} not in {self.systems_in_set!r}")
 
 
-def _round_half_up_1(value: Decimal) -> Decimal:
-    return value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+def _round_half_up_1(numerator: int | str, denominator: int = 1) -> str:
+    """``numerator / denominator`` in decimal, rounded half-up to one decimal place."""
+    from decimal import ROUND_HALF_UP, Decimal
+
+    return str((Decimal(numerator) / Decimal(denominator)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MosSummary:
     """Per-system MOS with a t-based confidence interval."""
 
@@ -83,8 +86,8 @@ def mos_summary(
         sd = float(np.std(scores, ddof=1))
         tcrit = float(sps.t.ppf(0.5 + confidence / 2.0, n - 1))
         halfwidth = tcrit * sd / math.sqrt(n)
-        display_mean = _round_half_up_1(Decimal(sum(scores)) / Decimal(n))
-        display_hw = _round_half_up_1(Decimal(str(halfwidth)))
+        display_mean = _round_half_up_1(sum(scores), n)
+        display_hw = _round_half_up_1(str(halfwidth))
         summaries[system] = MosSummary(
             mean=mean,
             ci_halfwidth=halfwidth,
@@ -94,7 +97,7 @@ def mos_summary(
     return summaries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TTestResult:
     t: float
     p: float
@@ -144,7 +147,7 @@ def paired_t_test(
     return TTestResult(t=t, p=p, df=df)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferenceShare:
     system: str
     wins: int
@@ -152,7 +155,7 @@ class PreferenceShare:
     percent: float  # half-up rounded to 1 decimal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferenceSummary:
     shares: tuple[PreferenceShare, ...]  # ordered by wins desc, then name
     total: int
@@ -176,7 +179,7 @@ def preference_summary(
             system=system,
             wins=wins[system],
             fraction=wins[system] / total,
-            percent=float(_round_half_up_1(Decimal(100 * wins[system]) / Decimal(total))),
+            percent=float(_round_half_up_1(100 * wins[system], total)),
         )
         for system in ordered
     )

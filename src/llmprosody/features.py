@@ -27,7 +27,7 @@ _ABSENT = "-"
 _PUNCT = string.punctuation + "“”‘’«»—–…¿¡"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A word token: punctuation-stripped surface plus its lowercase match key."""
 
@@ -57,7 +57,7 @@ def tokenize_words(text: str) -> tuple[Word, ...]:
     return tuple(words)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhoneFeature:
     """One aligned phone.
 
@@ -76,7 +76,7 @@ class PhoneFeature:
     pause: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UtteranceFeatures:
     """An utterance's text, word list, and aligned phone sequence."""
 
@@ -91,7 +91,7 @@ class UtteranceFeatures:
         return sum(ph.duration_s for ph in self.phones)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpeakerStats:
     """Normalization constants and the speaker's natural F0 range.
 
@@ -331,17 +331,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
             f0 = None
         else:
             f0 = parse_finite(f0_s, "F0", line_number)
-        current["phones"].append(
-            PhoneFeature(
-                label=label,
-                word_index=word_index,
-                duration_s=duration,
-                f0=f0,
-                energy=energy,
-                voiced=voiced,
-                pause=pause,
-            )
-        )
+        current["phones"].append(PhoneFeature(label, word_index, duration, f0, energy, voiced, pause))
         current["line_numbers"].append(line_number)
     if not header_seen:
         raise DataError("line 1: empty document (missing feature-file header)")

@@ -258,7 +258,7 @@ def _parse_proxy(proxy: str) -> tuple[str, dict[str, str]]:
     return host_port, {"Proxy-Authorization": f"Basic {token}"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HttpBackend:
     config: BackendConfig
 
@@ -266,18 +266,20 @@ class HttpBackend:
         return complete(prompt, self.config)
 
 
-_WORD_LIST_HEADER = "Words:"
+_WORD_LIST_HEADER = "\nWords:\n"
 _WORD_LINE_RE = re.compile(r"^(\d+) (\S+)$")
 
 
 def _extract_target_words(prompt: str) -> list[str]:
     """Pull the last enumerated word list out of a built prompt."""
-    lines = prompt.split("\n")
-    starts = [i for i, line in enumerate(lines) if line == _WORD_LIST_HEADER]
-    if not starts:
+    # framed by newlines, a "Words:" line is the header wherever it stands,
+    # first line and last included, and only the lines after it are split
+    framed = f"\n{prompt}\n"
+    start = framed.rfind(_WORD_LIST_HEADER)
+    if start < 0:
         raise DataError("prompt contains no enumerated word list")
     surfaces = []
-    for line in lines[starts[-1] + 1:]:
+    for line in framed[start + len(_WORD_LIST_HEADER):].split("\n"):
         m = _WORD_LINE_RE.match(line)
         if not m:
             break
@@ -319,7 +321,7 @@ def mock_complete(prompt: str, seed: int) -> str:
     return serialize_suggestion(suggestion, words, reasoning)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MockBackend:
     seed: int = 0
 
@@ -327,7 +329,7 @@ class MockBackend:
         return mock_complete(prompt, self.seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attempt:
     """One round of the repair loop: what was sent, what came back, what failed."""
 

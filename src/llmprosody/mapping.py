@@ -20,7 +20,7 @@ GLOBAL_SCALE = (-5.0, 5.0)
 LOCAL_SCALE = (0.0, 5.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordSuggestion:
     """The model's raw local values for one word, on the [0, 5] scale."""
 
@@ -31,7 +31,7 @@ class WordSuggestion:
     local_energy: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LlmScaleSuggestion:
     """Raw per-utterance and per-word values as suggested by the model.
 
@@ -45,7 +45,7 @@ class LlmScaleSuggestion:
     words: tuple[WordSuggestion, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PitchBounds:
     """Largest allowed downward/upward uniform F0 shifts for one utterance."""
 
@@ -78,7 +78,7 @@ class MappingConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordCoefficients:
     """Final per-word coefficients: duration/energy scales and pitch shift."""
 
@@ -89,7 +89,7 @@ class WordCoefficients:
     epsilon: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModificationPlan:
     """Clamped coefficients ready for application.
 

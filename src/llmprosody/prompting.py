@@ -102,7 +102,7 @@ def _render_target(mode: Mode, context: str | None, text: str, words: tuple[Word
     return lines
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromptSpec:
     """Everything needed to build one prompt deterministically."""
 

@@ -42,7 +42,7 @@ class DiagnosticKind(Enum):
     UNPARSEABLE_LINE = "UnparseableLine"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseDiagnostic:
     kind: DiagnosticKind
     line_number: int
@@ -61,7 +61,7 @@ class ParseDiagnostic:
         return f"line {self.line_number}: {self.kind.value}: {self.detail}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseResult:
     suggestion: LlmScaleSuggestion | None
     reasoning: str

@@ -604,6 +604,21 @@ class TestImportsOnDemand:
         write_preferences(tmp_path / "prefs.tsv", {"proposed": 3, "baseline": 2, "random": 1})
         _, loaded = run_fresh(tmp_path, ["eval", "pref", "prefs.tsv"])
         assert loaded & HEAVY == set()
+        assert "decimal" in loaded
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["stats", RAW, "-o", "stats.tsv"],
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock", "-o", "plan.tsv"],
+            ["apply", "--features", NORM, "--stats", STATS,
+             "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", "out.tsv"],
+        ],
+        ids=["stats", "plan", "apply"],
+    )
+    def test_only_eval_loads_decimal(self, tmp_path, args):
+        _, loaded = run_fresh(tmp_path, args)
+        assert "decimal" not in loaded
 
     def test_eval_mos_prints_the_library_summary(self, tmp_path):
         rows = [RATINGS_HEADER]

@@ -1,6 +1,7 @@
 import base64
 import http.client
 import json
+import re
 import socket
 import ssl
 import sys
@@ -10,7 +11,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from conftest import PROPERTIES
 from llmprosody import llm
 from llmprosody.errors import BackendError, DataError
 from llmprosody.features import tokenize_words
@@ -69,6 +72,74 @@ class TestMockComplete:
     def test_prompt_without_word_list(self):
         with pytest.raises(DataError, match="prompt contains no enumerated word list"):
             mock_complete("annotate this text please", seed=0)
+
+
+def _reference_target_words(prompt: str) -> list[str]:
+    """The word-list lookup as a scan over every line of the prompt."""
+    lines = prompt.split("\n")
+    starts = [i for i, line in enumerate(lines) if line == "Words:"]
+    if not starts:
+        raise DataError("prompt contains no enumerated word list")
+    surfaces = []
+    for line in lines[starts[-1] + 1:]:
+        m = re.match(r"^(\d+) (\S+)$", line)
+        if not m:
+            break
+        surfaces.append(m.group(2))
+    if not surfaces:
+        raise DataError("prompt's word list is empty")
+    return surfaces
+
+
+def _outcome(lookup, prompt: str):
+    try:
+        return lookup(prompt)
+    except DataError as exc:
+        return ("DataError", str(exc))
+
+
+# lines near the edges of the header and word-line patterns, and free text
+# that may hold further newlines and carriage returns
+PROMPT_LINES = st.one_of(
+    st.sampled_from([
+        "Words:", "Words: ", " Words:", "Words:\r", "words:", "Words", "Response:", "",
+        "0 fox", "1 it's", "2 a b", "3\tdog", "12 ½", "٣ x", "-1 x", "0 ", " 0 x",
+    ]),
+    st.builds("{} {}".format, st.integers(0, 40), st.text("ab'é.\r ", min_size=1, max_size=4)),
+    st.text("Wrdos:01 \n\r", max_size=10),
+)
+REPAIR_TEMPLATE = RepairPolicy.repair_instruction_template
+
+
+class TestExtractTargetWords:
+    @PROPERTIES
+    @given(lines=st.lists(PROMPT_LINES, max_size=12))
+    @example(lines=["Words:", "0 fox", "1 dog"])  # header on the first line
+    @example(lines=["Text: a b", "Words:", "0 a", "Response:", "Words:", "0 b", "1 c"])
+    @example(lines=["Words:", "0 a", "Response:", "Words:"])  # header on the last line
+    @example(lines=["Text: fox", "0 fox", "Response:"])  # no header at all
+    @example(lines=["Words:", "", "0 a"])  # a header followed by a line that is no word line
+    @example(lines=[])
+    def test_matches_the_line_scan(self, lines):
+        prompt = "\n".join(lines)
+        assert _outcome(llm._extract_target_words, prompt) == _outcome(_reference_target_words, prompt)
+
+    @PROPERTIES
+    @given(
+        text=st.lists(st.sampled_from(["fox", "it's", "Words:", "0", "jumps."]), min_size=1, max_size=6),
+        diagnostics=st.lists(PROMPT_LINES, max_size=4),
+        mode=st.sampled_from([Mode.NEUTRAL, Mode.STYLE]),
+    )
+    def test_repair_prompt_matches_the_line_scan(self, text, diagnostics, mode):
+        spec = PromptSpec(
+            mode=mode, target_text=" ".join(text), context="calm" if mode is Mode.STYLE else None
+        )
+        base = build_prompt(spec)
+        for prompt in (base, base + REPAIR_TEMPLATE.format(diagnostics="\n".join(diagnostics))):
+            got = _outcome(llm._extract_target_words, prompt)
+            assert got == _outcome(_reference_target_words, prompt)
+        expected = [w.surface for w in tokenize_words(spec.target_text)]
+        assert _outcome(llm._extract_target_words, base) == expected
 
 
 class ScriptedBackend:
