@@ -5,9 +5,10 @@ the prompt that would be sent), ``plan`` (ask a backend for a suggestion and
 write the mapped plan), ``apply`` (apply a plan to a feature file), and
 ``eval mos|pref|styles`` (listening-test aggregation).
 
-Exit codes: 0 success, 2 input/data error, 3 model-output error after
-repairs, 4 backend/transport error.  Data goes to standard output or the
-paths given by flags; diagnostics go to standard error.
+Exit codes: 0 success, else the ``exit_code`` of the error's category: 2
+input/data error (an ``OSError`` too), 3 model-output error after repairs, 4
+backend/transport error.  Data goes to standard output or the paths given by
+flags; diagnostics go to standard error.
 
 Importing it loads the package's ``errors``, ``config``, ``features``, ``mapping``, ``modifier``
 and ``evaluation``; ``prompt`` adds ``prompting`` and ``response``, and ``plan`` also ``llm``.
@@ -15,7 +16,6 @@ and ``evaluation``; ``prompt`` adds ``prompting`` and ``response``, and ``plan``
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 from pathlib import Path
@@ -25,28 +25,6 @@ import click
 from . import __version__, config, evaluation, features, mapping, modifier
 from .errors import BackendError, DataError, LlmOutputError
 
-EXIT_DATA_ERROR = 2
-EXIT_LLM_OUTPUT_ERROR = 3
-EXIT_BACKEND_ERROR = 4
-
-
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except BackendError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_BACKEND_ERROR)
-        except LlmOutputError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_LLM_OUTPUT_ERROR)
-        except (DataError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DATA_ERROR)
-
-    return wrapper
-
 
 def _write_file(path: str, text: str) -> None:
     """Replace ``path`` with ``text`` whole or not at all: write a file beside it, then rename."""
@@ -55,8 +33,11 @@ def _write_file(path: str, text: str) -> None:
         with open(temporary, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # name the path the user gave, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -134,7 +115,18 @@ def _mode_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: an error of a package category, or an ``OSError``, exits with its code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (DataError, LlmOutputError, BackendError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(getattr(exc, "exit_code", DataError.exit_code))
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main() -> None:
     """Turn natural-language context into prosody modifications."""
@@ -146,7 +138,6 @@ def main() -> None:
 @click.option("--min-duration-s", default=1.5, show_default=True, help="Exclude shorter utterances.")
 @click.option("--percentile-low", default=5.0, show_default=True)
 @click.option("--percentile-high", default=95.0, show_default=True)
-@_handle_errors
 def stats(raw_features, output, min_duration_s, percentile_low, percentile_high) -> None:
     """Compute speaker statistics from raw feature files."""
     utterances: list[features.UtteranceFeatures] = []
@@ -163,7 +154,6 @@ def stats(raw_features, output, min_duration_s, percentile_low, percentile_high)
 @main.command("prompt")
 @_mode_options
 @click.option("--text", required=True, help="Target text to annotate.")
-@_handle_errors
 def prompt_cmd(mode, style, previous_line, exemplars_path, text) -> None:
     """Print the prompt that would be sent to the model."""
     from . import prompting
@@ -210,7 +200,6 @@ def _format_transcript(attempts: list) -> str:
 @click.option("-o", "--output", default="-", show_default=True, help="Plan file path, or - for stdout.")
 @click.option("--transcript", "transcript_path", default=None, type=click.Path(dir_okay=False),
               help="Where to write the attempt transcript.")
-@_handle_errors
 def plan_cmd(
     mode, style, previous_line, exemplars_path, text, features_path, stats_path,
     utterance_id, backend, seed, base_url, model, api_key_env, temperature,
@@ -269,7 +258,6 @@ def plan_cmd(
 @click.option("--utterance-id", default=None, help="Which utterance to modify.")
 @click.option("-o", "--output", default="-", show_default=True,
               help="Modified feature file path, or - for stdout.")
-@_handle_errors
 def apply_cmd(features_path, stats_path, plan_path, utterance_id, output) -> None:
     """Apply a modification plan to a normalized feature file."""
     utterances = features.parse_features(Path(features_path).read_text(encoding="utf-8"))
@@ -291,17 +279,15 @@ def eval_group() -> None:
 @eval_group.command("mos")
 @click.argument("ratings_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--confidence", default=0.95, show_default=True)
-@_handle_errors
 def eval_mos(ratings_file, confidence) -> None:
     """MOS mean and t-based confidence interval per system."""
     records = evaluation.parse_ratings(Path(ratings_file).read_text(encoding="utf-8"))
     summaries = evaluation.mos_summary(records, confidence=confidence)
-    click.echo(evaluation.format_mos_summary(summaries, confidence=confidence), nl=False)
+    click.echo(evaluation.format_mos_summary(summaries), nl=False)
 
 
 @eval_group.command("pref")
 @click.argument("preferences_file", type=click.Path(exists=True, dir_okay=False))
-@_handle_errors
 def eval_pref(preferences_file) -> None:
     """Three-way preference percentages."""
     records = evaluation.parse_preferences(Path(preferences_file).read_text(encoding="utf-8"))
@@ -313,7 +299,6 @@ def eval_pref(preferences_file) -> None:
 @click.argument("preferences_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--labels", "labels_file", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Tab-separated set_id/style mapping.")
-@_handle_errors
 def eval_styles(preferences_file, labels_file) -> None:
     """Preference percentages broken down by style label."""
     records = evaluation.parse_preferences(Path(preferences_file).read_text(encoding="utf-8"))

@@ -2,6 +2,7 @@
 so that the CLI reads ``plan``'s defaults without loading the LLM, prompt and response layers."""
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -30,6 +31,9 @@ class BackendConfig:
             raise DataError(f"max_retries must be >= 0, got {self.max_retries}")
         if not self.timeout_s > 0:
             raise DataError(f"timeout_s must be > 0, got {self.timeout_s}")
+        # a socket refuses a longer timeout with OverflowError
+        if self.timeout_s > threading.TIMEOUT_MAX:
+            raise DataError(f"timeout_s must be at most {threading.TIMEOUT_MAX}, got {self.timeout_s}")
         if self.max_parallel < 1:
             raise DataError(f"max_parallel must be >= 1, got {self.max_parallel}")
         # nan and inf would pass a bare `< 0` test, and JSON has no way to send them

@@ -2,10 +2,10 @@
 
 The class of an error is its category and the message is its kind: each
 failure raises one of the three categories with a message naming the check
-that failed.  The categories map onto the CLI exit codes: DataError -> 2,
-LlmOutputError -> 3, BackendError -> 4.  The only subclasses are the three
-that carry ``.attempts`` (``llm.RateLimited``, ``llm.NetworkError`` and
-``llm.RepairExhausted``).
+that failed.  Each category owns its CLI exit code as ``exit_code``.  The
+only subclasses are the three that carry ``.attempts`` (``llm.RateLimited``,
+``llm.NetworkError`` and ``llm.RepairExhausted``), and they inherit the code
+of their category.
 """
 
 
@@ -16,10 +16,16 @@ class LlmProsodyError(Exception):
 class DataError(LlmProsodyError):
     """Malformed, inconsistent, or degenerate input data."""
 
+    exit_code = 2
+
 
 class LlmOutputError(LlmProsodyError):
     """The model's output could not be turned into a usable suggestion."""
 
+    exit_code = 3
+
 
 class BackendError(LlmProsodyError):
     """Transport-level failure while talking to a completion backend."""
+
+    exit_code = 4

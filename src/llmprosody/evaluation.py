@@ -53,12 +53,13 @@ def _round_half_up_1(numerator: int | str, denominator: int = 1) -> str:
 
 @dataclass(frozen=True, slots=True)
 class MosSummary:
-    """Per-system MOS with a t-based confidence interval."""
+    """Per-system MOS with a t-based confidence interval at level ``confidence``."""
 
     mean: float
     ci_halfwidth: float
     n: int
     display: str  # e.g. "3.1±0.2", half-up rounding to 1 decimal
+    confidence: float
 
 
 def mos_summary(
@@ -93,6 +94,7 @@ def mos_summary(
             ci_halfwidth=halfwidth,
             n=n,
             display=f"{display_mean}±{display_hw}",
+            confidence=confidence,
         )
     return summaries
 
@@ -267,8 +269,13 @@ def parse_style_labels(document: str) -> dict[str, str]:
     return labels
 
 
-def format_mos_summary(summaries: dict[str, MosSummary], confidence: float = 0.95) -> str:
-    """Key/value rows for a MOS summary (stable system order)."""
+def format_mos_summary(summaries: dict[str, MosSummary]) -> str:
+    """Key/value rows for a MOS summary (stable system order) under the confidence it carries."""
+    if not summaries:
+        raise DataError("no MOS summaries to format")
+    confidence, *others = {s.confidence for s in summaries.values()}
+    if others:
+        raise DataError(f"MOS summaries mix confidence levels {sorted([confidence, *others])}")
     lines = ["ci_method\tt-distribution", f"confidence\t{confidence!r}"]
     for system in sorted(summaries):
         s = summaries[system]

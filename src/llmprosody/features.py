@@ -154,20 +154,17 @@ def renorm_energy(energy: float, stats: SpeakerStats) -> float:
     return (math.log(energy) - stats.mu_loge) / stats.sigma_loge
 
 
-def validate_utterance(utterance: UtteranceFeatures, line_numbers: Sequence[int] | None = None) -> None:
-    """Raise :class:`DataError` when the utterance is inconsistent.
-
-    ``line_numbers``, when given, holds each phone's source line; messages
-    about a phone then name that line.
-    """
-    _validate_all_but_words(utterance, line_numbers)
+def validate_utterance(utterance: UtteranceFeatures) -> None:
+    """Raise :class:`DataError` when the utterance is inconsistent."""
+    _validate_all_but_words(utterance, None)
     if utterance.words != tokenize_words(utterance.text):
         raise DataError(f"utterance {utterance.id}: word list does not match tokenized text")
 
 
 def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence[int] | None) -> None:
     # every check of validate_utterance except that the words are the tokenized
-    # text, which holds by construction in make_utterance
+    # text, which holds by construction in make_utterance; ``line_numbers``, when
+    # given, holds each phone's source line, and messages about a phone name it
     uid = utterance.id
     if not uid or any(c.isspace() for c in uid):
         raise DataError(f"utterance id {uid!r} must be non-empty without whitespace")

@@ -16,7 +16,6 @@ import hashlib
 import logging
 import os
 import random
-import re
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -25,7 +24,7 @@ from .config import BackendConfig, RepairPolicy
 from .errors import BackendError, DataError, LlmOutputError
 from .features import Word, tokenize_words
 from .mapping import LlmScaleSuggestion, WordSuggestion
-from .prompting import PromptSpec, build_prompt
+from .prompting import PromptSpec, build_prompt, prompt_target_words
 from .response import ParseDiagnostic, parse_response, serialize_suggestion
 
 logger = logging.getLogger(__name__)
@@ -266,29 +265,6 @@ class HttpBackend:
         return complete(prompt, self.config)
 
 
-_WORD_LIST_HEADER = "\nWords:\n"
-_WORD_LINE_RE = re.compile(r"^(\d+) (\S+)$")
-
-
-def _extract_target_words(prompt: str) -> list[str]:
-    """Pull the last enumerated word list out of a built prompt."""
-    # framed by newlines, a "Words:" line is the header wherever it stands,
-    # first line and last included, and only the lines after it are split
-    framed = f"\n{prompt}\n"
-    start = framed.rfind(_WORD_LIST_HEADER)
-    if start < 0:
-        raise DataError("prompt contains no enumerated word list")
-    surfaces = []
-    for line in framed[start + len(_WORD_LIST_HEADER):].split("\n"):
-        m = _WORD_LINE_RE.match(line)
-        if not m:
-            break
-        surfaces.append(m.group(2))
-    if not surfaces:
-        raise DataError("prompt's word list is empty")
-    return surfaces
-
-
 def mock_complete(prompt: str, seed: int) -> str:
     """Deterministic grammar-valid response for any built prompt.
 
@@ -296,7 +272,7 @@ def mock_complete(prompt: str, seed: int) -> str:
     from the prompt and values are drawn from a seeded generator, so the same
     inputs give byte-identical output in any process.
     """
-    surfaces = _extract_target_words(prompt)
+    surfaces = prompt_target_words(prompt)
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
     rng = random.Random(f"{seed}:{digest}")
     words = tuple(Word(surface=s, key=s.lower()) for s in surfaces)

@@ -162,12 +162,10 @@ def map_pitch(
 
 def clamp_to_scale(value: float, scale: tuple[float, float], what: str) -> float:
     """``value`` clamped into ``scale``; a non-finite value is rejected, not clamped."""
-    low, high = scale
-    if low <= value <= high:
-        return value
-    if not math.isfinite(value):  # nan fails the range test above, like inf
+    if not math.isfinite(value):
         raise DataError(f"{what} {value!r} is not a finite number")
-    return low if value < low else high
+    low, high = scale
+    return min(max(value, low), high)
 
 
 def build_plan(

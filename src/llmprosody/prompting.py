@@ -11,6 +11,7 @@ word, is what keeps the model from skipping or inventing words.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -91,15 +92,36 @@ _HEAD = "\n".join(
 )
 
 _CONTEXT_LABELS = {Mode.STYLE: "Target speaking style", Mode.DIALOGUE: "Previous dialogue line"}
+_WORDS_HEADER = "Words:"
+# framed by newlines, a header line is found wherever it stands, first and last line included
+_FRAMED_WORDS_HEADER = f"\n{_WORDS_HEADER}\n"
+_WORD_LINE_RE = re.compile(r"^(\d+) (\S+)$")
 
 
 def _render_target(mode: Mode, context: str | None, text: str, words: tuple[Word, ...]) -> list[str]:
     """Context line (style and dialogue modes), text, enumerated words, ``Response:``."""
     lines = [f"{_CONTEXT_LABELS[mode]}: {context}"] if mode in _CONTEXT_LABELS else []
-    lines += [f"Text: {text}", "Words:"]
+    lines += [f"Text: {text}", _WORDS_HEADER]
     lines += [f"{i} {word.surface}" for i, word in enumerate(words)]
     lines.append("Response:")
     return lines
+
+
+def prompt_target_words(prompt: str) -> list[str]:
+    """The surfaces of the last enumerated word list in ``prompt`` (inverse of :func:`_render_target`)."""
+    framed = f"\n{prompt}\n"
+    start = framed.rfind(_FRAMED_WORDS_HEADER)
+    if start < 0:
+        raise DataError("prompt contains no enumerated word list")
+    surfaces = []
+    for line in framed[start + len(_FRAMED_WORDS_HEADER):].split("\n"):
+        m = _WORD_LINE_RE.match(line)
+        if not m:
+            break
+        surfaces.append(m.group(2))
+    if not surfaces:
+        raise DataError("prompt's word list is empty")
+    return surfaces
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,17 +149,11 @@ def _target_words(mode: Mode, context: str | None, text: str) -> tuple[Word, ...
     return words
 
 
-def validate_spec(spec: PromptSpec) -> tuple[Word, ...]:
-    """Check the parts of ``spec`` other than its exemplars; return the target's words."""
-    words = _target_words(spec.mode, spec.context, spec.target_text)
-    if len(spec.exemplars) < 1:
-        raise DataError("at least one exemplar is required")
-    return words
-
-
 def build_prompt(spec: PromptSpec) -> str:
     """Deterministic prompt text for ``spec`` (pure function, no environment reads)."""
-    words = validate_spec(spec)
+    words = _target_words(spec.mode, spec.context, spec.target_text)
+    if not spec.exemplars:
+        raise DataError("at least one exemplar is required")
     parts = [_HEAD]
     for k, exemplar in enumerate(spec.exemplars, start=1):
         parts += ["", f"Example {k}", exemplar.prompt_text]

@@ -8,11 +8,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from llmprosody import llm, mapping
 from llmprosody.cli import main, plan_cmd
+from llmprosody.errors import BackendError, DataError, LlmOutputError
 from llmprosody.evaluation import (
     PREFERENCES_HEADER,
     RATINGS_HEADER,
@@ -65,6 +67,39 @@ class TestVersion:
         )
         assert completed.returncode == 0, completed.stderr
         assert "0.1.0" in completed.stdout
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (DataError("bad input"), 2),
+            (OSError(5, "Input/output error"), 2),
+            (LlmOutputError("bad answer"), 3),
+            (llm.RepairExhausted("bad answers", attempts=[]), 3),
+            (BackendError("no route"), 4),
+            (llm.RateLimited("slow down", attempts=2), 4),
+            (llm.NetworkError("gone", attempts=1), 4),
+        ],
+    )
+    def test_every_command_maps_the_error_categories(self, runner, monkeypatch, error, code):
+        def fail():
+            raise error
+
+        # a command that states no mapping of its own, as one added later would
+        monkeypatch.setitem(main.commands, "fail", click.Command("fail", callback=fail))
+        result = runner.invoke(main, ["fail"])
+        assert result.exit_code == code
+        assert result.stderr == f"error: {error}\n"
+
+    def test_other_errors_are_not_mapped(self, runner, monkeypatch):
+        def fail():
+            raise ValueError("a bug")
+
+        monkeypatch.setitem(main.commands, "fail", click.Command("fail", callback=fail))
+        result = runner.invoke(main, ["fail"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
 
 
 class TestStatsCommand:
@@ -128,6 +163,13 @@ class TestPromptCommand:
         )
         assert result.exit_code == 2
 
+    def test_exemplar_text_without_words_exits_2(self, runner, tmp_path):
+        exemplars = tmp_path / "exemplars.txt"
+        exemplars.write_text("TEXT: ...\nREASONING: r\nGLOBAL: duration=0 pitch=0 energy=0\n", encoding="utf-8")
+        result = runner.invoke(main, ["prompt", "--exemplars", str(exemplars), "--text", "Hi there."])
+        assert result.exit_code == 2
+        assert result.stderr == "error: record 1: target text has no words\n"
+
     def test_empty_text_exits_2(self, runner):
         result = runner.invoke(main, ["prompt", "--mode", "neutral", "--text", "..."])
         assert result.exit_code == 2
@@ -181,6 +223,30 @@ class TestPlanCommand:
         assert result.exit_code == 2, result.output
         assert f"temperature must be a finite number >= 0, got {temperature}" in result.output
         assert not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize("timeout", ["inf", "1e10"])
+    def test_http_with_timeout_sockets_cannot_take_exits_2(self, runner, tmp_path, monkeypatch, timeout):
+        # a socket raises OverflowError on it, so the command refuses it before any request
+        monkeypatch.delenv("LLMPROSODY_MISSING_KEY", raising=False)
+        result = runner.invoke(
+            main,
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "http",
+             "--api-key-env", "LLMPROSODY_MISSING_KEY", "--timeout-s", timeout,
+             "-o", str(tmp_path / "p.tsv")],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"timeout_s must be at most {threading.TIMEOUT_MAX}, got {float(timeout)}" in result.output
+        assert not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize("option", ["-o", "--transcript"])
+    def test_failed_write_names_the_given_path(self, runner, tmp_path, option):
+        target = tmp_path / "missing" / "out.txt"
+        result = runner.invoke(
+            main, ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock", option, str(target)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_text_word_mismatch_exits_2(self, runner, tmp_path):
         result = runner.invoke(

@@ -356,6 +356,44 @@ class TestFileFormats:
         assert "ci_method\tt-distribution" in text
         assert "baseline.display\t3.1±0.2" in text
 
+    def test_format_mos_summary_prints_the_confidence_of_its_summaries(self):
+        summaries = mos_summary(ratings("baseline", BASELINE_MOS_SCORES), confidence=0.9)
+        assert summaries["baseline"].confidence == 0.9
+        assert format_mos_summary(summaries).split("\n")[:2] == ["ci_method\tt-distribution", "confidence\t0.9"]
+
+    def test_format_mos_summary_refuses_no_summary_or_mixed_levels(self):
+        with pytest.raises(DataError, match="no MOS summaries to format"):
+            format_mos_summary({})
+        mixed = {
+            **mos_summary(ratings("a", [3, 4]), confidence=0.9),
+            **mos_summary(ratings("b", [3, 4]), confidence=0.95),
+        }
+        with pytest.raises(DataError, match=r"MOS summaries mix confidence levels \[0.9, 0.95\]"):
+            format_mos_summary(mixed)
+
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            pytest.param(lambda: mos_summary(ratings("a", [3, 4]), confidence=0.0),
+                         "confidence must be in (0, 1), got 0.0", id="confidence-zero"),
+            pytest.param(lambda: mos_summary(ratings("a", [3, 4]), confidence=1.0),
+                         "confidence must be in (0, 1), got 1.0", id="confidence-one"),
+            pytest.param(lambda: mos_summary([]), "no rating records", id="no-records"),
+            pytest.param(lambda: paired_t_test(ratings("a", [3, 4, 3]) * 2, ratings("b", [3, 4, 3])),
+                         "duplicate rating for stimulus/rater pair ('s0', 'r1')", id="duplicate-pair"),
+            pytest.param(lambda: parse_ratings(RATINGS_DOC + "s3\tbaseline\tr3\n"),
+                         "line 5: expected 4 tab-separated fields, got 3", id="field-count"),
+            pytest.param(lambda: parse_ratings(RATINGS_DOC.replace("r2\t2", "r2\t7")),
+                         "line 4: score must be an integer 1..5, got 7", id="score-out-of-range"),
+            pytest.param(lambda: parse_style_labels("set_id\tstyle\nset1\tangry\nset1\tcalm\n"),
+                         "line 3: duplicate set id 'set1'", id="duplicate-style-set"),
+        ],
+    )
+    def test_refusals(self, call, fragment):
+        with pytest.raises(DataError) as caught:
+            call()
+        assert fragment in str(caught.value)
+
     def test_format_style_breakdown(self):
         records, labels = _styled_records(
             {"excited": {"proposed": 2, "baseline": 1, "random": 1}}

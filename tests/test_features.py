@@ -146,6 +146,35 @@ class TestParseFeatures:
             parse_features(doc)
 
 
+    @pytest.mark.parametrize(
+        "document, fragment",
+        [
+            pytest.param(WELL_FORMED.replace("#utterance\tu2\tspk1\tnorm\tAgain", "#utterance\tu2\tspk1\tnorm"),
+                         "line 8: malformed utterance header", id="header-fields"),
+            pytest.param(WELL_FORMED.replace("#utterance\tu2", "#utterances\tu2"),
+                         "line 8: malformed utterance header", id="header-tag"),
+            pytest.param("#feature-file\tv1\nAH\t0\t0.090000\t0.100000\t0.400000\t1\t0\n",
+                         "line 2: phone row before any utterance header", id="row-before-header"),
+            pytest.param(WELL_FORMED.replace("0.350000\t0.500000\t1\t0", "0.350000\t0.500000\t2\t0"),
+                         "line 4: voiced/pause flags must be 0 or 1", id="voiced-flag"),
+            pytest.param(WELL_FORMED.replace("0.350000\t0.500000\t1\t0", "0.350000\t0.500000\t1\tyes"),
+                         "line 4: voiced/pause flags must be 0 or 1", id="pause-flag"),
+            pytest.param(WELL_FORMED.replace("AH\t0\t0.060000", "AH\tone\t0.060000"),
+                         "line 4: word index 'one' is not an integer", id="word-index-not-integer"),
+            pytest.param(WELL_FORMED.replace("AH\t0\t0.060000", "AH\t-1\t0.060000"),
+                         "line 4: word index must be >= 0", id="word-index-negative"),
+            pytest.param(WELL_FORMED + "#utterance\tu3\tspk1\tnorm\tSilence\n", "utterance u3: has no phones",
+                         id="no-phones"),
+            pytest.param("", "line 1: empty document (missing feature-file header)", id="empty"),
+            pytest.param("\n \n", "line 1: empty document (missing feature-file header)", id="blank"),
+        ],
+    )
+    def test_refusals(self, document, fragment):
+        with pytest.raises(DataError) as caught:
+            parse_features(document)
+        assert fragment in str(caught.value)
+
+
 class TestValidateUtterance:
     def test_words_not_matching_the_text_rejected(self):
         (utterance,) = parse_features(WELL_FORMED.split("#utterance\tu2")[0])
@@ -153,6 +182,33 @@ class TestValidateUtterance:
         other = replace(utterance, words=(Word("Hello", "hello"), Word("there", "there")))
         with pytest.raises(DataError, match="word list does not match tokenized text"):
             validate_utterance(other)
+
+    @pytest.mark.parametrize(
+        "changes, fragment",
+        [
+            pytest.param({"id": ""}, "utterance id '' must be non-empty without whitespace", id="empty-id"),
+            pytest.param({"id": "u 1"}, "utterance id 'u 1' must be non-empty without whitespace", id="spaced-id"),
+            pytest.param({"speaker_id": ""}, "utterance u1: speaker id '' must be non-empty without whitespace",
+                         id="empty-speaker"),
+            pytest.param({"speaker_id": "spk\t1"}, "speaker id 'spk\\t1' must be non-empty without whitespace",
+                         id="spaced-speaker"),
+            pytest.param({"text": "Hello\tworld"}, "utterance u1: text must not contain tabs or newlines",
+                         id="tab-in-text"),
+            pytest.param({"text": "Hello\nworld"}, "utterance u1: text must not contain tabs or newlines",
+                         id="newline-in-text"),
+        ],
+    )
+    def test_refusals(self, changes, fragment):
+        (utterance,) = parse_features(WELL_FORMED.split("#utterance\tu2")[0])
+        with pytest.raises(DataError) as caught:
+            validate_utterance(replace(utterance, **changes))
+        assert fragment in str(caught.value)
+        with pytest.raises(DataError) as caught:
+            make_utterance(
+                changes.get("id", "u1"), changes.get("speaker_id", "spk1"), changes.get("text", "Hello world"),
+                utterance.phones, normalized=True,
+            )
+        assert fragment in str(caught.value)
 
 
 class TestSerializeFeatures:
@@ -327,6 +383,30 @@ class TestSpeakerStatsFile:
         doc = serialize_speaker_stats(make_stats()).replace("0.25", "0.0")
         with pytest.raises(DataError, match="sigma_logf0 must be > 0"):
             parse_speaker_stats(doc)
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            pytest.param(lambda doc: doc.replace("sigma_logf0\t", "sigma_logf0 "),
+                         "line 2: expected key<TAB>value", id="no-tab"),
+            pytest.param(lambda doc: doc.replace("sigma_logf0\t0.25", "sigma_logf0\t0.25\t0.5"),
+                         "line 2: expected key<TAB>value", id="three-fields"),
+            pytest.param(lambda doc: doc + "pitch\t1.0\n", "line 7: unknown stats key 'pitch'", id="unknown-key"),
+            pytest.param(lambda doc: doc + doc.split("\n")[0] + "\n", "line 7: duplicate stats key 'mu_logf0'",
+                         id="duplicate-key"),
+            pytest.param(lambda doc: doc.replace("sigma_loge\t0.5", "sigma_loge\t-0.5"),
+                         "sigma_loge must be > 0, got -0.5", id="sigma-loge"),
+            pytest.param(lambda doc: doc.replace("f0_min_hz\t100.0", "f0_min_hz\t300.0"),
+                         "F0 range must satisfy 0 < min < max, got [300.0, 300.0]", id="empty-f0-range"),
+            pytest.param(lambda doc: doc.replace("f0_min_hz\t100.0", "f0_min_hz\t0.0"),
+                         "F0 range must satisfy 0 < min < max, got [0.0, 300.0]", id="zero-f0-min"),
+        ],
+    )
+    def test_refusals(self, edit, fragment):
+        doc = edit(serialize_speaker_stats(make_stats()))
+        with pytest.raises(DataError) as caught:
+            parse_speaker_stats(doc)
+        assert fragment in str(caught.value)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

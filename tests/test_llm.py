@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import PROPERTIES
-from llmprosody import llm
+from llmprosody import llm, prompting
 from llmprosody.errors import BackendError, DataError
 from llmprosody.features import tokenize_words
 from llmprosody.llm import (
@@ -122,7 +122,7 @@ class TestExtractTargetWords:
     @example(lines=[])
     def test_matches_the_line_scan(self, lines):
         prompt = "\n".join(lines)
-        assert _outcome(llm._extract_target_words, prompt) == _outcome(_reference_target_words, prompt)
+        assert _outcome(prompting.prompt_target_words, prompt) == _outcome(_reference_target_words, prompt)
 
     @PROPERTIES
     @given(
@@ -136,10 +136,10 @@ class TestExtractTargetWords:
         )
         base = build_prompt(spec)
         for prompt in (base, base + REPAIR_TEMPLATE.format(diagnostics="\n".join(diagnostics))):
-            got = _outcome(llm._extract_target_words, prompt)
+            got = _outcome(prompting.prompt_target_words, prompt)
             assert got == _outcome(_reference_target_words, prompt)
         expected = [w.surface for w in tokenize_words(spec.target_text)]
-        assert _outcome(llm._extract_target_words, base) == expected
+        assert _outcome(prompting.prompt_target_words, base) == expected
 
 
 class ScriptedBackend:
@@ -378,6 +378,19 @@ class TestComplete:
             BackendConfig(timeout_s=0)
         with pytest.raises(Exception):
             BackendConfig(max_parallel=0)
+
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e10])
+    def test_timeout_sockets_cannot_take_refused(self, timeout):
+        # socket.settimeout raises OverflowError above threading.TIMEOUT_MAX
+        message = f"timeout_s must be at most {threading.TIMEOUT_MAX}, got {timeout}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            BackendConfig(timeout_s=timeout)
+
+    def test_longest_timeout_sockets_take_is_accepted(self):
+        config = BackendConfig(timeout_s=threading.TIMEOUT_MAX)
+        with socket.socket() as sock:
+            sock.settimeout(config.timeout_s)
+            assert sock.gettimeout() == threading.TIMEOUT_MAX
 
     @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
     def test_non_finite_temperature_refused(self, temperature):

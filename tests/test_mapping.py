@@ -300,6 +300,11 @@ class TestBuildPlan:
         assert build_plan(wild, utterance, stats).g_dur == build_plan(capped, utterance, stats).g_dur
 
 
+PLAN_GLOBAL = "GLOBAL\t1.0\t0.0\t1.0"
+PLAN_WORD = "WORD\t0\they\t1.0\t0.0\t1.0"
+PLAN_BOUNDS = "BOUNDS\t-50.0\t50.0"
+
+
 class TestPlanFile:
     def test_round_trip_exact(self, rng):
         for case in range(100):
@@ -382,6 +387,42 @@ class TestPlanFile:
     def test_rejects_missing_sections(self):
         with pytest.raises(DataError, match="plan document lacks a BOUNDS line"):
             parse_plan("GLOBAL\t1.0\t0.0\t1.0\n")
+
+    @pytest.mark.parametrize(
+        "lines, fragment",
+        [
+            pytest.param([PLAN_GLOBAL, PLAN_GLOBAL, PLAN_WORD, PLAN_BOUNDS], "line 2: duplicate GLOBAL line",
+                         id="duplicate-global"),
+            pytest.param([PLAN_GLOBAL, PLAN_WORD, PLAN_BOUNDS, PLAN_BOUNDS], "line 4: duplicate BOUNDS line",
+                         id="duplicate-bounds"),
+            pytest.param(["GLOBAL\t1.0\t0.0", PLAN_WORD, PLAN_BOUNDS], "line 1: GLOBAL needs 3 values",
+                         id="global-fields"),
+            pytest.param([PLAN_GLOBAL, "WORD\t0\they\t1.0\t0.0", PLAN_BOUNDS],
+                         "line 2: WORD needs index, surface, 3 values", id="word-fields"),
+            pytest.param([PLAN_GLOBAL, PLAN_WORD, "BOUNDS\t-50.0"], "line 3: BOUNDS needs 2 values",
+                         id="bounds-fields"),
+            pytest.param([PLAN_GLOBAL, "WORD\tzero\they\t1.0\t0.0\t1.0", PLAN_BOUNDS],
+                         "line 2: word index 'zero'", id="word-index-not-integer"),
+            pytest.param([PLAN_GLOBAL, "SHIFT\t1.0", PLAN_WORD, PLAN_BOUNDS], "line 2: unknown tag 'SHIFT'",
+                         id="unknown-tag"),
+            pytest.param([PLAN_WORD, PLAN_BOUNDS], "plan document lacks a GLOBAL line", id="no-global"),
+            pytest.param([PLAN_GLOBAL, PLAN_BOUNDS], "plan document lacks WORD lines", id="no-word"),
+            pytest.param([PLAN_GLOBAL, PLAN_WORD, "BOUNDS\t5.0\t10.0"],
+                         "pitch bounds must satisfy p_min <= 0 <= p_max, got [5.0, 10.0]", id="bounds-above-zero"),
+            pytest.param(["GLOBAL\t1.0\t0.0\t3.0", PLAN_WORD, PLAN_BOUNDS], "g_energy 3.0 outside [0.5, 2]",
+                         id="g-energy"),
+            pytest.param([PLAN_GLOBAL, "WORD\t0\they\t2.5\t0.0\t1.0", PLAN_BOUNDS],
+                         "word 0: delta 2.5 outside [1, 2]", id="delta"),
+            pytest.param([PLAN_GLOBAL, "WORD\t0\they\t1.0\t0.0\t0.5", PLAN_BOUNDS],
+                         "word 0: epsilon 0.5 outside [1, 2]", id="epsilon"),
+            pytest.param([PLAN_GLOBAL, "WORD\t0\they\t1.0\t-1.0\t1.0", PLAN_BOUNDS],
+                         "word 0: pi_hz -1.0 must be >= 0", id="pi-hz"),
+        ],
+    )
+    def test_refusals(self, lines, fragment):
+        with pytest.raises(DataError) as caught:
+            parse_plan("".join(line + "\n" for line in lines))
+        assert fragment in str(caught.value)
 
     def test_rejects_out_of_order_words(self):
         doc = (

@@ -234,6 +234,10 @@ class TestDefaultExemplars:
                     assert 0.0 <= v <= 5.0
 
 
+EMPTY_RESPONSE = "REASONING: r\nGLOBAL: duration=0 pitch=0 energy=0\n"
+HI_RESPONSE = EMPTY_RESPONSE + "WORD 0 hi: duration=0 pitch=0 energy=0\n"
+
+
 class TestExemplarAssets:
     def test_round_trip(self):
         exemplars = default_exemplars()
@@ -269,6 +273,25 @@ class TestExemplarAssets:
     def test_empty_document(self):
         with pytest.raises(DataError, match="exemplar document contains no records"):
             parse_exemplars("\n\n")
+
+    @pytest.mark.parametrize(
+        "document, fragment",
+        [
+            # without this check parse_response gets no words and raises ValueError
+            pytest.param("TEXT: ...\n" + EMPTY_RESPONSE, "record 1: target text has no words", id="no-words"),
+            pytest.param("TEXT:\n" + EMPTY_RESPONSE, "record 1: target text has no words", id="empty-text"),
+            pytest.param("TEXT: hi\n" + HI_RESPONSE + "---\nTEXT: -- !\n" + EMPTY_RESPONSE,
+                         "record 2: target text has no words", id="no-words-in-second-record"),
+            pytest.param("CONTEXT: style:\nTEXT: hi\n" + HI_RESPONSE,
+                         "record 1: CONTEXT must be 'style: <text>'", id="context-without-text"),
+            pytest.param("CONTEXT: style calm\nTEXT: hi\n" + HI_RESPONSE,
+                         "record 1: CONTEXT must be 'style: <text>'", id="context-without-colon"),
+        ],
+    )
+    def test_refusals(self, document, fragment):
+        with pytest.raises(DataError) as caught:
+            parse_exemplars(document)
+        assert fragment in str(caught.value)
 
 
 PUNCTUATION = ("", ",", ".", "!", "?", "...", '"', " -")

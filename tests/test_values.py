@@ -53,7 +53,7 @@ def _samples() -> dict[str, object]:
     return {
         "RatingRecord": RatingRecord("s1", "A", "r1", 4),
         "PreferenceRecord": PreferenceRecord("set1", "r1", "A", ("A", "B", "C")),
-        "MosSummary": MosSummary(mean=3.5, ci_halfwidth=0.2, n=10, display="3.5±0.2"),
+        "MosSummary": MosSummary(mean=3.5, ci_halfwidth=0.2, n=10, display="3.5±0.2", confidence=0.95),
         "TTestResult": TTestResult(t=1.5, p=0.2, df=9),
         "PreferenceShare": share,
         "PreferenceSummary": PreferenceSummary(shares=(share,), total=4),
