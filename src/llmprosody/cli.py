@@ -10,8 +10,11 @@ input/data error (an ``OSError`` too), 3 model-output error after repairs, 4
 backend/transport error.  Data goes to standard output or the paths given by
 flags; diagnostics go to standard error.
 
-Importing it loads the package's ``errors``, ``config``, ``features``, ``mapping``, ``modifier``
-and ``evaluation``; ``prompt`` adds ``prompting`` and ``response``, and ``plan`` also ``llm``.
+Each command imports the package modules it runs, and no other.  Importing
+this module (all that ``--help`` and ``stats`` need) loads the package's
+``config``, ``errors``, ``features`` and ``mapping``; ``apply`` adds
+``modifier``, ``prompt`` adds ``prompting`` and ``response``, ``plan`` adds
+``llm``, ``prompting`` and ``response``, and ``eval`` adds ``evaluation``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, config, evaluation, features, mapping, modifier
+from . import __version__, config, features, mapping
 from .errors import BackendError, DataError, LlmOutputError
 
 
@@ -260,6 +263,8 @@ def plan_cmd(
               help="Modified feature file path, or - for stdout.")
 def apply_cmd(features_path, stats_path, plan_path, utterance_id, output) -> None:
     """Apply a modification plan to a normalized feature file."""
+    from . import modifier
+
     utterances = features.parse_features(Path(features_path).read_text(encoding="utf-8"))
     utterance = _select_utterance(utterances, utterance_id)
     stats_obj = features.parse_speaker_stats(Path(stats_path).read_text(encoding="utf-8"))
@@ -281,6 +286,8 @@ def eval_group() -> None:
 @click.option("--confidence", default=0.95, show_default=True)
 def eval_mos(ratings_file, confidence) -> None:
     """MOS mean and t-based confidence interval per system."""
+    from . import evaluation
+
     records = evaluation.parse_ratings(Path(ratings_file).read_text(encoding="utf-8"))
     summaries = evaluation.mos_summary(records, confidence=confidence)
     click.echo(evaluation.format_mos_summary(summaries), nl=False)
@@ -290,6 +297,8 @@ def eval_mos(ratings_file, confidence) -> None:
 @click.argument("preferences_file", type=click.Path(exists=True, dir_okay=False))
 def eval_pref(preferences_file) -> None:
     """Three-way preference percentages."""
+    from . import evaluation
+
     records = evaluation.parse_preferences(Path(preferences_file).read_text(encoding="utf-8"))
     summary = evaluation.preference_summary(records)
     click.echo(evaluation.format_preference_summary(summary), nl=False)
@@ -301,6 +310,8 @@ def eval_pref(preferences_file) -> None:
               help="Tab-separated set_id/style mapping.")
 def eval_styles(preferences_file, labels_file) -> None:
     """Preference percentages broken down by style label."""
+    from . import evaluation
+
     records = evaluation.parse_preferences(Path(preferences_file).read_text(encoding="utf-8"))
     labels = evaluation.parse_style_labels(Path(labels_file).read_text(encoding="utf-8"))
     breakdown = evaluation.style_breakdown(records, labels)

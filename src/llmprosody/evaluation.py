@@ -5,8 +5,8 @@ three-way forced choices per stimulus set.  Display values round half-up to
 one decimal; the raw values are always kept alongside.  Confidence intervals
 are t-based and labelled as such in the formatted output.  NumPy and SciPy
 are imported inside the two functions that compute with them, and
-``decimal`` inside the one helper that rounds, so importing this module (and
-the CLI, which imports it) loads none of them.
+``decimal`` inside the one helper that rounds, so importing this module loads
+none of them.  The CLI imports this module only inside its ``eval`` commands.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ threads, so HTTP needs no third-party package.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import random
 import time
@@ -26,8 +25,6 @@ from .features import Word, tokenize_words
 from .mapping import LlmScaleSuggestion, WordSuggestion
 from .prompting import PromptSpec, build_prompt, prompt_target_words
 from .response import ParseDiagnostic, parse_response, serialize_suggestion
-
-logger = logging.getLogger(__name__)
 
 _BACKOFF_BASE_S = 0.5
 
@@ -67,13 +64,18 @@ def complete(
     Auth failures are raised immediately, and so is any other status,
     redirects included: none is followed.  Each attempt takes a kept-alive
     connection from the process-wide pool, or opens one, and returns it once
-    the whole response is read.  The transport modules are imported here, on
-    first call, so commands that never call this do not load them.
+    the whole response is read.  Each retried failure is logged as a warning
+    on the ``llmprosody.llm`` logger.  The transport modules and ``logging``
+    are imported here, on first call, so commands that never call this do not
+    load them.
     """
     import http.client
     import json
+    import logging
     import urllib.parse
     import urllib.request
+
+    logger = logging.getLogger(__name__)
 
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
@@ -162,7 +164,7 @@ class _ConnectionPool:
     """
 
     def __init__(self) -> None:
-        import threading  # already loaded by logging
+        import threading  # already loaded by click in the CLI
 
         self._lock = threading.Lock()
         self._idle: dict[tuple[str, str], list[tuple]] = {}

@@ -146,8 +146,16 @@ def map_pitch(
 
     The global value maps onto [p_min, 0] for v <= 0 and [0, p_max] for
     v >= 0.  The local shift may reach ``cap * p_max`` and is reduced (never
-    below 0) when the combined shift would exceed p_max.
+    below 0) when the combined shift would exceed p_max.  Each value must lie
+    on its scale: one off it, or not a number, raises :class:`DataError`
+    (:func:`build_plan` clamps before it maps).
     """
+    low, high = GLOBAL_SCALE
+    if not low <= v_global <= high:
+        raise DataError(f"global pitch {v_global!r} is not in [{low:g}, {high:g}]")
+    low, high = LOCAL_SCALE
+    if not low <= v_local <= high:
+        raise DataError(f"local pitch {v_local!r} is not in [{low:g}, {high:g}]")
     if v_global <= 0:
         g = (-v_global / 5.0) * bounds.p_min_hz
     else:

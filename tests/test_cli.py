@@ -163,6 +163,30 @@ class TestPromptCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--mode", "style", "--text", "Hi there."], "--mode style requires --style"),
+            (["--mode", "style", "--style", "calm", "--previous-line", "Hm?", "--text", "Hi there."],
+             "--previous-line is only valid with --mode dialogue"),
+            (["--mode", "dialogue", "--text", "Hi there."], "--mode dialogue requires --previous-line"),
+            (["--mode", "dialogue", "--previous-line", "Hm?", "--style", "calm", "--text", "Hi there."],
+             "--style is only valid with --mode style"),
+            (["--previous-line", "Hm?", "--text", "Hi there."],
+             "--mode neutral takes neither --style nor --previous-line"),
+        ],
+        ids=["style-without-style", "style-with-line", "dialogue-without-line", "dialogue-with-style",
+             "neutral-with-line"],
+    )
+    @pytest.mark.parametrize("command", ["prompt", "plan"])
+    def test_mode_and_context_mismatch_is_a_usage_error(self, runner, command, args, message):
+        if command == "plan":
+            args = [*args, "--features", NORM, "--stats", STATS]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2
+        assert result.stderr.endswith(f"\nError: {message}\n")
+        assert result.stdout == ""
+
     def test_exemplar_text_without_words_exits_2(self, runner, tmp_path):
         exemplars = tmp_path / "exemplars.txt"
         exemplars.write_text("TEXT: ...\nREASONING: r\nGLOBAL: duration=0 pitch=0 energy=0\n", encoding="utf-8")
@@ -536,6 +560,15 @@ class TestEvalCommand:
         result = runner.invoke(main, ["eval", "pref", str(doc)])
         assert result.exit_code == 2
 
+    def test_styles_of_header_only_preferences_exits_2(self, runner, tmp_path):
+        doc = tmp_path / "prefs.tsv"
+        doc.write_text(PREFERENCES_HEADER + "\n")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text(f"{STYLE_LABELS_HEADER}\nset0\tcalm\n")
+        result = runner.invoke(main, ["eval", "styles", str(doc), "--labels", str(labels)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: no preference records\n"
+
 
 class TestUtteranceSelection:
     def test_multi_utterance_file_requires_id(self, runner, tmp_path):
@@ -697,8 +730,7 @@ class TestImportsOnDemand:
         assert "scipy" in loaded
 
 
-CLI_MODULES = {f"llmprosody.{name}" for name in
-               ["cli", "config", "errors", "evaluation", "features", "mapping", "modifier"]}
+CLI_MODULES = {f"llmprosody.{name}" for name in ["cli", "config", "errors", "features", "mapping"]}
 LLM_LAYERS = {"llmprosody.llm", "llmprosody.prompting", "llmprosody.response"}
 
 
@@ -714,17 +746,17 @@ def package_modules(names):
 
 class TestPackageModulesPerCommand:
     @pytest.mark.parametrize(
-        "args",
+        "args, extra",
         [
-            ["--help"],
-            ["stats", RAW, "-o", "stats.tsv"],
-            ["apply", "--features", NORM, "--stats", STATS,
-             "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", "out.tsv"],
+            (["--help"], set()),
+            (["stats", RAW, "-o", "stats.tsv"], set()),
+            (["apply", "--features", NORM, "--stats", STATS,
+              "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", "out.tsv"], {"llmprosody.modifier"}),
         ],
         ids=["help", "stats", "apply"],
     )
-    def test_loads_no_llm_prompt_or_response_layer(self, tmp_path, args):
-        assert package_modules(loaded_modules(tmp_path, args)) == CLI_MODULES
+    def test_loads_no_llm_prompt_or_response_layer(self, tmp_path, args, extra):
+        assert package_modules(loaded_modules(tmp_path, args)) == CLI_MODULES | extra
 
     def test_prompt_loads_prompting_and_response_only(self, tmp_path):
         loaded = loaded_modules(tmp_path, ["prompt", "--text", "Turn left at the second light."])
@@ -737,3 +769,24 @@ class TestPackageModulesPerCommand:
         )
         assert package_modules(loaded) == CLI_MODULES | LLM_LAYERS
         assert "concurrent.futures" not in loaded
+
+    def test_mock_plan_loads_no_logging(self, tmp_path):
+        loaded = loaded_modules(
+            tmp_path,
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock", "-o", "plan.tsv"],
+        )
+        assert "logging" not in loaded
+
+    @pytest.mark.parametrize(
+        "args",
+        [["mos", "ratings.tsv"], ["pref", "prefs.tsv"], ["styles", "prefs.tsv", "--labels", "labels.tsv"]],
+        ids=["mos", "pref", "styles"],
+    )
+    def test_eval_loads_evaluation(self, tmp_path, args):
+        ratings = [RATINGS_HEADER] + [f"s{i}\tbaseline\tr{i}\t{3 + i % 2}" for i in range(4)]
+        (tmp_path / "ratings.tsv").write_text("\n".join(ratings) + "\n", encoding="utf-8")
+        write_preferences(tmp_path / "prefs.tsv", {"proposed": 2, "baseline": 1, "random": 1})
+        (tmp_path / "labels.tsv").write_text(
+            STYLE_LABELS_HEADER + "".join(f"\nset{k}\tcalm" for k in range(4)) + "\n", encoding="utf-8")
+        loaded = loaded_modules(tmp_path, ["eval", *args])
+        assert package_modules(loaded) == CLI_MODULES | {"llmprosody.evaluation"}

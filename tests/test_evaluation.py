@@ -300,6 +300,12 @@ class TestStyleBreakdown:
         with pytest.raises(DataError, match="has no style label"):
             style_breakdown(records, labels)
 
+    def test_empty_rejected(self):
+        with pytest.raises(DataError) as err:
+            style_breakdown([], {"set0": "excited"})
+        assert str(err.value) == "no preference records"
+        assert err.value.exit_code == 2
+
 
 RATINGS_DOC = """\
 stimulus_id\tsystem_id\trater_id\tscore

@@ -346,6 +346,27 @@ class TestComputeSpeakerStats:
         with pytest.raises(DataError, match="need at least 2 voiced phones"):
             compute_speaker_stats(corpus)
 
+    @pytest.mark.parametrize("percentiles", [(95.0, 5.0), (50.0, 50.0), (-1.0, 95.0), (5.0, 101.0)])
+    def test_percentiles_out_of_order_are_refused(self, rng, percentiles):
+        corpus = _corpus_with_durations(rng, [2.0, 3.0])
+        with pytest.raises(DataError) as err:
+            compute_speaker_stats(corpus, range_percentiles=percentiles)
+        assert str(err.value) == f"percentiles must satisfy 0 <= low < high <= 100, got {percentiles}"
+        assert err.value.exit_code == 2
+
+    def test_degenerate_f0_range(self):
+        # the F0 varies, but both percentiles fall on the repeated value exp(0) = 1 Hz
+        phones = [
+            PhoneFeature("AA", 0, 1.0, 0.0, 0.5, True, False),
+            PhoneFeature("IY", 0, 1.0, 0.0, 0.7, True, False),
+            PhoneFeature("EH", 0, 1.0, 0.1, 0.6, True, False),
+        ]
+        corpus = [make_utterance("u1", "spk1", "hi", phones, normalized=False)]
+        with pytest.raises(DataError) as err:
+            compute_speaker_stats(corpus, range_percentiles=(10.0, 50.0))
+        assert str(err.value) == "degenerate F0 range: percentiles give [1.0, 1.0]"
+        assert err.value.exit_code == 2
+
     def test_rejects_normalized_input(self, rng):
         stats = make_stats()
         utterance = random_utterance(rng, stats)

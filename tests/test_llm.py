@@ -1,6 +1,7 @@
 import base64
 import http.client
 import json
+import logging
 import re
 import socket
 import ssl
@@ -194,6 +195,13 @@ class TestSuggestWithRepair:
         with pytest.raises(Exception):
             RepairPolicy(max_attempts=0)
 
+    @pytest.mark.parametrize("max_parallel", [0, -1])
+    def test_batch_refuses_fewer_than_one_worker(self, max_parallel):
+        with pytest.raises(DataError) as err:
+            suggest_batch([SPEC], MockBackend(seed=5), max_parallel=max_parallel)
+        assert str(err.value) == f"max_parallel must be >= 1, got {max_parallel}"
+        assert err.value.exit_code == 2
+
     @pytest.mark.parametrize("max_parallel", [1, 2, 4])
     def test_batch_matches_sequential(self, max_parallel):
         specs = [
@@ -313,6 +321,31 @@ class TestComplete:
         fake_server.script.append((200, b'{"unexpected": true}'))
         with pytest.raises(BackendError, match="could not extract completion text: KeyError"):
             complete("p", _config(fake_server), sleep=NO_SLEEP)
+
+    @pytest.mark.parametrize("content", [5, None, ["fine"]])
+    def test_content_that_is_not_a_string(self, fake_server, monkeypatch, content):
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
+        fake_server.script.append((200, _ok_body(content)))
+        with pytest.raises(BackendError) as err:
+            complete("p", _config(fake_server), sleep=NO_SLEEP)
+        assert str(err.value) == "completion content is not a string"
+        assert err.value.exit_code == 4
+
+    @pytest.mark.parametrize(
+        "status, message",
+        [
+            (429, "completion attempt 1 rate limited"),
+            (503, "completion attempt 1 failed (server error (HTTP 503))"),
+        ],
+    )
+    def test_retried_failure_is_logged_as_a_warning(self, fake_server, monkeypatch, caplog, status, message):
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
+        fake_server.script.extend([(status, b"{}"), (200, _ok_body())])
+        with caplog.at_level(logging.WARNING, logger="llmprosody.llm"):
+            assert complete("p", _config(fake_server), sleep=NO_SLEEP) == "fine"
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("llmprosody.llm", logging.WARNING, message),
+        ]
 
     def test_connection_refused_becomes_network_error(self, monkeypatch):
         monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")

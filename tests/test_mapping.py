@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +11,7 @@ from hypothesis import given, strategies as st
 from llmprosody.errors import DataError
 from llmprosody.features import PhoneFeature, denorm_f0, make_utterance
 from llmprosody.mapping import (
+    LlmScaleSuggestion,
     MappingConfig,
     PitchBounds,
     WordSuggestion,
@@ -24,6 +29,7 @@ from conftest import (
     PROPERTIES,
     identity_suggestion,
     make_stats,
+    random_raw_utterance,
     random_stats,
     random_suggestion,
     random_utterance,
@@ -76,6 +82,13 @@ class TestComputePitchBounds:
         utterance = make_utterance("u1", "spk1", "hi", phones, normalized=True)
         with pytest.raises(DataError, match="has no voiced phones"):
             compute_pitch_bounds(utterance, stats)
+
+    def test_raw_utterance_is_refused(self, rng):
+        utterance = random_raw_utterance(rng, "u1", total_duration_s=2.0)
+        with pytest.raises(DataError) as err:
+            compute_pitch_bounds(utterance, make_stats())
+        assert str(err.value) == "utterance u1: pitch bounds require normalized features"
+        assert err.value.exit_code == 2
 
     def test_zero_shift_always_admissible(self, rng):
         for _ in range(50):
@@ -181,6 +194,56 @@ class TestMapPitch:
         assert g + pi <= bounds.p_max_hz
 
 
+    @pytest.mark.parametrize(
+        "v_global, v_local, message",
+        [
+            (-6.0, 0.0, "global pitch -6.0 is not in [-5, 5]"),
+            (-math.inf, 0.0, "global pitch -inf is not in [-5, 5]"),
+            (math.nan, 0.0, "global pitch nan is not in [-5, 5]"),
+            (0.0, -1.0, "local pitch -1.0 is not in [0, 5]"),
+            (0.0, 5.5, "local pitch 5.5 is not in [0, 5]"),
+            (0.0, math.inf, "local pitch inf is not in [0, 5]"),
+            (0.0, math.nan, "local pitch nan is not in [0, 5]"),
+        ],
+    )
+    def test_value_off_its_scale_is_refused(self, v_global, v_local, message):
+        with pytest.raises(DataError) as err:
+            map_pitch(v_global, v_local, PitchBounds(-10.0, 10.0))
+        assert str(err.value) == message
+        assert err.value.exit_code == 2
+
+    @pytest.mark.parametrize("v_global", ["6.0", "inf"])
+    def test_global_above_the_scale_is_refused_not_looped(self, v_global):
+        # the shift alone would exceed p_max, which no cut of the local shift can mend:
+        # run in a fresh interpreter, so that a call that never returns fails on the timeout
+        code = (
+            "import sys\n"
+            "from llmprosody.errors import DataError\n"
+            "from llmprosody.mapping import PitchBounds, map_pitch\n"
+            "try:\n"
+            "    map_pitch(float(sys.argv[1]), 0.0, PitchBounds(-10.0, 10.0))\n"
+            "except DataError as exc:\n"
+            "    print(exc, exc.exit_code)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code, v_global],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert completed.stdout == f"global pitch {float(v_global)!r} is not in [-5, 5] 2\n"
+
+
+class TestMappingConfig:
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan])
+    def test_cap_fraction_outside_unit_range_is_refused(self, fraction):
+        with pytest.raises(DataError) as err:
+            MappingConfig(local_pitch_cap_fraction=fraction)
+        assert str(err.value) == f"local_pitch_cap_fraction must be in [0, 1], got {fraction}"
+        assert err.value.exit_code == 2
+
+
 class TestBuildPlan:
     def test_all_zero_suggestion_gives_identity_plan(self, rng):
         stats = make_stats()
@@ -248,6 +311,26 @@ class TestBuildPlan:
         words[0] = type(words[0])(0, "nonsuch", 0.0, 0.0, 0.0)
         with pytest.raises(DataError, match="suggestion says 'nonsuch', target text says"):
             build_plan(type(suggestion)(0.0, 0.0, 0.0, words=tuple(words)), utterance, stats)
+
+    def test_word_index_mismatch(self, rng):
+        stats = make_stats()
+        utterance = random_utterance(rng, stats, n_words=3)
+        suggestion = identity_suggestion(utterance)
+        words = list(suggestion.words)
+        words[1] = type(words[1])(2, words[1].key, 0.0, 0.0, 0.0)
+        with pytest.raises(DataError) as err:
+            build_plan(type(suggestion)(0.0, 0.0, 0.0, words=tuple(words)), utterance, stats)
+        assert str(err.value) == "suggestion word at position 1 carries index 2"
+        assert err.value.exit_code == 2
+
+    def test_utterance_without_words_is_refused(self):
+        stats = make_stats()
+        phones = [PhoneFeature("AA", None, 0.1, 0.0, 0.5, True, False)]
+        utterance = make_utterance("u1", "spk1", "...", phones, normalized=True)
+        with pytest.raises(DataError) as err:
+            build_plan(LlmScaleSuggestion(0.0, 0.0, 0.0, words=()), utterance, stats)
+        assert str(err.value) == "a plan requires at least one word"
+        assert err.value.exit_code == 2
 
     @pytest.mark.parametrize("where", ["global", "word"])
     def test_non_finite_suggestion_raises(self, rng, where):
