@@ -3,10 +3,11 @@
 Ratings are 1-5 opinion scores per (stimulus, system, rater); preferences are
 three-way forced choices per stimulus set.  Display values round half-up to
 one decimal; the raw values are always kept alongside.  Confidence intervals
-are t-based and labelled as such in the formatted output.  NumPy and SciPy
-are imported inside the two functions that compute with them, and
-``decimal`` inside the one helper that rounds, so importing this module loads
-none of them.  The CLI imports this module only inside its ``eval`` commands.
+are t-based and labelled as such in the formatted output; the Student t
+distribution is computed here from the regularised incomplete beta function.
+``decimal`` is imported inside the one helper that rounds, so importing this
+module does not load it.  The CLI imports this module only inside its
+``eval`` commands.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DataError
+from .features import mean, sample_std
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +53,89 @@ def _round_half_up_1(numerator: int | str, denominator: int = 1) -> str:
     return str((Decimal(numerator) / Decimal(denominator)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b), free of the cancellation between two large ``lgamma`` values."""
+    small, large = sorted((a, b))
+    if a + b < 170.0:  # every gamma below is finite
+        return math.log(math.gamma(a) / math.gamma(a + b) * math.gamma(b))
+    # log Γ(s) - log Γ(large) by Stirling's series; with large >= 85, its first omitted term is < 1e-16
+    s = large + small
+    log_ratio = ((large - 0.5) * math.log1p(small / large) + small * math.log(s) - small
+                 + (1 / s - 1 / large) / 12 - (1 / s**3 - 1 / large**3) / 360
+                 + (1 / s**5 - 1 / large**5) / 1260)
+    return math.lgamma(small) - log_ratio
+
+
+def _ibeta(a: float, b: float, x: float, y: float) -> float:
+    """The regularised incomplete beta function I_x(a, b), with ``y`` = 1 - x given exactly.
+
+    Lentz's method evaluates its continued fraction, which converges fast for
+    x < (a + 1) / (a + b + 2); above that, I_x(a, b) = 1 - I_y(b, a).
+    """
+    if x == 0.0 or y == 0.0:
+        return 0.0 if x == 0.0 else 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _ibeta(b, a, y, x)
+    # the log of whichever of x and y is near 1 comes from log1p of the other, which keeps its precision
+    log_x, log_y = (math.log(x), math.log1p(-x)) if x < y else (math.log1p(-y), math.log(y))
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b)) / a
+    tiny = 1e-300  # stands in for a zero denominator
+    f, c, d, k = 1.0, 1.0, 0.0, 0
+    while True:
+        k += 1
+        m = k // 2
+        if k % 2:
+            term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            term = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 + term * d
+        d = 1.0 / (d if d != 0.0 else tiny)
+        c = 1.0 + term / c
+        c = c if c != 0.0 else tiny
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return front / f
+
+
+def _t_sf(t: float, df: int) -> float:
+    """P(T > t) for Student's t with ``df`` degrees of freedom and t >= 0."""
+    t2 = t * t
+    return 0.5 * _ibeta(0.5 * df, 0.5, df / (df + t2), t2 / (df + t2))
+
+
+def _t_ppf(p: float, df: int) -> float:
+    """The quantile of Student's t with ``df`` degrees of freedom at 0.5 <= p <= 1, by bisection.
+
+    It solves P(0 < T < t) = p - 0.5 or P(T > t) = 1 - p, whichever side is
+    smaller: both are exact in floating point, and the smaller one keeps its
+    relative precision.
+    """
+    if p == 0.5:
+        return 0.0
+    if p == 1.0:
+        return math.inf
+    central = p < 0.75
+
+    def below(t: float) -> bool:  # is t below the quantile?
+        if not central:
+            return _t_sf(t, df) > 1.0 - p
+        t2 = t * t
+        return 0.5 * _ibeta(0.5, 0.5 * df, t2 / (df + t2), df / (df + t2)) < p - 0.5
+
+    low, high = 0.0, 1.0
+    while below(high):
+        low, high = high, 2.0 * high
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            return high
+        if below(mid):
+            low = mid
+        else:
+            high = mid
+
+
 @dataclass(frozen=True, slots=True)
 class MosSummary:
     """Per-system MOS with a t-based confidence interval at level ``confidence``."""
@@ -67,9 +152,6 @@ def mos_summary(
     confidence: float = 0.95,
 ) -> dict[str, MosSummary]:
     """Mean opinion score per system with a two-tailed t confidence interval."""
-    import numpy as np
-    from scipy import stats as sps
-
     if not 0 < confidence < 1:
         raise DataError(f"confidence must be in (0, 1), got {confidence}")
     by_system: dict[str, list[int]] = {}
@@ -83,14 +165,11 @@ def mos_summary(
         n = len(scores)
         if n < 2:
             raise DataError(f"system {system!r} has {n} rating(s); need at least 2")
-        mean = float(np.mean(scores))
-        sd = float(np.std(scores, ddof=1))
-        tcrit = float(sps.t.ppf(0.5 + confidence / 2.0, n - 1))
-        halfwidth = tcrit * sd / math.sqrt(n)
+        halfwidth = _t_ppf(0.5 + confidence / 2.0, n - 1) * sample_std(scores) / math.sqrt(n)
         display_mean = _round_half_up_1(sum(scores), n)
         display_hw = _round_half_up_1(str(halfwidth))
         summaries[system] = MosSummary(
-            mean=mean,
+            mean=mean(scores),
             ci_halfwidth=halfwidth,
             n=n,
             display=f"{display_mean}±{display_hw}",
@@ -117,9 +196,6 @@ def paired_t_test(
     pairs give (t=0, p=1), constant nonzero differences give p=0 with an
     infinite t.
     """
-    import numpy as np
-    from scipy import stats as sps
-
     def keyed(records) -> dict[tuple[str, str], int]:
         table: dict[tuple[str, str], int] = {}
         for record in records:
@@ -134,19 +210,18 @@ def paired_t_test(
     keys = sorted(set(table_a) & set(table_b))
     if len(keys) < 2:
         raise DataError(f"need at least 2 complete pairs, got {len(keys)}")
-    diffs = np.array([table_a[k] - table_b[k] for k in keys], dtype=float)
+    diffs = [float(table_a[k] - table_b[k]) for k in keys]
     df = len(keys) - 1
-    if np.all(diffs == 0):
+    if not any(diffs):
         return TTestResult(t=0.0, p=1.0, df=df, flag="all_zero_differences")
-    sd = float(np.std(diffs, ddof=1))
-    mean = float(np.mean(diffs))
+    sd = sample_std(diffs)
+    mean_diff = mean(diffs)
     if sd == 0.0:
         return TTestResult(
-            t=math.copysign(math.inf, mean), p=0.0, df=df, flag="zero_variance"
+            t=math.copysign(math.inf, mean_diff), p=0.0, df=df, flag="zero_variance"
         )
-    t = mean / (sd / math.sqrt(len(keys)))
-    p = 2.0 * float(sps.t.sf(abs(t), df))
-    return TTestResult(t=t, p=p, df=df)
+    t = mean_diff / (sd / math.sqrt(len(keys)))
+    return TTestResult(t=t, p=2.0 * _t_sf(abs(t), df), df=df)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 import string
+import sys
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .errors import DataError
@@ -365,6 +368,58 @@ def parse_speaker_stats(document: str) -> SpeakerStats:
     return SpeakerStats(**values)
 
 
+def _pairwise_sum(values: Sequence[float], start: int, n: int) -> float:
+    # numpy's pairwise summation of ``values[start:start + n]``, step for step: a plain
+    # loop below 8 values; up to 128, eight strided accumulators combined as a tree and
+    # then the tail; above that, halves split at a multiple of 8
+    if n < 8:
+        return reduce(add, values[start:start + n], 0.0)
+    if n <= 128:
+        end = start + n - n % 8
+        r = [reduce(add, values[start + j:end:8]) for j in range(8)]
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end:start + n], tree)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def _sum(values: Sequence[float]) -> float:
+    # numpy's reduction adds the pairwise sum to 0.0, which turns a sum of -0.0 into 0.0
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean of a non-empty list, equal to ``numpy.mean`` bit for bit."""
+    return _sum(values) / len(values)
+
+
+def sample_std(values: Sequence[float]) -> float:
+    """Sample standard deviation of at least two values, equal to
+    ``numpy.std(values, ddof=1)`` bit for bit."""
+    m = mean(values)
+    return math.sqrt(_sum([(v - m) * (v - m) for v in values]) / (len(values) - 1))
+
+
+def percentile(ascending: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0 <= q <= 100) of sorted values by linear interpolation,
+    equal to ``numpy.percentile`` bit for bit."""
+    index = (len(ascending) - 1) * (q / 100)
+    if index < len(ascending) - 1:
+        k = int(index)
+        low, high, gamma = ascending[k], ascending[k + 1], index - k
+    else:  # numpy interpolates the last value with itself
+        low = high = ascending[-1]
+        gamma = index + 1
+    diff = high - low
+    # numpy's two-sided lerp: from the nearer end, so that gamma 1 gives ``high`` exactly
+    return high - diff * (1 - gamma) if gamma >= 0.5 else low + diff * gamma
+
+
+# the largest x with a finite exp(x); numpy's exp gives inf above it, where math.exp raises
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def compute_speaker_stats(
     utterances: list[UtteranceFeatures] | tuple[UtteranceFeatures, ...],
     min_duration_s: float = 1.5,
@@ -375,10 +430,9 @@ def compute_speaker_stats(
     Utterances with total duration below ``min_duration_s`` are excluded.
     F0 statistics use voiced phones; energy statistics use all non-pause
     phones.  The speaker's F0 range is the given percentiles of linear-Hz
-    voiced F0.
+    voiced F0.  Linear Hz comes from ``math.exp``, so the range, and every
+    plan's bounds built from it, are the same on every CPU.
     """
-    import numpy as np
-
     low, high = range_percentiles
     if not 0 <= low < high <= 100:
         raise DataError(f"percentiles must satisfy 0 <= low < high <= 100, got {range_percentiles}")
@@ -390,14 +444,14 @@ def compute_speaker_stats(
     loge = [ph.energy for u in kept for ph in u.phones if not ph.pause]
     if len(logf0) < 2:
         raise DataError(f"need at least 2 voiced phones after filtering, got {len(logf0)}")
-    mu_logf0 = float(np.mean(logf0))
-    sigma_logf0 = float(np.std(logf0, ddof=1))
-    mu_loge = float(np.mean(loge))
-    sigma_loge = float(np.std(loge, ddof=1))
+    mu_logf0 = mean(logf0)
+    sigma_logf0 = sample_std(logf0)
+    mu_loge = mean(loge)
+    sigma_loge = sample_std(loge)
     if sigma_logf0 == 0.0 or sigma_loge == 0.0:
         raise DataError("zero variance in log-F0 or log-energy")
-    hz = np.exp(logf0)
-    f0_min_hz, f0_max_hz = (float(v) for v in np.percentile(hz, [low, high]))
+    hz = sorted(math.exp(v) if v <= _LOG_MAX else math.inf for v in logf0)
+    f0_min_hz, f0_max_hz = percentile(hz, low), percentile(hz, high)
     if not f0_min_hz < f0_max_hz:
         raise DataError(f"degenerate F0 range: percentiles give [{f0_min_hz}, {f0_max_hz}]")
     return SpeakerStats(

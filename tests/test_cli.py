@@ -20,10 +20,21 @@ from llmprosody.evaluation import (
     RATINGS_HEADER,
     STYLE_LABELS_HEADER,
     format_mos_summary,
+    format_preference_summary,
+    format_style_breakdown,
     mos_summary,
+    parse_preferences,
     parse_ratings,
+    parse_style_labels,
+    preference_summary,
+    style_breakdown,
 )
-from llmprosody.features import parse_speaker_stats
+from llmprosody.features import (
+    compute_speaker_stats,
+    parse_features,
+    parse_speaker_stats,
+    serialize_speaker_stats,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -102,7 +113,26 @@ class TestExitCodes:
         assert isinstance(result.exception, ValueError)
 
 
+# what `stats` printed for both raw corpora when it computed with numpy (2.4.6, AVX-512
+# paths off); the standard-library statistics keep these bytes on every CPU
+RAW_CORPUS_STATS = (
+    "mu_logf0\t5.383941806451614\n"
+    "sigma_logf0\t0.2967515698740188\n"
+    "mu_loge\t0.5140683999999999\n"
+    "sigma_loge\t0.7505958625197953\n"
+    "f0_min_hz\t122.21456424022642\n"
+    "f0_max_hz\t306.5106275604977\n"
+)
+
+
 class TestStatsCommand:
+    @pytest.mark.parametrize("corpus", [RAW, RAW_WITH_SHORT], ids=["raw", "with_short"])
+    def test_prints_the_pinned_bytes(self, runner, tmp_path, corpus):
+        out = tmp_path / "stats.tsv"
+        result = runner.invoke(main, ["stats", corpus, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_text(encoding="utf-8") == RAW_CORPUS_STATS
+
     def test_writes_parseable_stats(self, runner, tmp_path):
         out = tmp_path / "stats.tsv"
         result = runner.invoke(main, ["stats", RAW, "-o", str(out)])
@@ -674,8 +704,9 @@ class TestImportsOnDemand:
             ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock", "-o", "plan.tsv"],
             ["apply", "--features", NORM, "--stats", STATS,
              "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", "out.tsv"],
+            ["stats", RAW, "-o", "stats.tsv"],
         ],
-        ids=["import", "help", "prompt", "plan", "apply"],
+        ids=["import", "help", "prompt", "plan", "apply", "stats"],
     )
     def test_pipeline_loads_no_numpy_scipy_or_requests(self, tmp_path, args):
         _, loaded = run_fresh(tmp_path, args)
@@ -695,9 +726,38 @@ class TestImportsOnDemand:
         assert (tmp_path / "plan.tsv").read_bytes() == (GOLDEN_DIR / "cli_plan_seed7.tsv").read_bytes()
         assert loaded & HEAVY == set()
 
-    def test_stats_loads_numpy_only(self, tmp_path):
-        _, loaded = run_fresh(tmp_path, ["stats", RAW, "-o", "stats.tsv"])
-        assert loaded & HEAVY == {"numpy"}
+    @pytest.mark.parametrize("command", ["stats", "mos", "pref", "styles"])
+    def test_stats_and_eval_need_only_the_declared_dependencies(self, tmp_path, command):
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        for name in ("numpy", "scipy"):
+            (blocked / f"{name}.py").write_text(f'raise ImportError("{name} is not installed")\n')
+        ratings = [RATINGS_HEADER] + [f"s{i}\t{system}\tr{i % 4}\t{1 + (i * i + len(system)) % 5}"
+                                      for system in ("baseline", "proposed") for i in range(9)]
+        (tmp_path / "ratings.tsv").write_text("\n".join(ratings) + "\n", encoding="utf-8")
+        write_preferences(tmp_path / "prefs.tsv", {"proposed": 5, "baseline": 3, "random": 2})
+        (tmp_path / "labels.tsv").write_text(
+            STYLE_LABELS_HEADER + "".join(f"\nset{k}\t{'calm' if k % 3 else 'angry'}" for k in range(10)) + "\n",
+            encoding="utf-8")
+        read = {name: (tmp_path / name).read_text(encoding="utf-8")
+                for name in ("ratings.tsv", "prefs.tsv", "labels.tsv")}
+        args, stdout, written = {
+            "stats": (["stats", RAW, "-o", "stats.tsv"], "", serialize_speaker_stats(
+                compute_speaker_stats(parse_features(Path(RAW).read_text(encoding="utf-8"))))),
+            "mos": (["eval", "mos", "ratings.tsv"],
+                    format_mos_summary(mos_summary(parse_ratings(read["ratings.tsv"]))), None),
+            "pref": (["eval", "pref", "prefs.tsv"],
+                     format_preference_summary(preference_summary(parse_preferences(read["prefs.tsv"]))), None),
+            "styles": (["eval", "styles", "prefs.tsv", "--labels", "labels.tsv"],
+                       format_style_breakdown(style_breakdown(parse_preferences(read["prefs.tsv"]),
+                                                              parse_style_labels(read["labels.tsv"]))), None),
+        }[command]
+        completed, loaded = run_fresh(
+            tmp_path, args, env={"PYTHONPATH": os.pathsep.join([str(blocked), SRC_DIR])})
+        assert completed.stdout == stdout
+        if written is not None:
+            assert (tmp_path / "stats.tsv").read_text(encoding="utf-8") == written
+        assert loaded & HEAVY == set()
 
     def test_eval_pref_loads_none_of_them(self, tmp_path):
         write_preferences(tmp_path / "prefs.tsv", {"proposed": 3, "baseline": 2, "random": 1})
@@ -727,7 +787,7 @@ class TestImportsOnDemand:
         (tmp_path / "ratings.tsv").write_text(document, encoding="utf-8")
         completed, loaded = run_fresh(tmp_path, ["eval", "mos", "ratings.tsv"])
         assert completed.stdout == format_mos_summary(mos_summary(parse_ratings(document)))
-        assert "scipy" in loaded
+        assert loaded & HEAVY == set()
 
 
 CLI_MODULES = {f"llmprosody.{name}" for name in ["cli", "config", "errors", "features", "mapping"]}

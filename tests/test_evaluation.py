@@ -1,11 +1,16 @@
 import math
+import random
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
+from hypothesis import given, strategies as st
 
 from llmprosody.errors import DataError
 from llmprosody.evaluation import (
     PreferenceRecord,
     RatingRecord,
+    _t_ppf,
+    _t_sf,
     format_mos_summary,
     format_preference_summary,
     format_style_breakdown,
@@ -18,6 +23,7 @@ from llmprosody.evaluation import (
     style_breakdown,
 )
 
+from conftest import PROPERTIES
 from reference import tally_preferences
 
 
@@ -89,6 +95,56 @@ class TestMosSummary:
     def test_score_validation(self):
         with pytest.raises(DataError, match="score must be an integer 1..5, got 6"):
             RatingRecord("s1", "sysA", "r1", 6)
+
+    def test_display_matches_the_scipy_interval_on_2000_rating_sets(self):
+        import numpy as np
+        from scipy import stats as sps
+
+        rng = random.Random(2000)
+        for _ in range(2000):
+            n = rng.randint(2, 120)
+            confidence = rng.choice([0.8, 0.9, 0.95, 0.99])
+            scores = [rng.randint(1, 5) for _ in range(n)]
+            sd = float(np.std(scores, ddof=1))
+            halfwidth = float(sps.t.ppf(0.5 + confidence / 2.0, n - 1)) * sd / math.sqrt(n)
+            expected = Decimal(str(halfwidth)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+            summary = mos_summary(ratings("sysA", scores), confidence=confidence)["sysA"]
+            assert summary.display.split("±")[1] == str(expected), (scores, confidence)
+
+
+class TestStudentT:
+    @PROPERTIES
+    @given(df=st.integers(1, 1000), confidence=st.floats(0.1, 1.0, exclude_max=True))
+    def test_quantile_agrees_with_scipy(self, df, confidence):
+        # below confidence 0.1, scipy's own quantile drifts from the closed forms tested below
+        # (by 0.65 relative at confidence 1e-8 and df 1)
+        from scipy import stats as sps
+
+        p = 0.5 + confidence / 2.0
+        assert _t_ppf(p, df) == pytest.approx(float(sps.t.ppf(p, df)), rel=1e-12)
+
+    @PROPERTIES
+    @given(confidence=st.floats(0.0, 0.5))
+    def test_quantile_near_the_centre_equals_the_closed_forms(self, confidence):
+        p = 0.5 + confidence / 2.0
+        assert _t_ppf(p, 1) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-14)
+        assert _t_ppf(p, 2) == pytest.approx((2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p)), rel=1e-14)
+
+    @PROPERTIES
+    @given(df=st.integers(1, 1000), t=st.floats(1e-3, 1e6))
+    def test_tail_agrees_with_scipy(self, df, t):
+        # out to t = 1e6, where the tail underflows for all but small df; below t = 1e-4, scipy's
+        # df-1 tail drifts from the closed form tested below
+        from scipy import stats as sps
+
+        assert _t_sf(t, df) == pytest.approx(float(sps.t.sf(t, df)), rel=1e-12, abs=1e-300)
+
+    @PROPERTIES
+    @given(t=st.floats(0.0, 1e6))
+    def test_tail_equals_the_closed_forms(self, t):
+        assert _t_sf(t, 1) == pytest.approx(math.atan2(1.0, t) / math.pi, rel=1e-14)
+        root = math.sqrt(2.0 + t * t)
+        assert _t_sf(t, 2) == pytest.approx(1.0 / (root * (root + t)), rel=1e-14)
 
 
 class TestPairedTTest:

@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -12,6 +16,9 @@ from llmprosody.features import (
     Word,
     compute_speaker_stats,
     make_utterance,
+    mean,
+    percentile,
+    sample_std,
     parse_features,
     parse_speaker_stats,
     serialize_features,
@@ -374,6 +381,15 @@ class TestComputeSpeakerStats:
             compute_speaker_stats([utterance])
         assert "raw" in str(err.value)
 
+    def test_f0_range_is_the_same_on_every_cpu(self):
+        # numpy's AVX-512 exp put f0_max_hz at 300.7241161031119 for this corpus; math.exp
+        # gives numpy's result on CPUs without AVX-512
+        rng = random.Random(12)
+        corpus = [random_raw_utterance(rng, f"u{i}", total_duration_s=rng.uniform(1.6, 4.0), n_words=4)
+                  for i in range(5)]
+        stats = compute_speaker_stats(corpus)
+        assert (stats.f0_min_hz, stats.f0_max_hz) == (120.05295276567982, 300.72411610311195)
+
     def test_percentile_ordering_property(self, rng):
         for _ in range(20):
             corpus = _corpus_with_durations(rng, [rng.uniform(1.6, 4.0) for _ in range(4)])
@@ -481,3 +497,113 @@ class TestFormatProperties:
         again = parse_features(canonical)
         assert serialize_features(again) == canonical
         assert again == parse_features(serialize_features(again))
+
+
+# numpy with its AVX-512 code paths off, where its exp equals math.exp.  numpy 2.4 names the
+# group X86_V4 and ignores the older AVX512* names, which earlier releases use.
+NUMPY_WITHOUT_AVX512 = (
+    "X86_V4,AVX512F,AVX512CD,AVX512_KNL,AVX512_KNM,AVX512_SKX,AVX512_CLX,AVX512_CNL,AVX512_ICL,AVX512_SPR"
+)
+
+
+def run_numpy(script, cases):
+    """Run ``script`` in one numpy process without AVX-512, with ``cases`` as JSON on stdin; return its JSON."""
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps(cases),
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": NUMPY_WITHOUT_AVX512},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+def drawn(strategy):
+    """The examples Hypothesis draws from ``strategy``, collected so that one numpy run checks them all."""
+    examples = []
+
+    @PROPERTIES
+    @given(strategy)
+    def record(example):
+        examples.append(example)
+
+    record()
+    return examples
+
+
+# both sides of numpy's pairwise-sum thresholds (8 values, blocks of 128) and of its 8192-value buffer
+SIZES = st.one_of(st.integers(2, 300), st.sampled_from([7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 20000]))
+
+
+@st.composite
+def samples(draw):
+    n = draw(SIZES)
+    if n <= 64 and draw(st.booleans()):
+        return draw(st.lists(st.floats(-1e150, 1e150), min_size=n, max_size=n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    center = draw(st.sampled_from([0.0, 5.3, -300.0, 1e9]))
+    scale = draw(st.sampled_from([1e-6, 0.3, 40.0]))
+    return [center + scale * rng.gauss(0.0, 1.0) for _ in range(n)]
+
+
+@st.composite
+def raw_columns(draw):
+    """Voiced log-F0 and all log-energies of a raw corpus, and the range percentiles."""
+    n = draw(SIZES)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    logf0 = [round(math.log(rng.uniform(60.0, 500.0)), 6) for _ in range(n)]
+    if draw(st.booleans()):
+        logf0[rng.randrange(n)] = 800.0  # exp overflows: inf in numpy, as in the statistics
+    loge = [round(math.log(rng.uniform(0.05, 20.0)), 6) for _ in range(n + rng.randrange(n))]
+    low = draw(st.sampled_from([5.0, 1.0]) | st.floats(0.0, 50.0, exclude_max=True))
+    high = draw(st.sampled_from([95.0, 99.0, 100.0]) | st.floats(50.0, 100.0))
+    return logf0, loge, low, high
+
+
+MOMENTS_BY_NUMPY = """
+import json, sys
+import numpy as np
+json.dump([[float(np.mean(v)), float(np.std(v, ddof=1)), [float(p) for p in np.percentile(v, qs)]]
+           for v, qs in json.load(sys.stdin)], sys.stdout)
+"""
+
+# the statistics of compute_speaker_stats, computed with numpy
+STATS_BY_NUMPY = """
+import json, sys
+import numpy as np
+out = []
+for logf0, loge, low, high in json.load(sys.stdin):
+    f0_range = np.percentile(np.exp(logf0), [low, high])
+    out.append([float(np.mean(logf0)), float(np.std(logf0, ddof=1)), float(np.mean(loge)),
+                float(np.std(loge, ddof=1))] + [float(v) for v in f0_range])
+json.dump(out, sys.stdout)
+"""
+
+
+class TestNumpyAgreement:
+    def test_mean_std_and_percentile_equal_numpy_bit_for_bit(self):
+        cases = drawn(st.tuples(samples(), st.lists(st.floats(0.0, 100.0), min_size=1, max_size=3)))
+        for (values, qs), (m, sd, ps) in zip(cases, run_numpy(MOMENTS_BY_NUMPY, cases)):
+            assert repr(mean(values)) == repr(m), len(values)
+            assert repr(sample_std(values)) == repr(sd), len(values)
+            # zeros of either sign tie in a sort, so the sign of a zero percentile is not compared
+            ascending = sorted(values)
+            assert [percentile(ascending, q) for q in qs] == ps, len(values)
+
+    def test_speaker_stats_equal_numpy_bit_for_bit(self):
+        cases = drawn(raw_columns())
+        for (logf0, loge, low, high), expected in zip(cases, run_numpy(STATS_BY_NUMPY, cases)):
+            phones = [PhoneFeature("AA", 0, 1.0, f0, e, True, False) for f0, e in zip(logf0, loge)]
+            phones += [PhoneFeature("T", 0, 1.0, None, e, False, False) for e in loge[len(logf0):]]
+            corpus = [make_utterance("u1", "spk1", "hi", phones, normalized=False)]
+            f0_min, f0_max = expected[4:]
+            if not f0_min < f0_max:  # an inf at the top of the range interpolates to nan
+                with pytest.raises(DataError, match="degenerate F0 range"):
+                    compute_speaker_stats(corpus, range_percentiles=(low, high))
+                continue
+            stats = compute_speaker_stats(corpus, range_percentiles=(low, high))
+            got = [stats.mu_logf0, stats.sigma_logf0, stats.mu_loge, stats.sigma_loge,
+                   stats.f0_min_hz, stats.f0_max_hz]
+            assert list(map(repr, got)) == list(map(repr, expected)), (len(logf0), low, high)
