@@ -39,6 +39,7 @@ _HOMES = {
     "MockBackend": "llm",
     "complete": "llm",
     "mock_complete": "llm",
+    "plan_utterance": "llm",
     "suggest_batch": "llm",
     "suggest_with_repair": "llm",
     "LlmScaleSuggestion": "mapping",
@@ -55,6 +56,7 @@ _HOMES = {
     "parse_plan": "mapping",
     "serialize_plan": "mapping",
     "apply_plan": "modifier",
+    "apply_to_utterance": "modifier",
     "Exemplar": "prompting",
     "Mode": "prompting",
     "PromptSpec": "prompting",

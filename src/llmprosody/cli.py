@@ -51,19 +51,22 @@ def _write_output(text: str, output: str) -> None:
         _write_file(output, text)
 
 
-def _select_utterance(
-    utterances: list[features.UtteranceFeatures], utterance_id: str | None
-) -> features.UtteranceFeatures:
+def _load_utterance(
+    features_path: str, utterance_id: str | None, stats_path: str
+) -> tuple[features.UtteranceFeatures, features.SpeakerStats]:
+    """The utterance that ``plan`` or ``apply`` works on, and the speaker stats."""
+    utterances = features.parse_features(Path(features_path).read_text(encoding="utf-8"))
     if utterance_id is None:
         if len(utterances) != 1:
             raise DataError(
                 f"file contains {len(utterances)} utterances; pick one with --utterance-id"
             )
-        return utterances[0]
-    for utterance in utterances:
-        if utterance.id == utterance_id:
-            return utterance
-    raise DataError(f"no utterance with id {utterance_id!r}")
+        [utterance] = utterances
+    else:
+        utterance = next((u for u in utterances if u.id == utterance_id), None)
+        if utterance is None:
+            raise DataError(f"no utterance with id {utterance_id!r}")
+    return utterance, features.parse_speaker_stats(Path(stats_path).read_text(encoding="utf-8"))
 
 
 def _load_context(mode: str, style: str | None, previous_line: str | None) -> str | None:
@@ -212,16 +215,8 @@ def plan_cmd(
     from . import llm
 
     context = _load_context(mode, style, previous_line)
-    utterances = features.parse_features(Path(features_path).read_text(encoding="utf-8"))
-    utterance = _select_utterance(utterances, utterance_id)
-    stats_obj = features.parse_speaker_stats(Path(stats_path).read_text(encoding="utf-8"))
-    target_text = text if text is not None else utterance.text
-    target_words = features.tokenize_words(target_text)
-    if tuple(w.key for w in target_words) != tuple(w.key for w in utterance.words):
-        raise DataError(
-            f"--text words do not match utterance {utterance.id!r}'s words"
-        )
-    spec = _prompt_spec(mode, context, target_text, exemplars_path)
+    utterance, stats_obj = _load_utterance(features_path, utterance_id, stats_path)
+    spec = _prompt_spec(mode, context, text if text is not None else utterance.text, exemplars_path)
     if backend == "mock":
         backend_fn = llm.MockBackend(seed=seed)
     else:
@@ -236,15 +231,13 @@ def plan_cmd(
             )
         )
     policy = config.RepairPolicy(max_attempts=max_attempts)
+    mapping_config = mapping.MappingConfig(local_pitch_cap_fraction=pitch_cap)
     try:
-        suggestion, attempts = llm.suggest_with_repair(spec, backend_fn, policy)
+        plan, attempts = llm.plan_utterance(spec, utterance, stats_obj, backend_fn, policy, mapping_config)
     except llm.RepairExhausted as exc:
         if transcript_path:
             _write_file(transcript_path, _format_transcript(exc.attempts))
         raise
-    plan = mapping.build_plan(
-        suggestion, utterance, stats_obj, mapping.MappingConfig(local_pitch_cap_fraction=pitch_cap)
-    )
     # the parser clamped out-of-range model values before build_plan, so they are its diagnostics
     for diagnostic in attempts[-1].diagnostics:
         if diagnostic.clamped:
@@ -265,14 +258,9 @@ def apply_cmd(features_path, stats_path, plan_path, utterance_id, output) -> Non
     """Apply a modification plan to a normalized feature file."""
     from . import modifier
 
-    utterances = features.parse_features(Path(features_path).read_text(encoding="utf-8"))
-    utterance = _select_utterance(utterances, utterance_id)
-    stats_obj = features.parse_speaker_stats(Path(stats_path).read_text(encoding="utf-8"))
+    utterance, stats_obj = _load_utterance(features_path, utterance_id, stats_path)
     plan = mapping.parse_plan(Path(plan_path).read_text(encoding="utf-8"))
-    modified = modifier.apply_plan(utterance, stats_obj, plan)
-    bounds = mapping.compute_pitch_bounds(utterance, stats_obj)
-    if plan.bounds != bounds:  # the plan was built with other features or stats
-        raise DataError(f"plan BOUNDS do not match utterance {utterance.id!r} with these stats: {bounds}")
+    modified = modifier.apply_to_utterance(utterance, stats_obj, plan)
     _write_output(features.serialize_features([modified]), output)
 
 

@@ -154,6 +154,9 @@ def mos_summary(
     """Mean opinion score per system with a two-tailed t confidence interval."""
     if not 0 < confidence < 1:
         raise DataError(f"confidence must be in (0, 1), got {confidence}")
+    p = 0.5 + confidence / 2.0
+    if p == 1.0:  # the quantile would be infinite
+        raise DataError(f"confidence {confidence!r} is too close to 1: 0.5 + confidence / 2 rounds to 1")
     by_system: dict[str, list[int]] = {}
     for record in records:
         by_system.setdefault(record.system_id, []).append(record.score)
@@ -165,7 +168,7 @@ def mos_summary(
         n = len(scores)
         if n < 2:
             raise DataError(f"system {system!r} has {n} rating(s); need at least 2")
-        halfwidth = _t_ppf(0.5 + confidence / 2.0, n - 1) * sample_std(scores) / math.sqrt(n)
+        halfwidth = _t_ppf(p, n - 1) * sample_std(scores) / math.sqrt(n)
         display_mean = _round_half_up_1(sum(scores), n)
         display_hw = _round_half_up_1(str(halfwidth))
         summaries[system] = MosSummary(

@@ -1,4 +1,4 @@
-"""Completion backends and the suggest -> parse -> repair loop.
+"""Completion backends, the suggest -> parse -> repair loop, and the plan step of one utterance.
 
 A backend is any callable taking a prompt string and returning the raw
 completion text.  :class:`HttpBackend` talks to a chat/completions-style
@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 from .config import BackendConfig, RepairPolicy
 from .errors import BackendError, DataError, LlmOutputError
-from .features import Word, tokenize_words
-from .mapping import LlmScaleSuggestion, WordSuggestion
+from .features import SpeakerStats, UtteranceFeatures, Word, tokenize_words
+from .mapping import LlmScaleSuggestion, MappingConfig, ModificationPlan, WordSuggestion, build_plan
 from .prompting import PromptSpec, build_prompt, prompt_target_words
 from .response import ParseDiagnostic, parse_response, serialize_suggestion
 
@@ -344,6 +344,26 @@ def suggest_with_repair(
     raise RepairExhausted(
         f"no parseable response after {len(attempts)} attempts", attempts=attempts
     )
+
+
+def plan_utterance(
+    spec: PromptSpec,
+    utterance: UtteranceFeatures,
+    stats: SpeakerStats,
+    backend: Callable[[str], str],
+    policy: RepairPolicy = RepairPolicy(),
+    mapping_config: MappingConfig = MappingConfig(),
+) -> tuple[ModificationPlan, list[Attempt]]:
+    """The plan for one utterance: :func:`suggest_with_repair`, then :func:`build_plan`.
+
+    The target text must have the utterance's words (case and edge
+    punctuation aside); that is checked before the backend is called.
+    Returns the plan and the attempt transcript.
+    """
+    if tuple(w.key for w in tokenize_words(spec.target_text)) != tuple(w.key for w in utterance.words):
+        raise DataError(f"target text words do not match utterance {utterance.id!r}'s words")
+    suggestion, attempts = suggest_with_repair(spec, backend, policy)
+    return build_plan(suggestion, utterance, stats, mapping_config), attempts
 
 
 def suggest_batch(

@@ -16,7 +16,7 @@ from .errors import DataError
 from .features import (
     PhoneFeature, SpeakerStats, UtteranceFeatures, denorm_energy, denorm_f0, renorm_energy, renorm_f0,
 )
-from .mapping import ModificationPlan
+from .mapping import ModificationPlan, compute_pitch_bounds
 
 
 def apply_plan(
@@ -30,7 +30,8 @@ def apply_plan(
     then clamped into the speaker range.  An F0 whose shifted, clamped Hz
     equals its starting Hz, and an energy scaled by exactly 1, keep their
     stored values.  Structure, labels, and flags are preserved exactly.  A
-    plan built for other words is refused.
+    plan built for other words is refused; its ``BOUNDS`` are not checked
+    (:func:`apply_to_utterance` checks them).
     """
     if not utterance.normalized:
         raise DataError(f"utterance {utterance.id}: apply_plan requires normalized features")
@@ -62,3 +63,19 @@ def apply_plan(
                 energy = renorm_energy(linear * scale, stats)
         new_phones.append(PhoneFeature(ph.label, ph.word_index, duration, f0, energy, ph.voiced, ph.pause))
     return replace(utterance, phones=tuple(new_phones))
+
+
+def apply_to_utterance(
+    utterance: UtteranceFeatures, stats: SpeakerStats, plan: ModificationPlan
+) -> UtteranceFeatures:
+    """:func:`apply_plan`, refusing a plan built for other features or other stats.
+
+    Such a plan carries ``BOUNDS`` other than the ones computed from
+    ``utterance`` and ``stats``.  The words are checked first, by
+    :func:`apply_plan`.
+    """
+    modified = apply_plan(utterance, stats, plan)
+    bounds = compute_pitch_bounds(utterance, stats)
+    if plan.bounds != bounds:
+        raise DataError(f"plan BOUNDS do not match utterance {utterance.id!r} with these stats: {bounds}")
+    return modified

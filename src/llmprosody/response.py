@@ -11,7 +11,8 @@ Misaligned word lists (skipped, invented, duplicated, or reordered words) are
 rejected with per-line diagnostics; out-of-range numeric values are clamped
 and flagged rather than rejected.  Non-finite values (``nan``, ``inf``) are
 not numbers on any scale: they are rejected like any other non-numeric value,
-so the repair loop asks again.
+so the repair loop asks again.  Indices and values are written in ASCII: a
+digit outside it, or a ``_`` between digits, is not a number here.
 
 The parser reads the non-blank lines in one pass.  The first one must be the
 REASONING: line; any other first line is reported and then read like the
@@ -80,9 +81,10 @@ _REASONING_RE = re.compile(r"^\s*REASONING\s*:\s?(.*)$")
 _GLOBAL_RE = re.compile(
     r"^\s*GLOBAL\s*:\s*duration=(\S+)\s+pitch=(\S+)\s+energy=(\S+)\s*$"
 )
-# an index longer than 9 digits cannot name a word, and int() refuses very long ones
+# an index longer than 9 digits cannot name a word, and int() refuses very long ones; \d would
+# also match non-ASCII digits
 _WORD_RE = re.compile(
-    r"^\s*WORD\s+(\d{1,9})\s+(\S+?)\s*:\s*duration=(\S+)\s+pitch=(\S+)\s+energy=(\S+)\s*$"
+    r"^\s*WORD\s+([0-9]{1,9})\s+(\S+?)\s*:\s*duration=(\S+)\s+pitch=(\S+)\s+energy=(\S+)\s*$"
 )
 
 
@@ -109,7 +111,8 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
         values: list[float | None] = []
         for name, raw in zip(("duration", "pitch", "energy"), match.groups()[-3:]):
             try:
-                value = float(raw)
+                # float() also reads digit-group underscores and non-ASCII digits, which are not in the grammar
+                value = float(raw) if raw.isascii() and "_" not in raw else math.nan
             except ValueError:
                 value = math.nan  # refused by clamp_to_scale below, like nan and inf
             if low <= value <= high:  # the common case: nothing to report, so no label to build

@@ -310,6 +310,39 @@ class TestPlanCommand:
              "-o", str(tmp_path / "p.tsv")],
         )
         assert result.exit_code == 2
+        assert result.stderr == "error: target text words do not match utterance 'u1''s words\n"
+
+    @pytest.mark.parametrize(
+        "args", [["--text", "Completely different words here."], ["--pitch-cap", "2"]], ids=["text", "pitch-cap"]
+    )
+    def test_refused_before_the_backend_is_called(self, runner, tmp_path, monkeypatch, args):
+        calls = []
+
+        class CountingBackend:
+            def __init__(self, seed):
+                self.seed = seed
+
+            def __call__(self, prompt):
+                calls.append(prompt)
+                return llm.mock_complete(prompt, self.seed)
+
+        monkeypatch.setattr(llm, "MockBackend", CountingBackend)
+        result = runner.invoke(
+            main, ["plan", "--features", NORM, "--stats", STATS, *args, "-o", str(tmp_path / "p.tsv")]
+        )
+        assert result.exit_code == 2
+        assert calls == []
+        assert not (tmp_path / "p.tsv").exists()
+
+    def test_bad_pitch_cap_is_refused_before_the_http_backend_needs_a_key(self, runner, tmp_path, monkeypatch):
+        monkeypatch.delenv("LLMPROSODY_TEST_KEY", raising=False)
+        result = runner.invoke(
+            main,
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "http",
+             "--api-key-env", "LLMPROSODY_TEST_KEY", "--pitch-cap", "2", "-o", str(tmp_path / "p.tsv")],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: local_pitch_cap_fraction must be in [0, 1], got 2.0\n"
 
     def test_matching_text_with_different_case_is_fine(self, runner, tmp_path):
         result = runner.invoke(
@@ -577,6 +610,15 @@ class TestEvalCommand:
         assert result.exit_code == 0
         assert "angry.total\t5" in result.output
         assert "calm.total\t3" in result.output
+
+    def test_mos_confidence_whose_quantile_is_infinite_exits_2(self, runner, tmp_path):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text(f"{RATINGS_HEADER}\ns1\tbaseline\tr1\t3\ns2\tbaseline\tr1\t4\n")
+        result = runner.invoke(main, ["eval", "mos", str(ratings), "--confidence", "0.9999999999999999"])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: confidence 0.9999999999999999 is too close to 1: 0.5 + confidence / 2 rounds to 1\n"
+        )
 
     def test_empty_ratings_file_exits_2(self, runner, tmp_path):
         empty = tmp_path / "empty.tsv"

@@ -440,6 +440,9 @@ class TestFileFormats:
                          "confidence must be in (0, 1), got 0.0", id="confidence-zero"),
             pytest.param(lambda: mos_summary(ratings("a", [3, 4]), confidence=1.0),
                          "confidence must be in (0, 1), got 1.0", id="confidence-one"),
+            # 0.5 + confidence / 2 rounds to 1, where the t quantile is infinite
+            pytest.param(lambda: mos_summary(ratings("a", [3, 4]), confidence=0.9999999999999999),
+                         "confidence 0.9999999999999999 is too close to 1", id="confidence-rounds-to-one"),
             pytest.param(lambda: mos_summary([]), "no rating records", id="no-records"),
             pytest.param(lambda: paired_t_test(ratings("a", [3, 4, 3]) * 2, ratings("b", [3, 4, 3])),
                          "duplicate rating for stimulus/rater pair ('s0', 'r1')", id="duplicate-pair"),

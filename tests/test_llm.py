@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 from conftest import PROPERTIES
 from llmprosody import llm, prompting
 from llmprosody.errors import BackendError, DataError
-from llmprosody.features import tokenize_words
+from llmprosody.features import parse_features, parse_speaker_stats, tokenize_words
 from llmprosody.llm import (
     BackendConfig,
     HttpBackend,
@@ -28,6 +28,7 @@ from llmprosody.llm import (
     RepairPolicy,
     complete,
     mock_complete,
+    plan_utterance,
     suggest_batch,
     suggest_with_repair,
 )
@@ -211,6 +212,19 @@ class TestSuggestWithRepair:
         sequential = [suggest_with_repair(s, backend) for s in specs]
         parallel = suggest_batch(specs, backend, max_parallel=max_parallel)
         assert [s for s, _ in parallel] == [s for s, _ in sequential]
+
+
+class TestPlanUtterance:
+    @pytest.mark.parametrize("text", ["Completely different words here.", "Turn left at the light.", "..."])
+    def test_other_words_are_refused_before_the_backend_is_called(self, text):
+        data = Path(__file__).parent / "data"
+        (utterance,) = parse_features((data / "norm_utterance.tsv").read_text(encoding="utf-8"))
+        stats = parse_speaker_stats((data / "stats.tsv").read_text(encoding="utf-8"))
+        backend = ScriptedBackend([])
+        with pytest.raises(DataError) as err:
+            plan_utterance(PromptSpec(mode=Mode.NEUTRAL, target_text=text), utterance, stats, backend)
+        assert str(err.value) == "target text words do not match utterance 'u1''s words"
+        assert backend.prompts == []
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):

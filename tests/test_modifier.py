@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,9 +19,10 @@ from llmprosody.features import (
     serialize_features,
     tokenize_words,
 )
-from llmprosody.llm import MockBackend, suggest_with_repair
+from llmprosody.llm import MockBackend, plan_utterance, suggest_with_repair
 from llmprosody.mapping import (
     LlmScaleSuggestion,
+    MappingConfig,
     ModificationPlan,
     PitchBounds,
     WordCoefficients,
@@ -29,7 +31,7 @@ from llmprosody.mapping import (
     parse_plan,
     serialize_plan,
 )
-from llmprosody.modifier import apply_plan
+from llmprosody.modifier import apply_plan, apply_to_utterance
 from llmprosody.prompting import Mode, PromptSpec
 
 from conftest import (
@@ -205,6 +207,46 @@ class TestApplyPlanExamples:
         other = replace(plan, words=(first,) + plan.words[1:])
         with pytest.raises(DataError, match="^plan is for words .* but utterance"):
             apply_plan(utterance, stats, other)
+
+
+def with_other_stats():
+    """The CLI tests' utterance, its stats with f0_max_hz 300 -> 310, and the golden seed-7 plan built with 300."""
+    tests = Path(__file__).parent
+    (utterance,) = parse_features((tests / "data" / "norm_utterance.tsv").read_text(encoding="utf-8"))
+    stats_document = (tests / "data" / "stats.tsv").read_text(encoding="utf-8")
+    other_stats = parse_speaker_stats(stats_document.replace("f0_max_hz\t300.0", "f0_max_hz\t310.0"))
+    assert other_stats.f0_max_hz == 310.0
+    return utterance, other_stats, parse_plan((tests / "golden" / "cli_plan_seed7.tsv").read_text(encoding="utf-8"))
+
+
+class TestApplyToUtterance:
+    def test_plan_built_with_other_stats_is_refused(self):
+        utterance, other_stats, plan = with_other_stats()
+        apply_plan(utterance, other_stats, plan)  # the unchecked transform takes it
+        with pytest.raises(DataError, match="^plan BOUNDS do not match utterance 'u1' with these stats: "):
+            apply_to_utterance(utterance, other_stats, plan)
+
+    def test_words_are_checked_before_bounds(self):
+        utterance, other_stats, plan = with_other_stats()
+        other = replace(plan, words=(replace(plan.words[0], surface="Walk"),) + plan.words[1:])
+        with pytest.raises(DataError, match="^plan is for words "):
+            apply_to_utterance(utterance, other_stats, other)
+
+    @PROPERTIES
+    @given(seed=st.integers(0, 2**32 - 1), cap=st.floats(0.0, 1.0))
+    def test_same_bytes_as_build_plan_and_apply_plan(self, seed, cap):
+        """plan_utterance, the plan file, apply_to_utterance: the bytes of suggest, build_plan, apply_plan."""
+        rng = random.Random(seed)
+        stats = random_stats(rng)
+        utterance = random_utterance(rng, stats)
+        spec = PromptSpec(Mode.NEUTRAL, utterance.text)
+        backend = MockBackend(seed=seed)
+        config = MappingConfig(local_pitch_cap_fraction=cap)
+        plan, _ = plan_utterance(spec, utterance, stats, backend, mapping_config=config)
+        got = serialize_features([apply_to_utterance(utterance, stats, parse_plan(serialize_plan(plan)))])
+        suggestion, _ = suggest_with_repair(spec, backend)
+        expected = serialize_features([apply_plan(utterance, stats, build_plan(suggestion, utterance, stats, config))])
+        assert got == expected
 
 
 class TestApplyPlanInvariants:

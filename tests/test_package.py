@@ -22,15 +22,15 @@ EXPORTS = {
         "tokenize_words",
     ],
     "llm": [
-        "Attempt", "HttpBackend", "MockBackend", "complete", "mock_complete", "suggest_batch",
-        "suggest_with_repair",
+        "Attempt", "HttpBackend", "MockBackend", "complete", "mock_complete", "plan_utterance",
+        "suggest_batch", "suggest_with_repair",
     ],
     "mapping": [
         "LlmScaleSuggestion", "MappingConfig", "ModificationPlan", "PitchBounds",
         "WordCoefficients", "WordSuggestion", "build_plan", "compute_pitch_bounds",
         "map_global_scale", "map_local_scale", "map_pitch", "parse_plan", "serialize_plan",
     ],
-    "modifier": ["apply_plan"],
+    "modifier": ["apply_plan", "apply_to_utterance"],
     "prompting": ["Exemplar", "Mode", "PromptSpec", "build_prompt", "default_exemplars"],
     "response": [
         "DiagnosticKind", "ParseDiagnostic", "ParseResult", "parse_response",

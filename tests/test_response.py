@@ -206,6 +206,23 @@ class TestParseNonFinite:
         assert not any(d.clamped for d in result.diagnostics)
 
 
+class TestParseAsciiOnly:
+    # float() and \\d read these, but the grammar's numbers are ASCII digits with no digit-group underscores
+    @pytest.mark.parametrize("value", ["1_0", "\uff11.\uff12", "\u0663"], ids=["underscore", "fullwidth", "arabic-indic"])
+    def test_value_outside_the_grammar_is_not_numeric(self, value):
+        result = parse_response(VALID.replace("duration=2", f"duration={value}"), THREE_WORDS)
+        assert not result.ok
+        assert [str(d) for d in result.diagnostics] == [
+            f"line 4: ValueNotNumeric: word 1 duration value {value!r} is not a number"
+        ]
+
+    def test_non_ascii_word_index_is_unparseable(self):
+        result = parse_response(VALID.replace("WORD 0 Turn", "WORD \u0660 Turn"), THREE_WORDS)
+        assert not result.ok
+        assert kinds(result)[0] is DiagnosticKind.UNPARSEABLE_LINE
+        assert result.diagnostics[0].line_number == 3
+
+
 WORD_LISTS = st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=8).map(
     lambda tokens: tokenize_words(" ".join(tokens))
 )
