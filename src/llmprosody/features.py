@@ -192,7 +192,7 @@ def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence
         if not ph.duration_s > 0:
             raise DataError(f"{where(k)}: phone {ph.label!r} duration must be > 0, got {ph.duration_s}")
         if ph.word_index is not None:
-            if ph.word_index >= n_words:
+            if not 0 <= ph.word_index < n_words:
                 raise DataError(f"{where(k)}: word index {ph.word_index} out of range (W={n_words})")
             if ph.word_index < previous:
                 raise DataError(
@@ -323,8 +323,6 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
                 raise DataError(
                     f"line {line_number}: word index {word_index_s!r} is not an integer"
                 ) from None
-            if word_index < 0:
-                raise DataError(f"line {line_number}: word index must be >= 0")
         duration = parse_finite(duration_s, "duration", line_number)
         energy = parse_finite(energy_s, "energy", line_number)
         if f0_s == _ABSENT:

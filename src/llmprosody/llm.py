@@ -22,7 +22,9 @@ from typing import Callable, Sequence
 from .config import BackendConfig, RepairPolicy
 from .errors import BackendError, DataError, LlmOutputError
 from .features import SpeakerStats, UtteranceFeatures, Word, tokenize_words
-from .mapping import LlmScaleSuggestion, MappingConfig, ModificationPlan, WordSuggestion, build_plan
+from .mapping import (
+    LlmScaleSuggestion, MappingConfig, ModificationPlan, WordSuggestion, build_plan, compute_pitch_bounds,
+)
 from .prompting import PromptSpec, build_prompt, prompt_target_words
 from .response import ParseDiagnostic, parse_response, serialize_suggestion
 
@@ -284,13 +286,12 @@ def mock_complete(prompt: str, seed: int) -> str:
         global_energy=float(rng.randint(-5, 5)),
         words=tuple(
             WordSuggestion(
-                index=i,
                 key=word.key,
                 local_duration=float(rng.randint(0, 5)),
                 local_pitch=float(rng.randint(0, 5)),
                 local_energy=float(rng.randint(0, 5)),
             )
-            for i, word in enumerate(words)
+            for word in words
         ),
     )
     reasoning = (
@@ -357,11 +358,13 @@ def plan_utterance(
     """The plan for one utterance: :func:`suggest_with_repair`, then :func:`build_plan`.
 
     The target text must have the utterance's words (case and edge
-    punctuation aside); that is checked before the backend is called.
-    Returns the plan and the attempt transcript.
+    punctuation aside), and the utterance must have pitch bounds
+    (normalized features, a voiced phone); both are checked before the
+    backend is called.  Returns the plan and the attempt transcript.
     """
     if tuple(w.key for w in tokenize_words(spec.target_text)) != tuple(w.key for w in utterance.words):
         raise DataError(f"target text words do not match utterance {utterance.id!r}'s words")
+    compute_pitch_bounds(utterance, stats)  # build_plan needs them: refuse now, not after a paid completion
     suggestion, attempts = suggest_with_repair(spec, backend, policy)
     return build_plan(suggestion, utterance, stats, mapping_config), attempts
 

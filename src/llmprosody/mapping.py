@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DataError
-from .features import SpeakerStats, UtteranceFeatures, denorm_f0, parse_finite
+from .features import SpeakerStats, UtteranceFeatures, Word, denorm_f0, parse_finite
 
 GLOBAL_SCALE = (-5.0, 5.0)
 LOCAL_SCALE = (0.0, 5.0)
@@ -22,9 +22,8 @@ LOCAL_SCALE = (0.0, 5.0)
 
 @dataclass(frozen=True, slots=True)
 class WordSuggestion:
-    """The model's raw local values for one word, on the [0, 5] scale."""
+    """The model's raw local values for one word, on the [0, 5] scale; its position is its word number."""
 
-    index: int
     key: str
     local_duration: float
     local_pitch: float
@@ -80,9 +79,8 @@ class MappingConfig:
 
 @dataclass(frozen=True, slots=True)
 class WordCoefficients:
-    """Final per-word coefficients: duration/energy scales and pitch shift."""
+    """One word's duration/energy scales and pitch shift; its position in the plan is its word number."""
 
-    index: int
     surface: str
     delta: float
     pi_hz: float
@@ -176,6 +174,17 @@ def clamp_to_scale(value: float, scale: tuple[float, float], what: str) -> float
     return min(max(value, low), high)
 
 
+def check_suggestion_words(suggestion: LlmScaleSuggestion, words: tuple[Word, ...]) -> None:
+    """Raise :class:`DataError` unless ``suggestion`` has one entry per word of ``words``, with its key."""
+    if not words:
+        raise DataError("a suggestion requires at least one word")
+    if len(suggestion.words) != len(words):
+        raise DataError(f"suggestion has {len(suggestion.words)} words, target text has {len(words)}")
+    for position, (entry, word) in enumerate(zip(suggestion.words, words)):
+        if entry.key != word.key:
+            raise DataError(f"word {position}: suggestion says {entry.key!r}, target text says {word.key!r}")
+
+
 def build_plan(
     suggestion: LlmScaleSuggestion,
     utterance: UtteranceFeatures,
@@ -186,16 +195,11 @@ def build_plan(
 
     Suggestion values outside the nominal scales are clamped first and the
     clamping is recorded in ``plan.clamp_notes``; a non-finite value raises
-    :class:`DataError`.  The result is checked with :func:`validate_plan`.
+    :class:`DataError`.  The suggestion must fit the utterance's words
+    (:func:`check_suggestion_words`).  The result is checked with
+    :func:`validate_plan`.
     """
-    words = utterance.words
-    if len(suggestion.words) != len(words):
-        raise DataError(f"suggestion has {len(suggestion.words)} words, target text has {len(words)}")
-    for position, (entry, word) in enumerate(zip(suggestion.words, words)):
-        if entry.index != position:
-            raise DataError(f"suggestion word at position {position} carries index {entry.index}")
-        if entry.key != word.key:
-            raise DataError(f"word {position}: suggestion says {entry.key!r}, target text says {word.key!r}")
+    check_suggestion_words(suggestion, utterance.words)
     notes: list[str] = []
 
     def clamp(value: float, scale: tuple[float, float], name: str, index: int | None = None) -> float:
@@ -213,22 +217,19 @@ def build_plan(
     bounds = compute_pitch_bounds(utterance, stats)
     word_coeffs = []
     g_pitch_hz = 0.0
-    for entry, word in zip(suggestion.words, words):
-        ld = clamp(entry.local_duration, LOCAL_SCALE, "duration", entry.index)
-        lp = clamp(entry.local_pitch, LOCAL_SCALE, "pitch", entry.index)
-        le = clamp(entry.local_energy, LOCAL_SCALE, "energy", entry.index)
+    for i, (entry, word) in enumerate(zip(suggestion.words, utterance.words)):
+        ld = clamp(entry.local_duration, LOCAL_SCALE, "duration", i)
+        lp = clamp(entry.local_pitch, LOCAL_SCALE, "pitch", i)
+        le = clamp(entry.local_energy, LOCAL_SCALE, "energy", i)
         g_pitch_hz, pi_hz = map_pitch(v_pitch, lp, bounds, config)
         word_coeffs.append(
             WordCoefficients(
-                index=entry.index,
                 surface=word.surface,
                 delta=map_local_scale(ld),
                 pi_hz=pi_hz,
                 epsilon=map_local_scale(le),
             )
         )
-    if not word_coeffs:
-        raise DataError("a plan requires at least one word")
     plan = ModificationPlan(
         g_dur=map_global_scale(v_dur),
         g_pitch_hz=g_pitch_hz,
@@ -244,9 +245,9 @@ def build_plan(
 def serialize_plan(plan: ModificationPlan) -> str:
     """Render a plan document; floats keep full precision for exact round trips."""
     lines = [f"GLOBAL\t{plan.g_dur!r}\t{plan.g_pitch_hz!r}\t{plan.g_energy!r}"]
-    for word in plan.words:
+    for i, word in enumerate(plan.words):
         lines.append(
-            f"WORD\t{word.index}\t{word.surface}\t{word.delta!r}\t{word.pi_hz!r}\t{word.epsilon!r}"
+            f"WORD\t{i}\t{word.surface}\t{word.delta!r}\t{word.pi_hz!r}\t{word.epsilon!r}"
         )
     lines.append(f"BOUNDS\t{plan.bounds.p_min_hz!r}\t{plan.bounds.p_max_hz!r}")
     return "\n".join(lines) + "\n"
@@ -285,7 +286,6 @@ def parse_plan(document: str) -> ModificationPlan:
                 )
             words.append(
                 WordCoefficients(
-                    index=index,
                     surface=fields[2],
                     delta=parse_finite(fields[3], "delta", line_number),
                     pi_hz=parse_finite(fields[4], "pi_hz", line_number),
@@ -326,16 +326,16 @@ def validate_plan(plan: ModificationPlan) -> None:
         raise DataError(f"g_dur {plan.g_dur} outside [0.5, 2]")
     if not 0.5 <= plan.g_energy <= 2.0:
         raise DataError(f"g_energy {plan.g_energy} outside [0.5, 2]")
-    for word in plan.words:
+    for i, word in enumerate(plan.words):
         if not 1.0 <= word.delta <= 2.0:
-            raise DataError(f"word {word.index}: delta {word.delta} outside [1, 2]")
+            raise DataError(f"word {i}: delta {word.delta} outside [1, 2]")
         if not 1.0 <= word.epsilon <= 2.0:
-            raise DataError(f"word {word.index}: epsilon {word.epsilon} outside [1, 2]")
+            raise DataError(f"word {i}: epsilon {word.epsilon} outside [1, 2]")
         if word.pi_hz < 0:
-            raise DataError(f"word {word.index}: pi_hz {word.pi_hz} must be >= 0")
+            raise DataError(f"word {i}: pi_hz {word.pi_hz} must be >= 0")
         shift = plan.g_pitch_hz + word.pi_hz
         if not plan.bounds.p_min_hz <= shift <= plan.bounds.p_max_hz:
             raise DataError(
-                f"word {word.index}: pitch shift {shift} outside "
+                f"word {i}: pitch shift {shift} outside "
                 f"[{plan.bounds.p_min_hz}, {plan.bounds.p_max_hz}]"
             )

@@ -28,9 +28,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DataError
 from .features import Word, match_key
-from .mapping import GLOBAL_SCALE, LOCAL_SCALE, LlmScaleSuggestion, WordSuggestion, clamp_to_scale
+from .mapping import (
+    GLOBAL_SCALE, LOCAL_SCALE, LlmScaleSuggestion, WordSuggestion, check_suggestion_words, clamp_to_scale,
+)
 
 
 class DiagnosticKind(Enum):
@@ -114,19 +115,18 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 # float() also reads digit-group underscores and non-ASCII digits, which are not in the grammar
                 value = float(raw) if raw.isascii() and "_" not in raw else math.nan
             except ValueError:
-                value = math.nan  # refused by clamp_to_scale below, like nan and inf
+                value = math.nan  # refused below, like nan and inf
             if low <= value <= high:  # the common case: nothing to report, so no label to build
                 values.append(value)
                 continue
             label = f"GLOBAL {name}" if index is None else f"word {index} {name}"
-            try:
-                clamped = clamp_to_scale(value, scale, label)
-            except DataError:
+            if not math.isfinite(value):
                 report(DiagnosticKind.VALUE_NOT_NUMERIC, line_number, f"{label} value {raw!r} is not a number")
-                clamped = None
-            else:
-                detail = f"{label} value {value!r} outside [{low:g}, {high:g}]; clamped to {clamped:g}"
-                report(DiagnosticKind.VALUE_OUT_OF_RANGE, line_number, detail)
+                values.append(None)
+                continue
+            clamped = clamp_to_scale(value, scale, label)
+            detail = f"{label} value {value!r} outside [{low:g}, {high:g}]; clamped to {clamped:g}"
+            report(DiagnosticKind.VALUE_OUT_OF_RANGE, line_number, detail)
             values.append(clamped)
         return tuple(values)
 
@@ -191,7 +191,7 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 report(DiagnosticKind.WORD_IDENTITY_MISMATCH, line_number, detail)
             values = read_values(word_m, LOCAL_SCALE, line_number, index)
             if None not in values:
-                entries[index] = WordSuggestion(index, expected.key, *values)
+                entries[index] = WordSuggestion(expected.key, *values)
         expected_next = max(expected_next, index + 1)
 
     if not in_words:  # neither a GLOBAL line nor a WORD line standing in for one
@@ -222,15 +222,9 @@ def serialize_suggestion(
     """Render a suggestion in the canonical grammar (inverse of parse).
 
     ``surface_words`` supplies the echoed word forms and must align with the
-    suggestion's keys.
+    suggestion's keys (:func:`~llmprosody.mapping.check_suggestion_words`).
     """
-    if not surface_words:
-        raise DataError("a suggestion requires at least one word")
-    if len(surface_words) != len(suggestion.words):
-        raise DataError(f"suggestion has {len(suggestion.words)} words, word list has {len(surface_words)}")
-    for entry, word in zip(suggestion.words, surface_words):
-        if entry.key != word.key:
-            raise DataError(f"word {entry.index}: suggestion key {entry.key!r} != word key {word.key!r}")
+    check_suggestion_words(suggestion, surface_words)
     lines = [f"REASONING: {reasoning}" if reasoning else "REASONING:"]
     lines.append(
         "GLOBAL: "
@@ -238,9 +232,9 @@ def serialize_suggestion(
         f"pitch={_value_text(suggestion.global_pitch)} "
         f"energy={_value_text(suggestion.global_energy)}"
     )
-    for entry, word in zip(suggestion.words, surface_words):
+    for i, (entry, word) in enumerate(zip(suggestion.words, surface_words)):
         lines.append(
-            f"WORD {entry.index} {word.surface}: "
+            f"WORD {i} {word.surface}: "
             f"duration={_value_text(entry.local_duration)} "
             f"pitch={_value_text(entry.local_pitch)} "
             f"energy={_value_text(entry.local_energy)}"

@@ -170,13 +170,12 @@ def random_suggestion(
         global_energy=gval(),
         words=tuple(
             WordSuggestion(
-                index=i,
                 key=word.key,
                 local_duration=lval(),
                 local_pitch=lval(),
                 local_energy=lval(),
             )
-            for i, word in enumerate(utterance.words)
+            for word in utterance.words
         ),
     )
 
@@ -187,8 +186,8 @@ def identity_suggestion(utterance: UtteranceFeatures) -> LlmScaleSuggestion:
         global_pitch=0.0,
         global_energy=0.0,
         words=tuple(
-            WordSuggestion(i, word.key, 0.0, 0.0, 0.0)
-            for i, word in enumerate(utterance.words)
+            WordSuggestion(word.key, 0.0, 0.0, 0.0)
+            for word in utterance.words
         ),
     )
 

@@ -117,9 +117,9 @@ def naive_response_lines(suggestion, words, reasoning):
         f"pitch={naive_value_text(suggestion.global_pitch)} "
         f"energy={naive_value_text(suggestion.global_energy)}"
     )
-    for entry, word in zip(suggestion.words, words):
+    for i, (entry, word) in enumerate(zip(suggestion.words, words)):
         lines.append(
-            f"WORD {entry.index} {word.surface}: "
+            f"WORD {i} {word.surface}: "
             f"duration={naive_value_text(entry.local_duration)} "
             f"pitch={naive_value_text(entry.local_pitch)} "
             f"energy={naive_value_text(entry.local_energy)}"

@@ -169,7 +169,7 @@ class TestParseFeatures:
             pytest.param(WELL_FORMED.replace("AH\t0\t0.060000", "AH\tone\t0.060000"),
                          "line 4: word index 'one' is not an integer", id="word-index-not-integer"),
             pytest.param(WELL_FORMED.replace("AH\t0\t0.060000", "AH\t-1\t0.060000"),
-                         "line 4: word index must be >= 0", id="word-index-negative"),
+                         "utterance u1 line 4: word index -1 out of range (W=2)", id="word-index-negative"),
             pytest.param(WELL_FORMED + "#utterance\tu3\tspk1\tnorm\tSilence\n", "utterance u3: has no phones",
                          id="no-phones"),
             pytest.param("", "line 1: empty document (missing feature-file header)", id="empty"),
@@ -497,6 +497,24 @@ class TestFormatProperties:
         again = parse_features(canonical)
         assert serialize_features(again) == canonical
         assert again == parse_features(serialize_features(again))
+
+    @PROPERTIES
+    @given(seed=st.integers(0, 2**32 - 1), index=st.just(-1) | st.integers(max_value=-1))
+    def test_negative_word_index_is_refused_by_the_validator(self, seed, index):
+        rng = random.Random(seed)
+        utterance = random_utterance(rng, random_stats(rng))
+        k = rng.choice([k for k, ph in enumerate(utterance.phones) if ph.word_index is not None])
+        phones = list(utterance.phones)
+        phones[k] = replace(phones[k], word_index=index)
+        message = f"word index {index} out of range (W={len(utterance.words)})"
+        with pytest.raises(DataError) as caught:
+            make_utterance(utterance.id, utterance.speaker_id, utterance.text, phones, normalized=True)
+        assert str(caught.value) == f"utterance u1: {message}"
+        # the writer writes such a phone; the reader refuses it with the same message, naming its line
+        document = serialize_features([replace(utterance, phones=tuple(phones))])
+        with pytest.raises(DataError) as caught:
+            parse_features(document)
+        assert str(caught.value) == f"utterance u1 line {k + 3}: {message}"
 
 
 # numpy with its AVX-512 code paths off, where its exp equals math.exp.  numpy 2.4 names the

@@ -2,22 +2,25 @@ import base64
 import http.client
 import json
 import logging
+import math
+import random
 import re
 import socket
 import ssl
 import sys
 import threading
 import urllib.request
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import PROPERTIES
+from conftest import PROPERTIES, random_stats, random_utterance
 from llmprosody import llm, prompting
 from llmprosody.errors import BackendError, DataError
-from llmprosody.features import parse_features, parse_speaker_stats, tokenize_words
+from llmprosody.features import make_utterance, parse_features, parse_speaker_stats, tokenize_words
 from llmprosody.llm import (
     BackendConfig,
     HttpBackend,
@@ -32,10 +35,16 @@ from llmprosody.llm import (
     suggest_batch,
     suggest_with_repair,
 )
+from llmprosody.mapping import (
+    GLOBAL_SCALE, LOCAL_SCALE, LlmScaleSuggestion, WordSuggestion, build_plan, parse_plan, serialize_plan,
+    validate_plan,
+)
+from llmprosody.modifier import apply_to_utterance
 from llmprosody.prompting import Mode, PromptSpec, build_prompt
 from llmprosody.response import parse_response
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DATA_DIR = Path(__file__).parent / "data"
 
 SPEC = PromptSpec(mode=Mode.NEUTRAL, target_text="Turn left at the second light.")
 SPEC_WORDS = tokenize_words(SPEC.target_text)
@@ -225,6 +234,123 @@ class TestPlanUtterance:
             plan_utterance(PromptSpec(mode=Mode.NEUTRAL, target_text=text), utterance, stats, backend)
         assert str(err.value) == "target text words do not match utterance 'u1''s words"
         assert backend.prompts == []
+
+    @pytest.mark.parametrize("case", ["raw", "unvoiced"])
+    def test_utterance_without_pitch_bounds_is_refused_before_the_backend_is_called(self, case):
+        stats = parse_speaker_stats((DATA_DIR / "stats.tsv").read_text(encoding="utf-8"))
+        if case == "raw":
+            utterance = parse_features((DATA_DIR / "raw_corpus.tsv").read_text(encoding="utf-8"))[0]
+            message = f"utterance {utterance.id}: pitch bounds require normalized features"
+        else:
+            (voiced,) = parse_features((DATA_DIR / "norm_utterance.tsv").read_text(encoding="utf-8"))
+            phones = [replace(ph, f0=None, voiced=False) for ph in voiced.phones]
+            utterance = make_utterance("u1", "spk1", voiced.text, phones, normalized=True)
+            message = "utterance u1 has no voiced phones"
+        spec = PromptSpec(mode=Mode.NEUTRAL, target_text=utterance.text)
+        backend = ScriptedBackend([mock_complete(build_prompt(spec), seed=0)])
+        with pytest.raises(DataError) as err:
+            plan_utterance(spec, utterance, stats, backend)
+        assert str(err.value) == message
+        assert backend.prompts == []
+
+
+# changes to a valid answer: the number forms the grammar refuses (digit-group underscores, full-width and
+# Arabic-Indic digits, an overflow to inf, nan), one it reads (-0), and changes of layout
+REFUSED_VALUES = ("1_0", "\uff11", "\u0663", "1e309", "nan", "-inf")
+READ_AS_WRITTEN = ("none", "crlf", "tabs", "-0")
+MUTATIONS = REFUSED_VALUES + READ_AS_WRITTEN + ("reorder", "duplicate")
+
+
+def mutate(answer: str, kind: str, pick: int) -> str:
+    """``answer`` changed by ``kind``; ``pick`` chooses the value or WORD line changed."""
+    if kind == "none":
+        return answer
+    if kind == "crlf":
+        return answer.replace("\n", "\r\n")
+    if kind == "tabs":
+        return answer.replace(" ", "\t")
+    lines = answer.split("\n")
+    rows = [k for k, line in enumerate(lines) if line.startswith("WORD ")]
+    a, b = rows[pick % len(rows)], rows[(pick + 1) % len(rows)]  # two rows: the texts have at least two words
+    if kind == "reorder":
+        lines[a], lines[b] = lines[b], lines[a]
+        return "\n".join(lines)
+    if kind == "duplicate":
+        lines.insert(a, lines[a])
+        return "\n".join(lines)
+    slots = list(re.finditer(r"=(\S+)", answer))
+    slot = slots[pick % len(slots)]
+    return answer[:slot.start(1)] + kind + answer[slot.end(1):]
+
+
+class AdversarialBackend:
+    """The mock's valid answers, each changed by the next ``(kind, pick)`` of ``mutations``."""
+
+    def __init__(self, mutations, seed: int):
+        self.mutations = list(mutations)
+        self.seed = seed
+
+    def __call__(self, prompt: str) -> str:
+        kind, pick = self.mutations.pop(0)
+        return mutate(mock_complete(prompt, self.seed), kind, pick)
+
+
+_ASCII_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?")
+
+
+def written_suggestion(answer: str, words) -> LlmScaleSuggestion:
+    """The suggestion an accepted answer writes, read as finite ASCII decimals clamped to their scales."""
+
+    def value(text: str, scale: tuple[float, float]) -> float:
+        assert _ASCII_DECIMAL.fullmatch(text) and math.isfinite(float(text)), text
+        return min(max(float(text), scale[0]), scale[1])
+
+    rows = [
+        re.findall(r"(?:duration|pitch|energy)=(\S+)", line)
+        for line in answer.splitlines()
+        if re.match(r"\s*(?:GLOBAL|WORD)\b", line)
+    ]
+    assert len(rows) == 1 + len(words)
+    return LlmScaleSuggestion(
+        *(value(text, GLOBAL_SCALE) for text in rows[0]),
+        words=tuple(
+            WordSuggestion(word.key, *(value(text, LOCAL_SCALE) for text in row))
+            for word, row in zip(words, rows[1:])
+        ),
+    )
+
+
+class TestAdversarialBackend:
+    """Every answer ends in a checked plan or in RepairExhausted, through the whole chain."""
+
+    @PROPERTIES
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mutations=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 63)), min_size=3, max_size=3),
+    )
+    def test_plan_or_repair_exhausted(self, seed, mutations):
+        rng = random.Random(seed)
+        stats = random_stats(rng)
+        utterance = random_utterance(rng, stats)
+        spec = PromptSpec(mode=Mode.NEUTRAL, target_text=utterance.text)
+        accepted = [k for k, (kind, _) in enumerate(mutations) if kind in READ_AS_WRITTEN]
+        backend = AdversarialBackend(mutations, seed)
+        try:
+            plan, attempts = plan_utterance(spec, utterance, stats, backend, RepairPolicy(max_attempts=3))
+        except RepairExhausted as exc:
+            assert accepted == [] and len(exc.attempts) == 3
+            return
+        assert len(attempts) == accepted[0] + 1
+        document = serialize_plan(plan)
+        parsed = parse_plan(document)
+        assert serialize_plan(parsed) == document
+        numbers = [plan.g_dur, plan.g_pitch_hz, plan.g_energy, plan.bounds.p_min_hz, plan.bounds.p_max_hz]
+        numbers += [v for w in plan.words for v in (w.delta, w.pi_hz, w.epsilon)]
+        assert all(math.isfinite(v) for v in numbers)
+        validate_plan(parsed)
+        written = written_suggestion(attempts[-1].response, utterance.words)
+        assert serialize_plan(build_plan(written, utterance, stats)) == document
+        apply_to_utterance(utterance, stats, parsed)
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):

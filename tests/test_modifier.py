@@ -52,8 +52,8 @@ def identity_plan(utterance, stats):
 
 def manual_plan(utterance, g_dur=1.0, g_pitch=0.0, g_energy=1.0, delta=1.0, pi=0.0, epsilon=1.0):
     words = tuple(
-        WordCoefficients(index=i, surface=w.surface, delta=delta, pi_hz=pi, epsilon=epsilon)
-        for i, w in enumerate(utterance.words)
+        WordCoefficients(surface=w.surface, delta=delta, pi_hz=pi, epsilon=epsilon)
+        for w in utterance.words
     )
     bound = abs(g_pitch) + abs(pi) + 1.0
     return ModificationPlan(
@@ -389,8 +389,8 @@ def chain_inputs(draw):
     suggestion = LlmScaleSuggestion(
         *(draw(SUGGESTED) for _ in range(3)),
         words=tuple(
-            WordSuggestion(i, word.key, *(draw(SUGGESTED) for _ in range(3)))
-            for i, word in enumerate(words)
+            WordSuggestion(word.key, *(draw(SUGGESTED) for _ in range(3)))
+            for word in words
         ),
     )
     return stats, utterance, suggestion

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from llmprosody.errors import DataError
 from llmprosody.features import tokenize_words
-from llmprosody.mapping import LlmScaleSuggestion, WordSuggestion
+from llmprosody.mapping import LlmScaleSuggestion, WordSuggestion, check_suggestion_words
 from llmprosody.response import (
     DiagnosticKind,
     parse_response,
@@ -265,8 +265,8 @@ class TestParseProperties:
         suggestion = LlmScaleSuggestion(
             data.draw(g), data.draw(g), data.draw(g),
             words=tuple(
-                WordSuggestion(i, w.key, data.draw(lo), data.draw(lo), data.draw(lo))
-                for i, w in enumerate(words)
+                WordSuggestion(w.key, data.draw(lo), data.draw(lo), data.draw(lo))
+                for w in words
             ),
         )
         reasoning = data.draw(ONE_LINE)
@@ -274,6 +274,22 @@ class TestParseProperties:
         assert result.ok and result.diagnostics == ()
         assert result.suggestion == suggestion
         assert result.reasoning == reasoning
+
+    @PROPERTIES
+    @given(text=st.text(), data=st.data())
+    def test_every_aligned_suggestion_round_trips(self, text, data):
+        # surfaces are whatever the tokenizer gives; a word's number in the answer is its position
+        words = tokenize_words(text)
+        assume(words)
+        g, lo = st.floats(-5.0, 5.0), st.floats(0.0, 5.0)
+        suggestion = LlmScaleSuggestion(
+            data.draw(g), data.draw(g), data.draw(g),
+            words=tuple(WordSuggestion(w.key, data.draw(lo), data.draw(lo), data.draw(lo)) for w in words),
+        )
+        check_suggestion_words(suggestion, words)
+        result = parse_response(serialize_suggestion(suggestion, words), words)
+        assert result.fatal_diagnostics == ()
+        assert result.suggestion == suggestion
 
 
 # values that are numbers in range, out of range, non-finite or not numbers at all
@@ -313,7 +329,7 @@ def plain(result):
     s = result.suggestion
     suggestion = None if s is None else (
         s.global_duration, s.global_pitch, s.global_energy,
-        tuple((w.index, w.key, w.local_duration, w.local_pitch, w.local_energy) for w in s.words),
+        tuple((i, w.key, w.local_duration, w.local_pitch, w.local_energy) for i, w in enumerate(s.words)),
     )
     diagnostics = tuple((d.kind.value, d.line_number, d.detail) for d in result.diagnostics)
     return suggestion, result.reasoning, diagnostics
@@ -340,7 +356,7 @@ class TestSerializeSuggestion:
         words = tokenize_words("a b")
         suggestion = LlmScaleSuggestion(
             0.0, 0.0, 0.0,
-            words=(WordSuggestion(0, "a", 0.0, 0.0, 0.0), WordSuggestion(1, "b", 0.0, 0.0, 0.0)),
+            words=(WordSuggestion("a", 0.0, 0.0, 0.0), WordSuggestion("b", 0.0, 0.0, 0.0)),
         )
         text = serialize_suggestion(suggestion, words)
         assert text == (
@@ -369,15 +385,15 @@ class TestSerializeSuggestion:
         words = tokenize_words("a b")
         suggestion = LlmScaleSuggestion(
             0.0, 0.0, 0.0,
-            words=(WordSuggestion(0, "a", 0.0, 0.0, 0.0), WordSuggestion(1, "c", 0.0, 0.0, 0.0)),
+            words=(WordSuggestion("a", 0.0, 0.0, 0.0), WordSuggestion("c", 0.0, 0.0, 0.0)),
         )
-        with pytest.raises(DataError, match="word 1: suggestion key 'c' != word key 'b'"):
+        with pytest.raises(DataError, match="word 1: suggestion says 'c', target text says 'b'"):
             serialize_suggestion(suggestion, words)
 
     def test_reasoning_embedded(self):
         words = tokenize_words("a")
         suggestion = LlmScaleSuggestion(
-            0.0, 0.0, 0.0, words=(WordSuggestion(0, "a", 0.0, 0.0, 0.0),)
+            0.0, 0.0, 0.0, words=(WordSuggestion("a", 0.0, 0.0, 0.0),)
         )
         text = serialize_suggestion(suggestion, words, reasoning="why not")
         assert text.startswith("REASONING: why not\n")
