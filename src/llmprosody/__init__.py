@@ -56,7 +56,6 @@ _HOMES = {
     "parse_plan": "mapping",
     "serialize_plan": "mapping",
     "apply_plan": "modifier",
-    "apply_to_utterance": "modifier",
     "Exemplar": "prompting",
     "Mode": "prompting",
     "PromptSpec": "prompting",

@@ -260,7 +260,7 @@ def apply_cmd(features_path, stats_path, plan_path, utterance_id, output) -> Non
 
     utterance, stats_obj = _load_utterance(features_path, utterance_id, stats_path)
     plan = mapping.parse_plan(Path(plan_path).read_text(encoding="utf-8"))
-    modified = modifier.apply_to_utterance(utterance, stats_obj, plan)
+    modified = modifier.apply_plan(utterance, stats_obj, plan)
     _write_output(features.serialize_features([modified]), output)
 
 

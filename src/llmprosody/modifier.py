@@ -5,7 +5,8 @@ log values, so modification goes de-normalize -> adjust in linear units ->
 re-normalize.  Unvoiced phones keep their F0/energy untouched and pause
 phones are never modified at all; pitch results are clamped into the
 speaker's natural F0 range.  A value the plan leaves where it was keeps its
-stored bits, so a zero plan returns an in-range utterance unchanged.
+stored bits, so a zero plan returns an in-range utterance unchanged.  A plan
+is only applied to the utterance and stats it was built for.
 """
 
 from __future__ import annotations
@@ -29,27 +30,36 @@ def apply_plan(
     ``g_energy * epsilon_j`` and linear F0 shifted by ``g_pitch_hz + pi_hz_j``
     then clamped into the speaker range.  An F0 whose shifted, clamped Hz
     equals its starting Hz, and an energy scaled by exactly 1, keep their
-    stored values.  Structure, labels, and flags are preserved exactly.  A
-    plan built for other words is refused; its ``BOUNDS`` are not checked
-    (:func:`apply_to_utterance` checks them).
+    stored values.  Structure, labels, and flags are preserved exactly.
+
+    A plan built for other words is refused, then one whose ``BOUNDS`` are
+    not :func:`~llmprosody.mapping.compute_pitch_bounds` of ``utterance`` and
+    ``stats`` (which refuses raw features), then a phone whose word index is
+    not a word of the plan.
     """
-    if not utterance.normalized:
-        raise DataError(f"utterance {utterance.id}: apply_plan requires normalized features")
     plan_words = [w.surface for w in plan.words]
     utterance_words = [w.surface for w in utterance.words]
     if plan_words != utterance_words:
         raise DataError(f"plan is for words {plan_words} but utterance {utterance.id} has {utterance_words}")
+    bounds = compute_pitch_bounds(utterance, stats)
+    if plan.bounds != bounds:
+        raise DataError(f"plan BOUNDS do not match utterance {utterance.id!r} with these stats: {bounds}")
     g_dur, g_pitch_hz = plan.g_dur, plan.g_pitch_hz
     f0_min_hz, f0_max_hz = stats.f0_min_hz, stats.f0_max_hz
     # per word: (delta, pi_hz, energy scale); a phone outside every word gets the neutral word values
     per_word = [(w.delta, w.pi_hz, plan.g_energy * w.epsilon) for w in plan.words]
+    n_words = len(per_word)
     no_word = (1.0, 0.0, plan.g_energy)
     new_phones = []
-    for ph in utterance.phones:
+    for k, ph in enumerate(utterance.phones):
         if ph.pause:
             new_phones.append(ph)
             continue
-        delta, pi_hz, scale = no_word if ph.word_index is None else per_word[ph.word_index]
+        j = ph.word_index
+        if j is not None and not 0 <= j < n_words:  # an utterance that skipped make_utterance
+            where = f"utterance {utterance.id} phone {k} {ph.label!r}"
+            raise DataError(f"{where}: word index {j} out of range (W={n_words})")
+        delta, pi_hz, scale = no_word if j is None else per_word[j]
         duration = ph.duration_s * g_dur * delta
         f0 = ph.f0
         energy = ph.energy
@@ -63,19 +73,3 @@ def apply_plan(
                 energy = renorm_energy(linear * scale, stats)
         new_phones.append(PhoneFeature(ph.label, ph.word_index, duration, f0, energy, ph.voiced, ph.pause))
     return replace(utterance, phones=tuple(new_phones))
-
-
-def apply_to_utterance(
-    utterance: UtteranceFeatures, stats: SpeakerStats, plan: ModificationPlan
-) -> UtteranceFeatures:
-    """:func:`apply_plan`, refusing a plan built for other features or other stats.
-
-    Such a plan carries ``BOUNDS`` other than the ones computed from
-    ``utterance`` and ``stats``.  The words are checked first, by
-    :func:`apply_plan`.
-    """
-    modified = apply_plan(utterance, stats, plan)
-    bounds = compute_pitch_bounds(utterance, stats)
-    if plan.bounds != bounds:
-        raise DataError(f"plan BOUNDS do not match utterance {utterance.id!r} with these stats: {bounds}")
-    return modified

@@ -39,7 +39,7 @@ from llmprosody.mapping import (
     GLOBAL_SCALE, LOCAL_SCALE, LlmScaleSuggestion, WordSuggestion, build_plan, parse_plan, serialize_plan,
     validate_plan,
 )
-from llmprosody.modifier import apply_to_utterance
+from llmprosody.modifier import apply_plan
 from llmprosody.prompting import Mode, PromptSpec, build_prompt
 from llmprosody.response import parse_response
 
@@ -350,7 +350,7 @@ class TestAdversarialBackend:
         validate_plan(parsed)
         written = written_suggestion(attempts[-1].response, utterance.words)
         assert serialize_plan(build_plan(written, utterance, stats)) == document
-        apply_to_utterance(utterance, stats, parsed)
+        apply_plan(utterance, stats, parsed)
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):

@@ -4,7 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from llmprosody.errors import DataError
 from llmprosody.features import (
@@ -24,14 +24,14 @@ from llmprosody.mapping import (
     LlmScaleSuggestion,
     MappingConfig,
     ModificationPlan,
-    PitchBounds,
     WordCoefficients,
     WordSuggestion,
     build_plan,
+    compute_pitch_bounds,
     parse_plan,
     serialize_plan,
 )
-from llmprosody.modifier import apply_plan, apply_to_utterance
+from llmprosody.modifier import apply_plan
 from llmprosody.prompting import Mode, PromptSpec
 
 from conftest import (
@@ -50,18 +50,18 @@ def identity_plan(utterance, stats):
     return build_plan(identity_suggestion(utterance), utterance, stats)
 
 
-def manual_plan(utterance, g_dur=1.0, g_pitch=0.0, g_energy=1.0, delta=1.0, pi=0.0, epsilon=1.0):
+def manual_plan(utterance, stats, g_dur=1.0, g_pitch=0.0, g_energy=1.0, delta=1.0, pi=0.0, epsilon=1.0):
+    """Hand-set coefficients, with the BOUNDS apply_plan checks: those of ``utterance`` and ``stats``."""
     words = tuple(
         WordCoefficients(surface=w.surface, delta=delta, pi_hz=pi, epsilon=epsilon)
         for w in utterance.words
     )
-    bound = abs(g_pitch) + abs(pi) + 1.0
     return ModificationPlan(
         g_dur=g_dur,
         g_pitch_hz=g_pitch,
         g_energy=g_energy,
         words=words,
-        bounds=PitchBounds(-bound, bound),
+        bounds=compute_pitch_bounds(utterance, stats),
     )
 
 
@@ -118,7 +118,7 @@ class TestApplyPlanExamples:
         stats = make_stats()
         phones = [PhoneFeature("AA", 0, 0.10, 0.0, 0.5, True, False)]
         utterance = make_utterance("u1", "spk1", "hi", phones, normalized=True)
-        plan = manual_plan(utterance, g_dur=1.5, delta=1.2)
+        plan = manual_plan(utterance, stats, g_dur=1.5, delta=1.2)
         out = apply_plan(utterance, stats, plan)
         assert out.phones[0].duration_s == pytest.approx(0.18, abs=1e-12)
 
@@ -127,7 +127,7 @@ class TestApplyPlanExamples:
         f0_norm = (math.log(150.0) - stats.mu_logf0) / stats.sigma_logf0
         phones = [PhoneFeature("AA", 0, 0.10, f0_norm, 0.5, True, False)]
         utterance = make_utterance("u1", "spk1", "hi", phones, normalized=True)
-        plan = manual_plan(utterance, g_pitch=30.0, pi=10.0)
+        plan = manual_plan(utterance, stats, g_pitch=30.0, pi=10.0)
         out = apply_plan(utterance, stats, plan)
         assert denorm_f0(out.phones[0].f0, stats) == pytest.approx(190.0, abs=1e-9)
 
@@ -135,7 +135,7 @@ class TestApplyPlanExamples:
         stats = make_stats()
         phones = [PhoneFeature("AA", 0, 0.10, 0.0, 0.4, True, False)]
         utterance = make_utterance("u1", "spk1", "hi", phones, normalized=True)
-        plan = manual_plan(utterance, g_energy=1.5, epsilon=1.2)
+        plan = manual_plan(utterance, stats, g_energy=1.5, epsilon=1.2)
         out = apply_plan(utterance, stats, plan)
         expected = denorm_energy(0.4, stats) * 1.8
         assert denorm_energy(out.phones[0].energy, stats) == pytest.approx(expected, rel=1e-12)
@@ -143,8 +143,9 @@ class TestApplyPlanExamples:
     def test_huge_energy_is_a_data_error(self):
         phones = [PhoneFeature("AA", 0, 0.10, 0.0, 1e6, True, False)]
         utterance = make_utterance("u1", "spk1", "hi", phones, normalized=True)
+        stats = make_stats()
         with pytest.raises(DataError, match="too large to de-normalize"):
-            apply_plan(utterance, make_stats(), manual_plan(utterance))
+            apply_plan(utterance, stats, manual_plan(utterance, stats))
 
     def test_energy_overflowing_when_scaled_is_a_data_error(self):
         # the energy case of test_cli::TestValuesBeyondFloatRange: 1416.392417
@@ -182,7 +183,7 @@ class TestApplyPlanExamples:
         utterance = random_utterance(rng, stats)
         raw = make_utterance("u1", "spk1", utterance.text, utterance.phones, normalized=False)
         plan = identity_plan(utterance, stats)
-        with pytest.raises(Exception):
+        with pytest.raises(DataError, match="^utterance u1: pitch bounds require normalized features$"):
             apply_plan(raw, stats, plan)
 
     def test_plan_shape_mismatch(self, rng):
@@ -219,23 +220,43 @@ def with_other_stats():
     return utterance, other_stats, parse_plan((tests / "golden" / "cli_plan_seed7.tsv").read_text(encoding="utf-8"))
 
 
+def with_word_index(index):
+    """The CLI tests' utterance with phone 0 in word ``index``, its stats and the golden seed-7 plan.
+
+    ``dataclasses.replace`` skips the checks of ``make_utterance``, as any caller building values may.
+    """
+    utterance, _, plan = with_other_stats()
+    stats = parse_speaker_stats((Path(__file__).parent / "data" / "stats.tsv").read_text(encoding="utf-8"))
+    phones = (replace(utterance.phones[0], word_index=index),) + utterance.phones[1:]
+    return replace(utterance, phones=phones), stats, plan
+
+
 class TestApplyToUtterance:
+    """apply_plan applies a plan only to the utterance and stats it was built for."""
+
     def test_plan_built_with_other_stats_is_refused(self):
         utterance, other_stats, plan = with_other_stats()
-        apply_plan(utterance, other_stats, plan)  # the unchecked transform takes it
         with pytest.raises(DataError, match="^plan BOUNDS do not match utterance 'u1' with these stats: "):
-            apply_to_utterance(utterance, other_stats, plan)
+            apply_plan(utterance, other_stats, plan)
 
     def test_words_are_checked_before_bounds(self):
         utterance, other_stats, plan = with_other_stats()
         other = replace(plan, words=(replace(plan.words[0], surface="Walk"),) + plan.words[1:])
         with pytest.raises(DataError, match="^plan is for words "):
-            apply_to_utterance(utterance, other_stats, other)
+            apply_plan(utterance, other_stats, other)
+
+    # as a list index, -1 is the last word (phone 0's 0.06 s would become 0.1152 s); 6 is one past it
+    @pytest.mark.parametrize("index", [-1, 6, 100])
+    def test_word_index_outside_the_plan_is_refused(self, index):
+        utterance, stats, plan = with_word_index(index)
+        message = f"^utterance u1 phone 0 'T': word index {index} out of range \\(W=6\\)$"
+        with pytest.raises(DataError, match=message):
+            apply_plan(utterance, stats, plan)
 
     @PROPERTIES
     @given(seed=st.integers(0, 2**32 - 1), cap=st.floats(0.0, 1.0))
     def test_same_bytes_as_build_plan_and_apply_plan(self, seed, cap):
-        """plan_utterance, the plan file, apply_to_utterance: the bytes of suggest, build_plan, apply_plan."""
+        """plan_utterance, the plan file, apply_plan: the bytes of suggest, build_plan, apply_plan."""
         rng = random.Random(seed)
         stats = random_stats(rng)
         utterance = random_utterance(rng, stats)
@@ -243,7 +264,7 @@ class TestApplyToUtterance:
         backend = MockBackend(seed=seed)
         config = MappingConfig(local_pitch_cap_fraction=cap)
         plan, _ = plan_utterance(spec, utterance, stats, backend, mapping_config=config)
-        got = serialize_features([apply_to_utterance(utterance, stats, parse_plan(serialize_plan(plan)))])
+        got = serialize_features([apply_plan(utterance, stats, parse_plan(serialize_plan(plan)))])
         suggestion, _ = suggest_with_repair(spec, backend)
         expected = serialize_features([apply_plan(utterance, stats, build_plan(suggestion, utterance, stats, config))])
         assert got == expected
@@ -326,7 +347,7 @@ class TestApplyPlanInvariants:
             g_pitch = rng.uniform(-8.0, 8.0)
             pi = rng.uniform(0.0, 5.0)
             shift = g_pitch + pi
-            plan = manual_plan(utterance, g_pitch=g_pitch, pi=pi)
+            plan = manual_plan(utterance, stats, g_pitch=g_pitch, pi=pi)
             out = apply_plan(utterance, stats, plan)
             before_hz = [denorm_f0(ph.f0, stats) for ph in utterance.phones if ph.voiced]
             after_hz = [denorm_f0(ph.f0, stats) for ph in out.phones if ph.voiced]
@@ -341,10 +362,11 @@ class TestApplyPlanInvariants:
     def test_duration_only_plans_compose(self, rng):
         stats = make_stats()
         utterance = random_utterance(rng, stats)
-        plan_a = manual_plan(utterance, g_dur=1.3, delta=1.1)
-        plan_b = manual_plan(utterance, g_dur=0.8, delta=1.5)
-        combined = manual_plan(utterance, g_dur=1.3 * 0.8, delta=1.1 * 1.5)
-        two_step = apply_plan(apply_plan(utterance, stats, plan_a), stats, plan_b)
+        plan_a = manual_plan(utterance, stats, g_dur=1.3, delta=1.1)
+        combined = manual_plan(utterance, stats, g_dur=1.3 * 0.8, delta=1.1 * 1.5)
+        intermediate = apply_plan(utterance, stats, plan_a)
+        plan_b = manual_plan(intermediate, stats, g_dur=0.8, delta=1.5)
+        two_step = apply_plan(intermediate, stats, plan_b)
         one_step = apply_plan(utterance, stats, combined)
         for a, b in zip(two_step.phones, one_step.phones):
             assert a.duration_s == pytest.approx(b.duration_s, rel=1e-12)
@@ -360,8 +382,11 @@ SUGGESTED = st.floats(-6.0, 6.0) | st.floats()
 
 
 @st.composite
-def chain_inputs(draw):
-    """Stats, a normalized utterance whose voiced phones may start outside the F0 range, a suggestion."""
+def chain_inputs(draw, wide=True):
+    """Stats, a normalized utterance whose voiced phones may start outside the F0 range, a suggestion.
+
+    With ``wide`` some utterances hold values past the float range of exp.
+    """
     f0_min_hz = draw(st.floats(50.0, 200.0))
     f0_max_hz = f0_min_hz + draw(st.floats(1.0, 400.0))
     stats = make_stats(
@@ -374,7 +399,7 @@ def chain_inputs(draw):
     )
     text = " ".join(draw(st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=5)))
     words = tokenize_words(text)
-    normalized = NORMALIZED_WIDE if draw(st.integers(0, 3)) == 0 else NORMALIZED
+    normalized = NORMALIZED_WIDE if draw(st.integers(0, 3)) == 0 and wide else NORMALIZED
     phones = []
     if draw(st.booleans()):
         phones.append(PhoneFeature("sil", None, draw(DURATIONS), None, draw(normalized), False, True))
@@ -419,3 +444,27 @@ class TestEndToEndProperty:
                 hz = denorm_f0(ph.f0, stats)
                 # the file keeps 6 decimals of the normalized value
                 assert stats.f0_min_hz * (1 - 1e-5) <= hz <= stats.f0_max_hz * (1 + 1e-5)
+
+    @PROPERTIES
+    @given(chain_inputs(wide=False), st.data())
+    def test_refuses_exactly_a_plan_for_other_words_or_bounds(self, inputs, data):
+        """The plan file of build_plan is accepted; under another F0 range, only if the bounds are the same."""
+        stats, utterance, suggestion = inputs
+        try:
+            plan = parse_plan(serialize_plan(build_plan(suggestion, utterance, stats)))
+        except DataError:  # a non-finite suggested value
+            return
+        apply_plan(utterance, stats, plan)
+        f0_min_hz = data.draw(st.just(stats.f0_min_hz) | st.floats(50.0, 300.0))
+        f0_max_hz = data.draw(st.just(stats.f0_max_hz) | st.floats(50.0, 700.0))
+        assume(f0_min_hz < f0_max_hz)
+        other_stats = replace(stats, f0_min_hz=f0_min_hz, f0_max_hz=f0_max_hz)
+        if compute_pitch_bounds(utterance, other_stats) == plan.bounds:
+            apply_plan(utterance, other_stats, plan)
+        else:
+            with pytest.raises(DataError, match="^plan BOUNDS do not match utterance 'u1' with these stats: "):
+                apply_plan(utterance, other_stats, plan)
+        first = replace(plan.words[0], surface=plan.words[0].surface + "s")
+        other = replace(plan, words=(first,) + plan.words[1:])
+        with pytest.raises(DataError, match="^plan is for words "):
+            apply_plan(utterance, other_stats, other)

@@ -30,7 +30,7 @@ EXPORTS = {
         "WordCoefficients", "WordSuggestion", "build_plan", "compute_pitch_bounds",
         "map_global_scale", "map_local_scale", "map_pitch", "parse_plan", "serialize_plan",
     ],
-    "modifier": ["apply_plan", "apply_to_utterance"],
+    "modifier": ["apply_plan"],
     "prompting": ["Exemplar", "Mode", "PromptSpec", "build_prompt", "default_exemplars"],
     "response": [
         "DiagnosticKind", "ParseDiagnostic", "ParseResult", "parse_response",
