@@ -7,23 +7,26 @@ write the mapped plan), ``apply`` (apply a plan to a feature file), and
 
 Exit codes: 0 success, else the ``exit_code`` of the error's category: 2
 input/data error (an ``OSError`` too), 3 model-output error after repairs, 4
-backend/transport error.  Data goes to standard output or the paths given by
+backend/transport error.  A usage error (an unknown option, a bad value, a
+path option naming a missing file or a directory) exits 2 too, before the
+command does any work.  Data goes to standard output or the paths given by
 flags; diagnostics go to standard error.
 
-Each command imports the package modules it runs, and no other.  Importing
-this module (all that ``--help`` and ``stats`` need) loads the package's
-``config``, ``errors``, ``features`` and ``mapping``; ``apply`` adds
-``modifier``, ``prompt`` adds ``prompting`` and ``response``, ``plan`` adds
-``llm``, ``prompting`` and ``response``, and ``eval`` adds ``evaluation``.
+The parser is the standard library's ``argparse``, so the package has no
+runtime dependency.  Each command imports the package modules it runs, and
+no other.  Importing this module (all that ``--help`` and ``stats`` need)
+loads the package's ``config``, ``errors``, ``features`` and ``mapping``;
+``apply`` adds ``modifier``, ``prompt`` adds ``prompting`` and ``response``,
+``plan`` adds ``llm``, ``prompting`` and ``response``, and ``eval`` adds
+``evaluation``.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import __version__, config, features, mapping
 from .errors import BackendError, DataError, LlmOutputError
@@ -46,7 +49,7 @@ def _write_file(path: str, text: str) -> None:
 
 def _write_output(text: str, output: str) -> None:
     if output == "-":
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         _write_file(output, text)
 
@@ -69,21 +72,24 @@ def _load_utterance(
     return utterance, features.parse_speaker_stats(Path(stats_path).read_text(encoding="utf-8"))
 
 
-def _load_context(mode: str, style: str | None, previous_line: str | None) -> str | None:
+def _load_context(options: argparse.Namespace) -> str | None:
+    """The context ``--mode`` takes; a ``--style`` or ``--previous-line`` it does not take is a usage error."""
+    mode, style, previous_line = options.mode, options.style, options.previous_line
+    usage_error = options.parser.error
     if mode == "style":
         if not style:
-            raise click.UsageError("--mode style requires --style")
+            usage_error("--mode style requires --style")
         if previous_line:
-            raise click.UsageError("--previous-line is only valid with --mode dialogue")
+            usage_error("--previous-line is only valid with --mode dialogue")
         return style
     if mode == "dialogue":
         if not previous_line:
-            raise click.UsageError("--mode dialogue requires --previous-line")
+            usage_error("--mode dialogue requires --previous-line")
         if style:
-            raise click.UsageError("--style is only valid with --mode style")
+            usage_error("--style is only valid with --mode style")
         return previous_line
     if style or previous_line:
-        raise click.UsageError("--mode neutral takes neither --style nor --previous-line")
+        usage_error("--mode neutral takes neither --style nor --previous-line")
     return None
 
 
@@ -99,73 +105,26 @@ def _prompt_spec(mode: str, context: str | None, text: str, exemplars_path: str 
         mode=prompting.Mode(mode), target_text=text, context=context, exemplars=exemplars)
 
 
-def _mode_options(fn):
-    fn = click.option(
-        "--mode",
-        type=click.Choice(["neutral", "style", "dialogue"]),
-        default="neutral",
-        show_default=True,
-        help="What kind of context guides the suggestion.",
-    )(fn)
-    fn = click.option("--style", default=None, help="Target speaking style (style mode).")(fn)
-    fn = click.option(
-        "--previous-line", default=None, help="Previous dialogue line (dialogue mode)."
-    )(fn)
-    fn = click.option(
-        "--exemplars",
-        "exemplars_path",
-        type=click.Path(exists=True, dir_okay=False),
-        default=None,
-        help="Exemplar asset file replacing the built-in examples.",
-    )(fn)
-    return fn
-
-
-class _Main(click.Group):
-    """The command group: an error of a package category, or an ``OSError``, exits with its code."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (DataError, LlmOutputError, BackendError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(getattr(exc, "exit_code", DataError.exit_code))
-
-
-@click.group(cls=_Main)
-@click.version_option(version=__version__)
-def main() -> None:
-    """Turn natural-language context into prosody modifications."""
-
-
-@main.command()
-@click.argument("raw_features", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", default="-", show_default=True, help="Stats file path, or - for stdout.")
-@click.option("--min-duration-s", default=1.5, show_default=True, help="Exclude shorter utterances.")
-@click.option("--percentile-low", default=5.0, show_default=True)
-@click.option("--percentile-high", default=95.0, show_default=True)
-def stats(raw_features, output, min_duration_s, percentile_low, percentile_high) -> None:
+def stats(options: argparse.Namespace) -> None:
     """Compute speaker statistics from raw feature files."""
     utterances: list[features.UtteranceFeatures] = []
-    for path in raw_features:
+    for path in options.raw_features:
         utterances.extend(features.parse_features(Path(path).read_text(encoding="utf-8")))
     result = features.compute_speaker_stats(
         utterances,
-        min_duration_s=min_duration_s,
-        range_percentiles=(percentile_low, percentile_high),
+        min_duration_s=options.min_duration_s,
+        range_percentiles=(options.percentile_low, options.percentile_high),
     )
-    _write_output(features.serialize_speaker_stats(result), output)
+    _write_output(features.serialize_speaker_stats(result), options.output)
 
 
-@main.command("prompt")
-@_mode_options
-@click.option("--text", required=True, help="Target text to annotate.")
-def prompt_cmd(mode, style, previous_line, exemplars_path, text) -> None:
+def prompt_cmd(options: argparse.Namespace) -> None:
     """Print the prompt that would be sent to the model."""
     from . import prompting
 
-    spec = _prompt_spec(mode, _load_context(mode, style, previous_line), text, exemplars_path)
-    click.echo(prompting.build_prompt(spec), nl=False)
+    context = _load_context(options)
+    spec = _prompt_spec(options.mode, context, options.text, options.exemplars_path)
+    sys.stdout.write(prompting.build_prompt(spec))
 
 
 def _format_transcript(attempts: list) -> str:
@@ -184,54 +143,30 @@ def _format_transcript(attempts: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-@main.command("plan")
-@_mode_options
-@click.option("--text", default=None, help="Target text; defaults to the utterance's text.")
-@click.option("--features", "features_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--stats", "stats_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--utterance-id", default=None, help="Which utterance to plan for.")
-@click.option("--backend", type=click.Choice(["mock", "http"]), default="mock", show_default=True)
-@click.option("--seed", default=0, show_default=True, help="Seed for the mock backend.")
-@click.option("--base-url", default=config.BackendConfig.base_url, show_default=True)
-@click.option("--model", default=config.BackendConfig.model_name, show_default=True)
-@click.option("--api-key-env", default=config.BackendConfig.api_key_env, show_default=True,
-              help="Environment variable holding the API key (http backend).")
-@click.option("--temperature", default=config.BackendConfig.temperature, show_default=True)
-@click.option("--timeout-s", default=config.BackendConfig.timeout_s, show_default=True)
-@click.option("--max-retries", default=config.BackendConfig.max_retries, show_default=True)
-@click.option("--max-attempts", default=config.RepairPolicy.max_attempts, show_default=True,
-              help="Suggest/parse/repair rounds.")
-@click.option("--pitch-cap", default=mapping.MappingConfig.local_pitch_cap_fraction, show_default=True,
-              help="Fraction of the upward pitch headroom one word may claim.")
-@click.option("-o", "--output", default="-", show_default=True, help="Plan file path, or - for stdout.")
-@click.option("--transcript", "transcript_path", default=None, type=click.Path(dir_okay=False),
-              help="Where to write the attempt transcript.")
-def plan_cmd(
-    mode, style, previous_line, exemplars_path, text, features_path, stats_path,
-    utterance_id, backend, seed, base_url, model, api_key_env, temperature,
-    timeout_s, max_retries, max_attempts, pitch_cap, output, transcript_path,
-) -> None:
+def plan_cmd(options: argparse.Namespace) -> None:
     """Ask a backend for a suggestion and write the mapped modification plan."""
     from . import llm
 
-    context = _load_context(mode, style, previous_line)
-    utterance, stats_obj = _load_utterance(features_path, utterance_id, stats_path)
-    spec = _prompt_spec(mode, context, text if text is not None else utterance.text, exemplars_path)
-    if backend == "mock":
-        backend_fn = llm.MockBackend(seed=seed)
+    context = _load_context(options)
+    utterance, stats_obj = _load_utterance(options.features_path, options.utterance_id, options.stats_path)
+    text = options.text if options.text is not None else utterance.text
+    spec = _prompt_spec(options.mode, context, text, options.exemplars_path)
+    if options.backend == "mock":
+        backend_fn = llm.MockBackend(seed=options.seed)
     else:
         backend_fn = llm.HttpBackend(
             config.BackendConfig(
-                base_url=base_url,
-                model_name=model,
-                api_key_env=api_key_env,
-                temperature=temperature,
-                timeout_s=timeout_s,
-                max_retries=max_retries,
+                base_url=options.base_url,
+                model_name=options.model,
+                api_key_env=options.api_key_env,
+                temperature=options.temperature,
+                timeout_s=options.timeout_s,
+                max_retries=options.max_retries,
             )
         )
-    policy = config.RepairPolicy(max_attempts=max_attempts)
-    mapping_config = mapping.MappingConfig(local_pitch_cap_fraction=pitch_cap)
+    policy = config.RepairPolicy(max_attempts=options.max_attempts)
+    mapping_config = mapping.MappingConfig(local_pitch_cap_fraction=options.pitch_cap)
+    transcript_path = options.transcript_path
     try:
         plan, attempts = llm.plan_utterance(spec, utterance, stats_obj, backend_fn, policy, mapping_config)
     except llm.RepairExhausted as exc:
@@ -241,69 +176,160 @@ def plan_cmd(
     # the parser clamped out-of-range model values before build_plan, so they are its diagnostics
     for diagnostic in attempts[-1].diagnostics:
         if diagnostic.clamped:
-            click.echo(f"clamped: {diagnostic}", err=True)
-    _write_output(mapping.serialize_plan(plan), output)
+            print(f"clamped: {diagnostic}", file=sys.stderr)
+    _write_output(mapping.serialize_plan(plan), options.output)
     if transcript_path:
         _write_file(transcript_path, _format_transcript(attempts))
 
 
-@main.command("apply")
-@click.option("--features", "features_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--stats", "stats_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--plan", "plan_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--utterance-id", default=None, help="Which utterance to modify.")
-@click.option("-o", "--output", default="-", show_default=True,
-              help="Modified feature file path, or - for stdout.")
-def apply_cmd(features_path, stats_path, plan_path, utterance_id, output) -> None:
+def apply_cmd(options: argparse.Namespace) -> None:
     """Apply a modification plan to a normalized feature file."""
     from . import modifier
 
-    utterance, stats_obj = _load_utterance(features_path, utterance_id, stats_path)
-    plan = mapping.parse_plan(Path(plan_path).read_text(encoding="utf-8"))
+    utterance, stats_obj = _load_utterance(options.features_path, options.utterance_id, options.stats_path)
+    plan = mapping.parse_plan(Path(options.plan_path).read_text(encoding="utf-8"))
     modified = modifier.apply_plan(utterance, stats_obj, plan)
-    _write_output(features.serialize_features([modified]), output)
+    _write_output(features.serialize_features([modified]), options.output)
 
 
-@main.group("eval")
-def eval_group() -> None:
-    """Aggregate listening-test data."""
-
-
-@eval_group.command("mos")
-@click.argument("ratings_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--confidence", default=0.95, show_default=True)
-def eval_mos(ratings_file, confidence) -> None:
+def eval_mos(options: argparse.Namespace) -> None:
     """MOS mean and t-based confidence interval per system."""
     from . import evaluation
 
-    records = evaluation.parse_ratings(Path(ratings_file).read_text(encoding="utf-8"))
-    summaries = evaluation.mos_summary(records, confidence=confidence)
-    click.echo(evaluation.format_mos_summary(summaries), nl=False)
+    records = evaluation.parse_ratings(Path(options.ratings_file).read_text(encoding="utf-8"))
+    summaries = evaluation.mos_summary(records, confidence=options.confidence)
+    sys.stdout.write(evaluation.format_mos_summary(summaries))
 
 
-@eval_group.command("pref")
-@click.argument("preferences_file", type=click.Path(exists=True, dir_okay=False))
-def eval_pref(preferences_file) -> None:
+def eval_pref(options: argparse.Namespace) -> None:
     """Three-way preference percentages."""
     from . import evaluation
 
-    records = evaluation.parse_preferences(Path(preferences_file).read_text(encoding="utf-8"))
+    records = evaluation.parse_preferences(Path(options.preferences_file).read_text(encoding="utf-8"))
     summary = evaluation.preference_summary(records)
-    click.echo(evaluation.format_preference_summary(summary), nl=False)
+    sys.stdout.write(evaluation.format_preference_summary(summary))
 
 
-@eval_group.command("styles")
-@click.argument("preferences_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--labels", "labels_file", required=True, type=click.Path(exists=True, dir_okay=False),
-              help="Tab-separated set_id/style mapping.")
-def eval_styles(preferences_file, labels_file) -> None:
+def eval_styles(options: argparse.Namespace) -> None:
     """Preference percentages broken down by style label."""
     from . import evaluation
 
-    records = evaluation.parse_preferences(Path(preferences_file).read_text(encoding="utf-8"))
-    labels = evaluation.parse_style_labels(Path(labels_file).read_text(encoding="utf-8"))
+    records = evaluation.parse_preferences(Path(options.preferences_file).read_text(encoding="utf-8"))
+    labels = evaluation.parse_style_labels(Path(options.labels_file).read_text(encoding="utf-8"))
     breakdown = evaluation.style_breakdown(records, labels)
-    click.echo(evaluation.format_style_breakdown(breakdown), nl=False)
+    sys.stdout.write(evaluation.format_style_breakdown(breakdown))
+
+
+def _input_file(path: str) -> str:
+    """A file a command reads: a missing one or a directory is refused while parsing, before any work."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"File {path!r} does not exist.")
+    return _not_a_directory(path)
+
+
+def _not_a_directory(path: str) -> str:
+    """A file path; ``--transcript`` is written after the plan, so it is checked while parsing."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"File {path!r} is a directory.")
+    return path
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Help that names an option's default after its help text, unless the default is none."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
+def build_parser(prog: str = "llmprosody") -> argparse.ArgumentParser:
+    """The parser of every command; a command's namespace holds ``run``, its function, and ``parser``."""
+    settings = {"formatter_class": _HelpFormatter, "allow_abbrev": False}
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Turn natural-language context into prosody modifications.", **settings)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(group, name: str, run) -> argparse.ArgumentParser:
+        sub = group.add_parser(name, help=run.__doc__, description=run.__doc__, **settings)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    def mode_options(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--mode", choices=["neutral", "style", "dialogue"], default="neutral",
+                         help="What kind of context guides the suggestion.")
+        sub.add_argument("--style", help="Target speaking style (style mode).")
+        sub.add_argument("--previous-line", help="Previous dialogue line (dialogue mode).")
+        sub.add_argument("--exemplars", dest="exemplars_path", type=_input_file, metavar="PATH",
+                         help="Exemplar asset file replacing the built-in examples.")
+
+    def utterance_options(sub: argparse.ArgumentParser, which: str, output: str) -> None:
+        sub.add_argument("--features", dest="features_path", required=True, type=_input_file, metavar="PATH")
+        sub.add_argument("--stats", dest="stats_path", required=True, type=_input_file, metavar="PATH")
+        sub.add_argument("--utterance-id", help=f"Which utterance to {which}.")
+        sub.add_argument("-o", "--output", default="-", help=f"{output} file path, or - for stdout.")
+
+    sub = command(commands, "stats", stats)
+    sub.add_argument("raw_features", nargs="+", type=_input_file)
+    sub.add_argument("-o", "--output", default="-", help="Stats file path, or - for stdout.")
+    sub.add_argument("--min-duration-s", type=float, default=1.5, help="Exclude shorter utterances.")
+    sub.add_argument("--percentile-low", type=float, default=5.0)
+    sub.add_argument("--percentile-high", type=float, default=95.0)
+
+    sub = command(commands, "prompt", prompt_cmd)
+    mode_options(sub)
+    sub.add_argument("--text", required=True, help="Target text to annotate.")
+
+    sub = command(commands, "plan", plan_cmd)
+    mode_options(sub)
+    sub.add_argument("--text", help="Target text; defaults to the utterance's text.")
+    utterance_options(sub, "plan for", "Plan")
+    sub.add_argument("--backend", choices=["mock", "http"], default="mock")
+    sub.add_argument("--seed", type=int, default=0, help="Seed for the mock backend.")
+    sub.add_argument("--base-url", default=config.BackendConfig.base_url)
+    sub.add_argument("--model", default=config.BackendConfig.model_name)
+    sub.add_argument("--api-key-env", default=config.BackendConfig.api_key_env,
+                     help="Environment variable holding the API key (http backend).")
+    sub.add_argument("--temperature", type=float, default=config.BackendConfig.temperature)
+    sub.add_argument("--timeout-s", type=float, default=config.BackendConfig.timeout_s)
+    sub.add_argument("--max-retries", type=int, default=config.BackendConfig.max_retries)
+    sub.add_argument("--max-attempts", type=int, default=config.RepairPolicy.max_attempts,
+                     help="Suggest/parse/repair rounds.")
+    sub.add_argument("--pitch-cap", type=float, default=mapping.MappingConfig.local_pitch_cap_fraction,
+                     help="Fraction of the upward pitch headroom one word may claim.")
+    sub.add_argument("--transcript", dest="transcript_path", type=_not_a_directory, metavar="PATH",
+                     help="Where to write the attempt transcript.")
+
+    sub = command(commands, "apply", apply_cmd)
+    utterance_options(sub, "modify", "Modified feature")
+    sub.add_argument("--plan", dest="plan_path", required=True, type=_input_file, metavar="PATH")
+
+    evaluations = commands.add_parser(
+        "eval", help="Aggregate listening-test data.", description="Aggregate listening-test data.",
+        **settings).add_subparsers(dest="command", required=True)
+    sub = command(evaluations, "mos", eval_mos)
+    sub.add_argument("ratings_file", type=_input_file)
+    sub.add_argument("--confidence", type=float, default=0.95)
+    sub = command(evaluations, "pref", eval_pref)
+    sub.add_argument("preferences_file", type=_input_file)
+    sub = command(evaluations, "styles", eval_styles)
+    sub.add_argument("preferences_file", type=_input_file)
+    sub.add_argument("--labels", dest="labels_file", required=True, type=_input_file, metavar="PATH",
+                     help="Tab-separated set_id/style mapping.")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run the command of ``args`` (by default ``sys.argv[1:]``).
+
+    An error of a package category, or an ``OSError``, prints ``error: <message>``
+    and exits with its code; a usage error exits 2 with the command's usage.
+    """
+    options = build_parser(prog_name or "llmprosody").parse_args(args)
+    try:
+        options.run(options)
+    except (DataError, LlmOutputError, BackendError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(getattr(exc, "exit_code", DataError.exit_code))
 
 
 if __name__ == "__main__":

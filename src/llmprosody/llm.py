@@ -166,7 +166,7 @@ class _ConnectionPool:
     """
 
     def __init__(self) -> None:
-        import threading  # already loaded by click in the CLI
+        import threading  # only the http backend needs it
 
         self._lock = threading.Lock()
         self._idle: dict[tuple[str, str], list[tuple]] = {}

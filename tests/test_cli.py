@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,15 +7,14 @@ import shutil
 import subprocess
 import sys
 import threading
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 
-from llmprosody import llm, mapping
-from llmprosody.cli import main, plan_cmd
+from llmprosody import features, llm, mapping, prompting
+from llmprosody.cli import build_parser, main
 from llmprosody.errors import BackendError, DataError, LlmOutputError
 from llmprosody.evaluation import (
     PREFERENCES_HEADER,
@@ -45,9 +46,37 @@ RAW = str(DATA_DIR / "raw_corpus.tsv")
 RAW_WITH_SHORT = str(DATA_DIR / "raw_corpus_with_short.tsv")
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class Runner:
+    """Runs the CLI in this process on captured standard output and error."""
+
+    def invoke(self, command, args) -> Result:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        exit_code, exception = 0, None
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                command(args)
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+            except Exception as exc:  # an unmapped error, as an uncaught one would end the process
+                exit_code, exception = 1, exc
+        return Result(exit_code, stdout.getvalue(), stderr.getvalue(), exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write_preferences(path, counts, systems=("proposed", "baseline", "random")):
@@ -58,6 +87,32 @@ def write_preferences(path, counts, systems=("proposed", "baseline", "random")):
             lines.append(f"set{k}\trater{k % 8}\t{system}\t" + ",".join(systems))
             k += 1
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_eval_inputs(directory):
+    """``ratings.tsv``, ``prefs.tsv`` and ``labels.tsv`` in ``directory``, as the eval commands read them."""
+    ratings = [RATINGS_HEADER] + [f"s{i}\tbaseline\tr{i}\t{3 + i % 2}" for i in range(4)]
+    (directory / "ratings.tsv").write_text("\n".join(ratings) + "\n", encoding="utf-8")
+    write_preferences(directory / "prefs.tsv", {"proposed": 2, "baseline": 1, "random": 1})
+    (directory / "labels.tsv").write_text(
+        STYLE_LABELS_HEADER + "".join(f"\nset{k}\tcalm" for k in range(4)) + "\n", encoding="utf-8")
+
+
+@pytest.fixture
+def backend_calls(monkeypatch):
+    """The prompts the mock backend is sent; it answers as ``MockBackend`` does."""
+    calls = []
+
+    class CountingBackend:
+        def __init__(self, seed):
+            self.seed = seed
+
+        def __call__(self, prompt):
+            calls.append(prompt)
+            return llm.mock_complete(prompt, self.seed)
+
+    monkeypatch.setattr(llm, "MockBackend", CountingBackend)
+    return calls
 
 
 class TestVersion:
@@ -79,6 +134,28 @@ class TestVersion:
         assert completed.returncode == 0, completed.stderr
         assert "0.1.0" in completed.stdout
 
+    def test_version_line_is_the_same_under_python_m(self, runner):
+        completed = subprocess.run(
+            [sys.executable, "-m", "llmprosody", "--version"],
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == "llmprosody, version 0.1.0\n"
+        assert runner.invoke(main, ["--version"]).stdout == completed.stdout
+
+
+class TestUsage:
+    @pytest.mark.parametrize("args", [[], ["eval"]], ids=["bare", "eval"])
+    def test_a_missing_command_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(" ".join(["usage: llmprosody", *args, "[-h]"]))
+        assert result.stderr.endswith(": error: the following arguments are required: command\n")
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -94,21 +171,21 @@ class TestExitCodes:
         ],
     )
     def test_every_command_maps_the_error_categories(self, runner, monkeypatch, error, code):
-        def fail():
+        def fail(*args, **kwargs):
             raise error
 
-        # a command that states no mapping of its own, as one added later would
-        monkeypatch.setitem(main.commands, "fail", click.Command("fail", callback=fail))
-        result = runner.invoke(main, ["fail"])
+        # raised from the library under a command that states no mapping of its own
+        monkeypatch.setattr(features, "parse_features", fail)
+        result = runner.invoke(main, ["stats", RAW])
         assert result.exit_code == code
         assert result.stderr == f"error: {error}\n"
 
     def test_other_errors_are_not_mapped(self, runner, monkeypatch):
-        def fail():
+        def fail(*args, **kwargs):
             raise ValueError("a bug")
 
-        monkeypatch.setitem(main.commands, "fail", click.Command("fail", callback=fail))
-        result = runner.invoke(main, ["fail"])
+        monkeypatch.setattr(features, "parse_features", fail)
+        result = runner.invoke(main, ["stats", RAW])
         assert result.exit_code == 1
         assert isinstance(result.exception, ValueError)
 
@@ -172,6 +249,14 @@ class TestPromptCommand:
         assert result.exit_code == 0
         assert result.output == (GOLDEN_DIR / "prompt_neutral.txt").read_text()
 
+    def test_prints_the_prompt_the_model_is_sent(self, runner):
+        # escape sequences in the text reach the model as they are, so the printed prompt keeps them
+        text = "Say \x1b[31mred\x1b[0m now."
+        result = runner.invoke(main, ["prompt", "--text", text])
+        assert result.exit_code == 0
+        spec = prompting.PromptSpec(prompting.Mode.NEUTRAL, text, None, prompting.default_exemplars())
+        assert result.stdout == prompting.build_prompt(spec)
+
     def test_deterministic_across_invocations(self, runner):
         args = ["prompt", "--mode", "style", "--style", "calm", "--text", "Hello there."]
         first = runner.invoke(main, args)
@@ -214,7 +299,7 @@ class TestPromptCommand:
             args = [*args, "--features", NORM, "--stats", STATS]
         result = runner.invoke(main, [command, *args])
         assert result.exit_code == 2
-        assert result.stderr.endswith(f"\nError: {message}\n")
+        assert result.stderr.endswith(f" {command}: error: {message}\n")
         assert result.stdout == ""
 
     def test_exemplar_text_without_words_exits_2(self, runner, tmp_path):
@@ -315,23 +400,12 @@ class TestPlanCommand:
     @pytest.mark.parametrize(
         "args", [["--text", "Completely different words here."], ["--pitch-cap", "2"]], ids=["text", "pitch-cap"]
     )
-    def test_refused_before_the_backend_is_called(self, runner, tmp_path, monkeypatch, args):
-        calls = []
-
-        class CountingBackend:
-            def __init__(self, seed):
-                self.seed = seed
-
-            def __call__(self, prompt):
-                calls.append(prompt)
-                return llm.mock_complete(prompt, self.seed)
-
-        monkeypatch.setattr(llm, "MockBackend", CountingBackend)
+    def test_refused_before_the_backend_is_called(self, runner, tmp_path, backend_calls, args):
         result = runner.invoke(
             main, ["plan", "--features", NORM, "--stats", STATS, *args, "-o", str(tmp_path / "p.tsv")]
         )
         assert result.exit_code == 2
-        assert calls == []
+        assert backend_calls == []
         assert not (tmp_path / "p.tsv").exists()
 
     def test_bad_pitch_cap_is_refused_before_the_http_backend_needs_a_key(self, runner, tmp_path, monkeypatch):
@@ -427,8 +501,8 @@ class TestPlanCommand:
         ],
     )
     def test_default_is_the_library_default(self, option, owner, field):
-        [param] = [p for p in plan_cmd.params if p.name == option]
-        assert param.default == getattr(owner(), field)
+        options = build_parser().parse_args(["plan", "--features", NORM, "--stats", STATS])
+        assert getattr(options, option) == getattr(owner(), field)
 
 
 def with_er_phone(tmp_path, f0="0.400000", energy="0.800000"):
@@ -565,6 +639,49 @@ class TestApplyCommand:
             main, ["apply", "--features", NORM, "--stats", STATS, "--plan", "nope.tsv"]
         )
         assert result.exit_code == 2
+
+
+# Each path option and argument, with the arguments around it.  PATH is the path under
+# test; OUT, PREFS and LABELS are an output file and the files of write_eval_inputs.
+PATH_CASES = {
+    "stats": ["stats", RAW, "PATH", "-o", "OUT"],
+    "prompt --exemplars": ["prompt", "--exemplars", "PATH", "--text", "Hi there."],
+    "plan --features": ["plan", "--features", "PATH", "--stats", STATS, "-o", "OUT"],
+    "plan --stats": ["plan", "--features", NORM, "--stats", "PATH", "-o", "OUT"],
+    "plan --exemplars": ["plan", "--features", NORM, "--stats", STATS, "--exemplars", "PATH", "-o", "OUT"],
+    "apply --features": ["apply", "--features", "PATH", "--stats", STATS,
+                         "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", "OUT"],
+    "apply --stats": ["apply", "--features", NORM, "--stats", "PATH",
+                      "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", "OUT"],
+    "apply --plan": ["apply", "--features", NORM, "--stats", STATS, "--plan", "PATH", "-o", "OUT"],
+    "eval mos": ["eval", "mos", "PATH"],
+    "eval pref": ["eval", "pref", "PATH"],
+    "eval styles": ["eval", "styles", "PATH", "--labels", "LABELS"],
+    "eval styles --labels": ["eval", "styles", "PREFS", "--labels", "PATH"],
+    "plan --transcript": ["plan", "--features", NORM, "--stats", STATS, "-o", "OUT", "--transcript", "PATH"],
+}
+
+
+class TestPathRefusals:
+    @pytest.mark.parametrize(
+        "case, kind",
+        [(case, kind) for case in PATH_CASES for kind in ("missing", "directory")
+         # the transcript is written, not read, so only a directory is refused
+         if kind == "directory" or case != "plan --transcript"],
+    )
+    def test_refused_before_the_backend_and_any_output(self, runner, tmp_path, backend_calls, case, kind):
+        write_eval_inputs(tmp_path)
+        path, out = tmp_path / "named", tmp_path / "out.tsv"
+        if kind == "directory":
+            path.mkdir()
+        names = {"PATH": path, "OUT": out, "PREFS": tmp_path / "prefs.tsv", "LABELS": tmp_path / "labels.tsv"}
+        result = runner.invoke(main, [str(names.get(arg, arg)) for arg in PATH_CASES[case]])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        reason = "does not exist" if kind == "missing" else "is a directory"
+        assert result.stderr.endswith(f": File {str(path)!r} {reason}.\n")
+        assert backend_calls == []
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -821,6 +938,30 @@ class TestImportsOnDemand:
         _, loaded = run_fresh(tmp_path, args)
         assert "decimal" not in loaded
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [],
+            ["--help"],
+            ["prompt", "--text", "Turn left at the second light."],
+            ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock", "-o", "plan.tsv"],
+            ["apply", "--features", NORM, "--stats", STATS,
+             "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", "out.tsv"],
+            ["stats", RAW, "-o", "stats.tsv"],
+            ["eval", "mos", "ratings.tsv"],
+            ["eval", "pref", "prefs.tsv"],
+            ["eval", "styles", "prefs.tsv", "--labels", "labels.tsv"],
+        ],
+        ids=["import", "help", "prompt", "plan", "apply", "stats", "mos", "pref", "styles"],
+    )
+    def test_no_command_needs_click(self, tmp_path, args):
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        (blocked / "click.py").write_text('raise ImportError("click is not installed")\n')
+        write_eval_inputs(tmp_path)
+        _, loaded = run_fresh(tmp_path, args, env={"PYTHONPATH": os.pathsep.join([str(blocked), SRC_DIR])})
+        assert "click" not in loaded
+
     def test_eval_mos_prints_the_library_summary(self, tmp_path):
         rows = [RATINGS_HEADER]
         for system, scores in {"baseline": [3, 4, 2, 5, 3], "proposed": [4, 5, 4, 3, 5]}.items():
@@ -885,10 +1026,6 @@ class TestPackageModulesPerCommand:
         ids=["mos", "pref", "styles"],
     )
     def test_eval_loads_evaluation(self, tmp_path, args):
-        ratings = [RATINGS_HEADER] + [f"s{i}\tbaseline\tr{i}\t{3 + i % 2}" for i in range(4)]
-        (tmp_path / "ratings.tsv").write_text("\n".join(ratings) + "\n", encoding="utf-8")
-        write_preferences(tmp_path / "prefs.tsv", {"proposed": 2, "baseline": 1, "random": 1})
-        (tmp_path / "labels.tsv").write_text(
-            STYLE_LABELS_HEADER + "".join(f"\nset{k}\tcalm" for k in range(4)) + "\n", encoding="utf-8")
+        write_eval_inputs(tmp_path)
         loaded = loaded_modules(tmp_path, ["eval", *args])
         assert package_modules(loaded) == CLI_MODULES | {"llmprosody.evaluation"}
