@@ -271,6 +271,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
     lines = document.split("\n")
     header_seen = False
     utterances: list[UtteranceFeatures] = []
+    ids: set[str] = set()
     current: dict | None = None
 
     def finish(block: dict) -> None:
@@ -295,6 +296,9 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
             variant = fields[3]
             if variant not in ("raw", "norm"):
                 raise DataError(f"line {line_number}: variant must be 'raw' or 'norm', got {variant!r}")
+            if fields[1] in ids:
+                raise DataError(f"line {line_number}: duplicate utterance id {fields[1]!r}")
+            ids.add(fields[1])
             current = {
                 "utterance_id": fields[1],
                 "speaker_id": fields[2],

@@ -777,6 +777,26 @@ class TestUtteranceSelection:
         )
         assert result.exit_code == 0, result.output
 
+    def test_repeated_id_exits_2_with_no_output_file(self, runner, tmp_path):
+        doc = Path(NORM).read_text()
+        body = doc.split("\n", 1)[1].replace("Turn left at the second light.", "Go right at the third door.")
+        repeated = tmp_path / "repeated.tsv"
+        repeated.write_text(doc + body)
+        out = tmp_path / "p.tsv"
+        result = runner.invoke(
+            main,
+            ["plan", "--features", str(repeated), "--stats", STATS, "--backend", "mock", "--seed", "7",
+             "--utterance-id", "u1", "-o", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "line 24: duplicate utterance id 'u1'" in result.stderr
+        assert not out.exists()
+
+    def test_ids_are_checked_per_file(self, runner):
+        """stats reads each file on its own: the same ids in two files are not a repeat."""
+        result = runner.invoke(main, ["stats", RAW, RAW_WITH_SHORT])
+        assert result.exit_code == 0, result.output
+
     def test_unknown_id_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             main,

@@ -102,6 +102,10 @@ class TestParseFeatures:
             parse_features(bad)
         assert "line 3" in str(err.value)
 
+    def test_repeated_utterance_id_reports_line(self):
+        with pytest.raises(DataError, match="^line 8: duplicate utterance id 'u1'$"):
+            parse_features(WELL_FORMED.replace("#utterance\tu2", "#utterance\tu1"))
+
     def test_missing_header(self):
         with pytest.raises(DataError, match="expected feature-file header"):
             parse_features(WELL_FORMED.split("\n", 1)[1])
