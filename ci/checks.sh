@@ -29,6 +29,12 @@ same_output eval mos "$out/ratings.tsv"
 cmp "$out/plan.tsv" tests/golden/cli_plan_seed7.tsv
 cmp "$out/transcript.txt" tests/golden/cli_transcript_seed7.txt
 cmp "$out/modified.tsv" tests/golden/cli_modified_seed7.tsv
+# the value types are namedtuples: a plan process, which loads every layer but evaluation, imports no
+# dataclasses (the llmprosody.prompting line shows that the import log covers those layers)
+"$bare" -X importtime -m llmprosody plan --features tests/data/norm_utterance.tsv --stats tests/data/stats.tsv \
+  --seed 7 -o "$out/plan.tsv" 2> "$out/importtime.txt"
+grep -qE '\| +llmprosody\.prompting$' "$out/importtime.txt"
+test -z "$(grep -E '\| +dataclasses$' "$out/importtime.txt")"
 # the golden plan under stats with another F0 range has other BOUNDS: exit 2, no output file
 sed 's/^f0_max_hz\t300\.0$/f0_max_hz\t310.0/' tests/data/stats.tsv > "$out/stats_310.tsv"
 grep -q '^f0_max_hz.310\.0$' "$out/stats_310.tsv"

@@ -285,16 +285,17 @@ def build_parser(prog: str = "llmprosody") -> argparse.ArgumentParser:
     utterance_options(sub, "plan for", "Plan")
     sub.add_argument("--backend", choices=["mock", "http"], default="mock")
     sub.add_argument("--seed", type=int, default=0, help="Seed for the mock backend.")
-    sub.add_argument("--base-url", default=config.BackendConfig.base_url)
-    sub.add_argument("--model", default=config.BackendConfig.model_name)
-    sub.add_argument("--api-key-env", default=config.BackendConfig.api_key_env,
+    backend_config = config.BackendConfig()
+    sub.add_argument("--base-url", default=backend_config.base_url)
+    sub.add_argument("--model", default=backend_config.model_name)
+    sub.add_argument("--api-key-env", default=backend_config.api_key_env,
                      help="Environment variable holding the API key (http backend).")
-    sub.add_argument("--temperature", type=float, default=config.BackendConfig.temperature)
-    sub.add_argument("--timeout-s", type=float, default=config.BackendConfig.timeout_s)
-    sub.add_argument("--max-retries", type=int, default=config.BackendConfig.max_retries)
-    sub.add_argument("--max-attempts", type=int, default=config.RepairPolicy.max_attempts,
+    sub.add_argument("--temperature", type=float, default=backend_config.temperature)
+    sub.add_argument("--timeout-s", type=float, default=backend_config.timeout_s)
+    sub.add_argument("--max-retries", type=int, default=backend_config.max_retries)
+    sub.add_argument("--max-attempts", type=int, default=config.RepairPolicy().max_attempts,
                      help="Suggest/parse/repair rounds.")
-    sub.add_argument("--pitch-cap", type=float, default=mapping.MappingConfig.local_pitch_cap_fraction,
+    sub.add_argument("--pitch-cap", type=float, default=mapping.MappingConfig().local_pitch_cap_fraction,
                      help="Fraction of the upward pitch headroom one word may claim.")
     sub.add_argument("--transcript", dest="transcript_path", type=_not_a_directory, metavar="PATH",
                      help="Where to write the attempt transcript.")

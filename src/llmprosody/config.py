@@ -3,14 +3,15 @@ so that the CLI reads ``plan``'s defaults without loading the LLM, prompt and re
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import ClassVar
+from collections import namedtuple
 
-from .errors import DataError
+from .errors import Checked, DataError
 
 
-@dataclass(frozen=True)
-class BackendConfig:
+class BackendConfig(Checked, namedtuple(
+    "BackendConfig", "base_url model_name api_key_env temperature timeout_s max_retries max_parallel",
+    defaults=("https://api.openai.com/v1", "gpt-4o-mini", "OPENAI_API_KEY", 0.0, 30.0, 3, 1),
+)):
     """Connection settings for a chat/completions-compatible endpoint.
 
     The API key is read from the environment variable named by
@@ -18,15 +19,16 @@ class BackendConfig:
     included in error messages.
     """
 
-    base_url: str = "https://api.openai.com/v1"
-    model_name: str = "gpt-4o-mini"
-    api_key_env: str = "OPENAI_API_KEY"
-    temperature: float = 0.0
-    timeout_s: float = 30.0
-    max_retries: int = 3
-    max_parallel: int = 1
+    __slots__ = ()
+    base_url: str
+    model_name: str
+    api_key_env: str
+    temperature: float
+    timeout_s: float
+    max_retries: int
+    max_parallel: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_retries < 0:
             raise DataError(f"max_retries must be >= 0, got {self.max_retries}")
         if not self.timeout_s > 0:
@@ -41,12 +43,12 @@ class BackendConfig:
             raise DataError(f"temperature must be a finite number >= 0, got {self.temperature}")
 
 
-@dataclass(frozen=True)
-class RepairPolicy:
+class RepairPolicy(Checked, namedtuple("RepairPolicy", "max_attempts", defaults=(3,))):
     """How many completions to request before giving up, and what to say."""
 
-    max_attempts: int = 3
-    repair_instruction_template: ClassVar[str] = (
+    __slots__ = ()
+    max_attempts: int
+    repair_instruction_template = (
         "\n\nYour previous answer was rejected for these reasons:\n"
         "{diagnostics}\n"
         "Answer again. Follow the response format exactly: one REASONING line, "
@@ -54,6 +56,6 @@ class RepairPolicy:
         "listed order. Do not skip, reorder, or invent words."
     )
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_attempts < 1:
             raise DataError(f"max_attempts must be >= 1, got {self.max_attempts}")

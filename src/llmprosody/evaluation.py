@@ -13,33 +13,32 @@ module does not load it.  The CLI imports this module only inside its
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
-from .errors import DataError
+from .errors import Checked, DataError
 from .features import mean, sample_std
 
 
-@dataclass(frozen=True, slots=True)
-class RatingRecord:
+class RatingRecord(Checked, namedtuple("RatingRecord", "stimulus_id system_id rater_id score")):
+    __slots__ = ()
     stimulus_id: str
     system_id: str
     rater_id: str
     score: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.score not in (1, 2, 3, 4, 5):
             raise DataError(f"score must be an integer 1..5, got {self.score!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class PreferenceRecord:
+class PreferenceRecord(Checked, namedtuple("PreferenceRecord", "set_id rater_id chosen_system systems_in_set")):
+    __slots__ = ()
     set_id: str
     rater_id: str
     chosen_system: str
     systems_in_set: tuple[str, str, str]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.systems_in_set) != 3 or len(set(self.systems_in_set)) != 3:
             raise DataError(f"systems_in_set must name 3 distinct systems, got {self.systems_in_set!r}")
         if self.chosen_system not in self.systems_in_set:
@@ -136,10 +135,10 @@ def _t_ppf(p: float, df: int) -> float:
             high = mid
 
 
-@dataclass(frozen=True, slots=True)
-class MosSummary:
+class MosSummary(namedtuple("MosSummary", "mean ci_halfwidth n display confidence")):
     """Per-system MOS with a t-based confidence interval at level ``confidence``."""
 
+    __slots__ = ()
     mean: float
     ci_halfwidth: float
     n: int
@@ -181,12 +180,12 @@ def mos_summary(
     return summaries
 
 
-@dataclass(frozen=True, slots=True)
-class TTestResult:
+class TTestResult(namedtuple("TTestResult", "t p df flag", defaults=(None,))):
+    __slots__ = ()
     t: float
     p: float
     df: int
-    flag: str | None = None  # 'all_zero_differences' or 'zero_variance'
+    flag: str | None  # 'all_zero_differences' or 'zero_variance'
 
 
 def paired_t_test(
@@ -227,16 +226,16 @@ def paired_t_test(
     return TTestResult(t=t, p=2.0 * _t_sf(abs(t), df), df=df)
 
 
-@dataclass(frozen=True, slots=True)
-class PreferenceShare:
+class PreferenceShare(namedtuple("PreferenceShare", "system wins fraction percent")):
+    __slots__ = ()
     system: str
     wins: int
     fraction: float  # raw wins/total
     percent: float  # half-up rounded to 1 decimal
 
 
-@dataclass(frozen=True, slots=True)
-class PreferenceSummary:
+class PreferenceSummary(namedtuple("PreferenceSummary", "shares total")):
+    __slots__ = ()
     shares: tuple[PreferenceShare, ...]  # ordered by wins desc, then name
     total: int
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import string
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import add
 from typing import Sequence
 
-from .errors import DataError
+from .errors import Checked, DataError
 
 
 FILE_HEADER = "#feature-file\tv1"
@@ -30,10 +30,10 @@ _ABSENT = "-"
 _PUNCT = string.punctuation + "“”‘’«»—–…¿¡"
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(namedtuple("Word", "surface key")):
     """A word token: punctuation-stripped surface plus its lowercase match key."""
 
+    __slots__ = ()
     surface: str
     key: str
 
@@ -60,8 +60,7 @@ def tokenize_words(text: str) -> tuple[Word, ...]:
     return tuple(words)
 
 
-@dataclass(frozen=True, slots=True)
-class PhoneFeature:
+class PhoneFeature(namedtuple("PhoneFeature", "label word_index duration_s f0 energy voiced pause")):
     """One aligned phone.
 
     ``f0`` and ``energy`` are log-scale values; whether they are
@@ -70,6 +69,7 @@ class PhoneFeature:
     and are never voiced.
     """
 
+    __slots__ = ()
     label: str
     word_index: int | None
     duration_s: float
@@ -79,10 +79,10 @@ class PhoneFeature:
     pause: bool
 
 
-@dataclass(frozen=True, slots=True)
-class UtteranceFeatures:
+class UtteranceFeatures(namedtuple("UtteranceFeatures", "id speaker_id text words phones normalized")):
     """An utterance's text, word list, and aligned phone sequence."""
 
+    __slots__ = ()
     id: str
     speaker_id: str
     text: str
@@ -94,8 +94,7 @@ class UtteranceFeatures:
         return sum(ph.duration_s for ph in self.phones)
 
 
-@dataclass(frozen=True, slots=True)
-class SpeakerStats:
+class SpeakerStats(Checked, namedtuple("SpeakerStats", "mu_logf0 sigma_logf0 mu_loge sigma_loge f0_min_hz f0_max_hz")):
     """Normalization constants and the speaker's natural F0 range.
 
     ``mu``/``sigma`` pairs are mean and sample standard deviation of log-F0
@@ -103,6 +102,7 @@ class SpeakerStats:
     ``f0_max_hz`` bound the speaker's natural range in linear Hz.
     """
 
+    __slots__ = ()
     mu_logf0: float
     sigma_logf0: float
     mu_loge: float
@@ -110,7 +110,7 @@ class SpeakerStats:
     f0_min_hz: float
     f0_max_hz: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.sigma_logf0 > 0:
             raise DataError(f"sigma_logf0 must be > 0, got {self.sigma_logf0}")
         if not self.sigma_loge > 0:

@@ -16,7 +16,7 @@ import hashlib
 import os
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Sequence
 
 from .config import BackendConfig, RepairPolicy
@@ -261,8 +261,8 @@ def _parse_proxy(proxy: str) -> tuple[str, dict[str, str]]:
     return host_port, {"Proxy-Authorization": f"Basic {token}"}
 
 
-@dataclass(frozen=True, slots=True)
-class HttpBackend:
+class HttpBackend(namedtuple("HttpBackend", "config")):
+    __slots__ = ()
     config: BackendConfig
 
     def __call__(self, prompt: str) -> str:
@@ -300,18 +300,18 @@ def mock_complete(prompt: str, seed: int) -> str:
     return serialize_suggestion(suggestion, words, reasoning)
 
 
-@dataclass(frozen=True, slots=True)
-class MockBackend:
-    seed: int = 0
+class MockBackend(namedtuple("MockBackend", "seed", defaults=(0,))):
+    __slots__ = ()
+    seed: int
 
     def __call__(self, prompt: str) -> str:
         return mock_complete(prompt, self.seed)
 
 
-@dataclass(frozen=True, slots=True)
-class Attempt:
+class Attempt(namedtuple("Attempt", "prompt response diagnostics")):
     """One round of the repair loop: what was sent, what came back, what failed."""
 
+    __slots__ = ()
     prompt: str
     response: str
     diagnostics: tuple[ParseDiagnostic, ...]

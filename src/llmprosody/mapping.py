@@ -11,47 +11,47 @@ the shifted contour stays inside the speaker's natural range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .errors import DataError
+from .errors import Checked, DataError
 from .features import SpeakerStats, UtteranceFeatures, Word, denorm_f0, parse_finite
 
 GLOBAL_SCALE = (-5.0, 5.0)
 LOCAL_SCALE = (0.0, 5.0)
 
 
-@dataclass(frozen=True, slots=True)
-class WordSuggestion:
+class WordSuggestion(namedtuple("WordSuggestion", "key local_duration local_pitch local_energy")):
     """The model's raw local values for one word, on the [0, 5] scale; its position is its word number."""
 
+    __slots__ = ()
     key: str
     local_duration: float
     local_pitch: float
     local_energy: float
 
 
-@dataclass(frozen=True, slots=True)
-class LlmScaleSuggestion:
+class LlmScaleSuggestion(namedtuple("LlmScaleSuggestion", "global_duration global_pitch global_energy words")):
     """Raw per-utterance and per-word values as suggested by the model.
 
     Values are nominally within [-5, 5] (global) and [0, 5] (local) but are
     not validated here; consumers clamp out-of-range values and report it.
     """
 
+    __slots__ = ()
     global_duration: float
     global_pitch: float
     global_energy: float
     words: tuple[WordSuggestion, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class PitchBounds:
+class PitchBounds(Checked, namedtuple("PitchBounds", "p_min_hz p_max_hz")):
     """Largest allowed downward/upward uniform F0 shifts for one utterance."""
 
+    __slots__ = ()
     p_min_hz: float
     p_max_hz: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (self.p_min_hz <= 0.0 <= self.p_max_hz):
             raise DataError(
                 f"pitch bounds must satisfy p_min <= 0 <= p_max, got "
@@ -59,8 +59,7 @@ class PitchBounds:
             )
 
 
-@dataclass(frozen=True)
-class MappingConfig:
+class MappingConfig(Checked, namedtuple("MappingConfig", "local_pitch_cap_fraction", defaults=(0.5,))):
     """Tunables for the suggestion-to-coefficient mapping.
 
     ``local_pitch_cap_fraction`` is the fraction of the utterance's upward
@@ -68,41 +67,53 @@ class MappingConfig:
     shifts can coexist without constant clamping.
     """
 
-    local_pitch_cap_fraction: float = 0.5
+    __slots__ = ()
+    local_pitch_cap_fraction: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.local_pitch_cap_fraction <= 1.0:
             raise DataError(
                 f"local_pitch_cap_fraction must be in [0, 1], got {self.local_pitch_cap_fraction}"
             )
 
 
-@dataclass(frozen=True, slots=True)
-class WordCoefficients:
+class WordCoefficients(namedtuple("WordCoefficients", "surface delta pi_hz epsilon")):
     """One word's duration/energy scales and pitch shift; its position in the plan is its word number."""
 
+    __slots__ = ()
     surface: str
     delta: float
     pi_hz: float
     epsilon: float
 
 
-@dataclass(frozen=True, slots=True)
-class ModificationPlan:
+class ModificationPlan(namedtuple(
+    "ModificationPlan", "g_dur g_pitch_hz g_energy words bounds clamp_notes", defaults=((),)
+)):
     """Clamped coefficients ready for application.
 
     Invariants: g_dur/g_energy in [0.5, 2]; every delta/epsilon in [1, 2];
     g_pitch_hz + pi_hz within the bounds for every word.  ``clamp_notes``
     records any suggestion values that had to be clamped before mapping; it
-    is advisory and excluded from equality.
+    is advisory and excluded from equality and the hash.
     """
 
+    __slots__ = ()
     g_dur: float
     g_pitch_hz: float
     g_energy: float
     words: tuple[WordCoefficients, ...]
     bounds: PitchBounds
-    clamp_notes: tuple[str, ...] = field(default=(), compare=False)
+    clamp_notes: tuple[str, ...]
+
+    def __eq__(self, other):
+        return self[:5] == other[:5] if isinstance(other, ModificationPlan) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:5])
 
 
 def compute_pitch_bounds(utterance: UtteranceFeatures, stats: SpeakerStats) -> PitchBounds:

@@ -11,8 +11,6 @@ is only applied to the utterance and stats it was built for.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import DataError
 from .features import (
     PhoneFeature, SpeakerStats, UtteranceFeatures, denorm_energy, denorm_f0, renorm_energy, renorm_f0,
@@ -43,7 +41,11 @@ def apply_plan(
         raise DataError(f"plan is for words {plan_words} but utterance {utterance.id} has {utterance_words}")
     bounds = compute_pitch_bounds(utterance, stats)
     if plan.bounds != bounds:
-        raise DataError(f"plan BOUNDS do not match utterance {utterance.id!r} with these stats: {bounds}")
+        raise DataError(
+            f"plan BOUNDS do not match utterance {utterance.id!r} with these stats: the plan has "
+            f"BOUNDS {plan.bounds.p_min_hz!r} {plan.bounds.p_max_hz!r}, the stats give "
+            f"BOUNDS {bounds.p_min_hz!r} {bounds.p_max_hz!r}"
+        )
     g_dur, g_pitch_hz = plan.g_dur, plan.g_pitch_hz
     f0_min_hz, f0_max_hz = stats.f0_min_hz, stats.f0_max_hz
     # per word: (delta, pi_hz, energy scale); a phone outside every word gets the neutral word values
@@ -72,4 +74,4 @@ def apply_plan(
             if scale != 1.0:
                 energy = renorm_energy(linear * scale, stats)
         new_phones.append(PhoneFeature(ph.label, ph.word_index, duration, f0, energy, ph.voiced, ph.pause))
-    return replace(utterance, phones=tuple(new_phones))
+    return utterance._replace(phones=tuple(new_phones))

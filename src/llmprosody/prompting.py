@@ -12,7 +12,7 @@ word, is what keeps the model from skipping or inventing words.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -29,8 +29,7 @@ class Mode(str, Enum):
     DIALOGUE = "dialogue"
 
 
-@dataclass(frozen=True)
-class Exemplar:
+class Exemplar(namedtuple("Exemplar", "mode context target_text reasoning suggestion")):
     """A worked example: optional context, target text, reasoning, values."""
 
     mode: Mode
@@ -49,6 +48,13 @@ class Exemplar:
             raise DataError(f"exemplar {self.target_text!r}: {exc}") from None
         block = _render_target(self.mode, self.context, self.target_text, words)
         return "\n".join(block + [response.rstrip("\n")])
+
+    # no __slots__, so that prompt_text is cached in the instance __dict__; no attribute can be set
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: an Exemplar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: an Exemplar is immutable")
 
 
 DEFAULT_TASK_DESCRIPTION = """\
@@ -124,14 +130,18 @@ def prompt_target_words(prompt: str) -> list[str]:
     return surfaces
 
 
-@dataclass(frozen=True, slots=True)
-class PromptSpec:
-    """Everything needed to build one prompt deterministically."""
+class PromptSpec(namedtuple("PromptSpec", "mode target_text context exemplars")):
+    """Everything needed to build one prompt deterministically; ``exemplars=None`` is the packaged set."""
 
+    __slots__ = ()
     mode: Mode
     target_text: str
-    context: str | None = None
-    exemplars: tuple[Exemplar, ...] = field(default_factory=lambda: default_exemplars())
+    context: str | None
+    exemplars: tuple[Exemplar, ...]
+
+    def __new__(cls, mode, target_text, context=None, exemplars=None):
+        exemplars = default_exemplars() if exemplars is None else exemplars
+        return super().__new__(cls, mode, target_text, context, exemplars)
 
 
 def _target_words(mode: Mode, context: str | None, text: str) -> tuple[Word, ...]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .features import Word, match_key
@@ -44,8 +44,8 @@ class DiagnosticKind(Enum):
     UNPARSEABLE_LINE = "UnparseableLine"
 
 
-@dataclass(frozen=True, slots=True)
-class ParseDiagnostic:
+class ParseDiagnostic(namedtuple("ParseDiagnostic", "kind line_number detail")):
+    __slots__ = ()
     kind: DiagnosticKind
     line_number: int
     detail: str
@@ -63,8 +63,8 @@ class ParseDiagnostic:
         return f"line {self.line_number}: {self.kind.value}: {self.detail}"
 
 
-@dataclass(frozen=True, slots=True)
-class ParseResult:
+class ParseResult(namedtuple("ParseResult", "suggestion reasoning diagnostics")):
+    __slots__ = ()
     suggestion: LlmScaleSuggestion | None
     reasoning: str
     diagnostics: tuple[ParseDiagnostic, ...]

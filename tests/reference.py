@@ -8,7 +8,6 @@ cannot hide in a shared helper.
 import math
 import re
 from collections import Counter
-from dataclasses import replace
 
 from llmprosody.features import match_key, tokenize_words
 
@@ -39,8 +38,8 @@ def naive_apply_plan(utterance, stats, plan):
             lin = math.exp(ph.energy * stats.sigma_loge + stats.mu_loge)
             lin = lin * plan.g_energy * epsilon
             energy = (math.log(lin) - stats.mu_loge) / stats.sigma_loge
-        out.append(replace(ph, duration_s=duration, f0=f0, energy=energy))
-    return replace(utterance, phones=tuple(out))
+        out.append(ph._replace(duration_s=duration, f0=f0, energy=energy))
+    return utterance._replace(phones=tuple(out))
 
 
 def direct_mean(values):

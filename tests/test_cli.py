@@ -995,6 +995,8 @@ class TestImportsOnDemand:
 
 CLI_MODULES = {f"llmprosody.{name}" for name in ["cli", "config", "errors", "features", "mapping"]}
 LLM_LAYERS = {"llmprosody.llm", "llmprosody.prompting", "llmprosody.response"}
+# the value types are namedtuples, so no command loads dataclasses or, through it, inspect
+DATACLASSES = {"dataclasses", "inspect"}
 
 
 def loaded_modules(tmp_path, args):
@@ -1019,7 +1021,9 @@ class TestPackageModulesPerCommand:
         ids=["help", "stats", "apply"],
     )
     def test_loads_no_llm_prompt_or_response_layer(self, tmp_path, args, extra):
-        assert package_modules(loaded_modules(tmp_path, args)) == CLI_MODULES | extra
+        loaded = loaded_modules(tmp_path, args)
+        assert package_modules(loaded) == CLI_MODULES | extra
+        assert loaded & DATACLASSES == set()
 
     def test_prompt_loads_prompting_and_response_only(self, tmp_path):
         loaded = loaded_modules(tmp_path, ["prompt", "--text", "Turn left at the second light."])
@@ -1031,7 +1035,7 @@ class TestPackageModulesPerCommand:
             ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock", "-o", "plan.tsv"],
         )
         assert package_modules(loaded) == CLI_MODULES | LLM_LAYERS
-        assert "concurrent.futures" not in loaded
+        assert loaded & ({"concurrent.futures"} | DATACLASSES) == set()
 
     def test_mock_plan_loads_no_logging(self, tmp_path):
         loaded = loaded_modules(
@@ -1049,3 +1053,4 @@ class TestPackageModulesPerCommand:
         write_eval_inputs(tmp_path)
         loaded = loaded_modules(tmp_path, ["eval", *args])
         assert package_modules(loaded) == CLI_MODULES | {"llmprosody.evaluation"}
+        assert loaded & DATACLASSES == set()

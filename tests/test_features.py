@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -190,7 +189,7 @@ class TestValidateUtterance:
     def test_words_not_matching_the_text_rejected(self):
         (utterance,) = parse_features(WELL_FORMED.split("#utterance\tu2")[0])
         validate_utterance(utterance)
-        other = replace(utterance, words=(Word("Hello", "hello"), Word("there", "there")))
+        other = utterance._replace(words=(Word("Hello", "hello"), Word("there", "there")))
         with pytest.raises(DataError, match="word list does not match tokenized text"):
             validate_utterance(other)
 
@@ -212,7 +211,7 @@ class TestValidateUtterance:
     def test_refusals(self, changes, fragment):
         (utterance,) = parse_features(WELL_FORMED.split("#utterance\tu2")[0])
         with pytest.raises(DataError) as caught:
-            validate_utterance(replace(utterance, **changes))
+            validate_utterance(utterance._replace(**changes))
         assert fragment in str(caught.value)
         with pytest.raises(DataError) as caught:
             make_utterance(
@@ -265,7 +264,7 @@ class TestSerializeFeatures:
     @pytest.mark.parametrize("slot", ["f0", "energy"])
     def test_non_finite_f0_or_energy_refused(self, slot, value):
         phone = PhoneFeature("AA1", 0, 0.1, 0.2, 0.3, voiced=True, pause=False)
-        utterance = make_utterance("u1", "spk1", "hi", [replace(phone, **{slot: value})], normalized=True)
+        utterance = make_utterance("u1", "spk1", "hi", [phone._replace(**{slot: value})], normalized=True)
         with pytest.raises(DataError, match="non-finite F0 or energy"):
             serialize_features([utterance])
 
@@ -509,13 +508,13 @@ class TestFormatProperties:
         utterance = random_utterance(rng, random_stats(rng))
         k = rng.choice([k for k, ph in enumerate(utterance.phones) if ph.word_index is not None])
         phones = list(utterance.phones)
-        phones[k] = replace(phones[k], word_index=index)
+        phones[k] = phones[k]._replace(word_index=index)
         message = f"word index {index} out of range (W={len(utterance.words)})"
         with pytest.raises(DataError) as caught:
             make_utterance(utterance.id, utterance.speaker_id, utterance.text, phones, normalized=True)
         assert str(caught.value) == f"utterance u1: {message}"
         # the writer writes such a phone; the reader refuses it with the same message, naming its line
-        document = serialize_features([replace(utterance, phones=tuple(phones))])
+        document = serialize_features([utterance._replace(phones=tuple(phones))])
         with pytest.raises(DataError) as caught:
             parse_features(document)
         assert str(caught.value) == f"utterance u1 line {k + 3}: {message}"

@@ -10,7 +10,6 @@ import ssl
 import sys
 import threading
 import urllib.request
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -243,7 +242,7 @@ class TestPlanUtterance:
             message = f"utterance {utterance.id}: pitch bounds require normalized features"
         else:
             (voiced,) = parse_features((DATA_DIR / "norm_utterance.tsv").read_text(encoding="utf-8"))
-            phones = [replace(ph, f0=None, voiced=False) for ph in voiced.phones]
+            phones = [ph._replace(f0=None, voiced=False) for ph in voiced.phones]
             utterance = make_utterance("u1", "spk1", voiced.text, phones, normalized=True)
             message = "utterance u1 has no voiced phones"
         spec = PromptSpec(mode=Mode.NEUTRAL, target_text=utterance.text)

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -204,8 +203,8 @@ class TestApplyPlanExamples:
         stats = make_stats()
         utterance = random_utterance(rng, stats, n_words=4)
         plan = identity_plan(utterance, stats)
-        first = replace(plan.words[0], surface=plan.words[0].surface + "s")
-        other = replace(plan, words=(first,) + plan.words[1:])
+        first = plan.words[0]._replace(surface=plan.words[0].surface + "s")
+        other = plan._replace(words=(first,) + plan.words[1:])
         with pytest.raises(DataError, match="^plan is for words .* but utterance"):
             apply_plan(utterance, stats, other)
 
@@ -223,12 +222,12 @@ def with_other_stats():
 def with_word_index(index):
     """The CLI tests' utterance with phone 0 in word ``index``, its stats and the golden seed-7 plan.
 
-    ``dataclasses.replace`` skips the checks of ``make_utterance``, as any caller building values may.
+    ``_replace`` skips the checks of ``make_utterance``, as any caller building values may.
     """
     utterance, _, plan = with_other_stats()
     stats = parse_speaker_stats((Path(__file__).parent / "data" / "stats.tsv").read_text(encoding="utf-8"))
-    phones = (replace(utterance.phones[0], word_index=index),) + utterance.phones[1:]
-    return replace(utterance, phones=phones), stats, plan
+    phones = (utterance.phones[0]._replace(word_index=index),) + utterance.phones[1:]
+    return utterance._replace(phones=phones), stats, plan
 
 
 class TestApplyToUtterance:
@@ -239,9 +238,19 @@ class TestApplyToUtterance:
         with pytest.raises(DataError, match="^plan BOUNDS do not match utterance 'u1' with these stats: "):
             apply_plan(utterance, other_stats, plan)
 
+    def test_refusal_gives_both_bounds_as_the_plan_file_writes_them(self):
+        utterance, other_stats, plan = with_other_stats()
+        with pytest.raises(DataError) as refused:
+            apply_plan(utterance, other_stats, plan)
+        assert str(refused.value) == (
+            "plan BOUNDS do not match utterance 'u1' with these stats: "
+            "the plan has BOUNDS -80.96748360719192 49.5354567616273, "
+            "the stats give BOUNDS -80.96748360719192 59.5354567616273"
+        )
+
     def test_words_are_checked_before_bounds(self):
         utterance, other_stats, plan = with_other_stats()
-        other = replace(plan, words=(replace(plan.words[0], surface="Walk"),) + plan.words[1:])
+        other = plan._replace(words=(plan.words[0]._replace(surface="Walk"),) + plan.words[1:])
         with pytest.raises(DataError, match="^plan is for words "):
             apply_plan(utterance, other_stats, other)
 
@@ -460,13 +469,13 @@ class TestEndToEndProperty:
         f0_min_hz = data.draw(st.just(stats.f0_min_hz) | st.floats(50.0, 300.0))
         f0_max_hz = data.draw(st.just(stats.f0_max_hz) | st.floats(50.0, 700.0))
         assume(f0_min_hz < f0_max_hz)
-        other_stats = replace(stats, f0_min_hz=f0_min_hz, f0_max_hz=f0_max_hz)
+        other_stats = stats._replace(f0_min_hz=f0_min_hz, f0_max_hz=f0_max_hz)
         if compute_pitch_bounds(utterance, other_stats) == plan.bounds:
             apply_plan(utterance, other_stats, plan)
         else:
             with pytest.raises(DataError, match="^plan BOUNDS do not match utterance 'u1' with these stats: "):
                 apply_plan(utterance, other_stats, plan)
-        first = replace(plan.words[0], surface=plan.words[0].surface + "s")
-        other = replace(plan, words=(first,) + plan.words[1:])
+        first = plan.words[0]._replace(surface=plan.words[0].surface + "s")
+        other = plan._replace(words=(first,) + plan.words[1:])
         with pytest.raises(DataError, match="^plan is for words "):
             apply_plan(utterance, other_stats, other)
