@@ -12,33 +12,54 @@ path option naming a missing file or a directory) exits 2 too, before the
 command does any work.  Data goes to standard output or the paths given by
 flags; diagnostics go to standard error.
 
-The parser is the standard library's ``argparse``, so the package has no
-runtime dependency.  Each command imports the package modules it runs, and
-no other.  Importing this module (all that ``--help`` and ``stats`` need)
-loads the package's ``config``, ``errors``, ``features`` and ``mapping``;
-``apply`` adds ``modifier``, ``prompt`` adds ``prompting`` and ``response``,
-``plan`` adds ``llm``, ``prompting`` and ``response``, and ``eval`` adds
-``evaluation``.
+One table, ``_COMMANDS``, owns every command's arguments, and two parsers
+read it.  ``_accept`` takes a plainly well-formed line, the kind that scripts
+and pipelines run, and gives the namespace that argparse would give.  Any
+other line goes to the standard library's ``argparse`` (``build_parser``),
+which alone prints help, ``--version`` and usage errors, so ``plan`` and
+``apply`` on a valid line never load ``argparse``, ``gettext`` or ``locale``.
+The package has no runtime dependency.  Each command imports the package
+modules it runs, and no other.  Importing this module (all that ``--help``
+and ``stats`` need) loads the package's ``config``, ``errors``, ``features``
+and ``mapping``; ``apply`` adds ``modifier``, ``prompt`` adds ``prompting``
+and ``response``, ``plan`` adds ``llm``, ``prompting`` and ``response``, and
+``eval`` adds ``evaluation``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import stat
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__, config, features, mapping
 from .errors import BackendError, DataError, LlmOutputError
 
 
 def _write_file(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` whole or not at all: write a file beside it, then rename."""
-    temporary = Path(path).parent / f".{Path(path).name}.{os.getpid()}.tmp"
+    """Write ``text`` to ``path``: a regular file (or a new one) is replaced whole or not at all.
+
+    The text goes to a file beside the target, which is then renamed over it;
+    through a symbolic link, the target is the file it names.  A FIFO, a
+    device or any other file that is not regular cannot be replaced, so it is
+    written directly.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # a new path, or one the rename below reports on
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    target = Path(os.path.realpath(path))
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "x", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException as exc:
         temporary.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename is not None:
@@ -72,24 +93,27 @@ def _load_utterance(
     return utterance, features.parse_speaker_stats(Path(stats_path).read_text(encoding="utf-8"))
 
 
-def _load_context(options: argparse.Namespace) -> str | None:
+class _UsageError(Exception):
+    """A usage error found after parsing; ``main`` has argparse print it with the command's usage."""
+
+
+def _load_context(options) -> str | None:
     """The context ``--mode`` takes; a ``--style`` or ``--previous-line`` it does not take is a usage error."""
     mode, style, previous_line = options.mode, options.style, options.previous_line
-    usage_error = options.parser.error
     if mode == "style":
         if not style:
-            usage_error("--mode style requires --style")
+            raise _UsageError("--mode style requires --style")
         if previous_line:
-            usage_error("--previous-line is only valid with --mode dialogue")
+            raise _UsageError("--previous-line is only valid with --mode dialogue")
         return style
     if mode == "dialogue":
         if not previous_line:
-            usage_error("--mode dialogue requires --previous-line")
+            raise _UsageError("--mode dialogue requires --previous-line")
         if style:
-            usage_error("--style is only valid with --mode style")
+            raise _UsageError("--style is only valid with --mode style")
         return previous_line
     if style or previous_line:
-        usage_error("--mode neutral takes neither --style nor --previous-line")
+        raise _UsageError("--mode neutral takes neither --style nor --previous-line")
     return None
 
 
@@ -105,7 +129,7 @@ def _prompt_spec(mode: str, context: str | None, text: str, exemplars_path: str 
         mode=prompting.Mode(mode), target_text=text, context=context, exemplars=exemplars)
 
 
-def stats(options: argparse.Namespace) -> None:
+def stats(options) -> None:
     """Compute speaker statistics from raw feature files."""
     utterances: list[features.UtteranceFeatures] = []
     for path in options.raw_features:
@@ -118,7 +142,7 @@ def stats(options: argparse.Namespace) -> None:
     _write_output(features.serialize_speaker_stats(result), options.output)
 
 
-def prompt_cmd(options: argparse.Namespace) -> None:
+def prompt_cmd(options) -> None:
     """Print the prompt that would be sent to the model."""
     from . import prompting
 
@@ -143,7 +167,7 @@ def _format_transcript(attempts: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def plan_cmd(options: argparse.Namespace) -> None:
+def plan_cmd(options) -> None:
     """Ask a backend for a suggestion and write the mapped modification plan."""
     from . import llm
 
@@ -182,7 +206,7 @@ def plan_cmd(options: argparse.Namespace) -> None:
         _write_file(transcript_path, _format_transcript(attempts))
 
 
-def apply_cmd(options: argparse.Namespace) -> None:
+def apply_cmd(options) -> None:
     """Apply a modification plan to a normalized feature file."""
     from . import modifier
 
@@ -192,7 +216,7 @@ def apply_cmd(options: argparse.Namespace) -> None:
     _write_output(features.serialize_features([modified]), options.output)
 
 
-def eval_mos(options: argparse.Namespace) -> None:
+def eval_mos(options) -> None:
     """MOS mean and t-based confidence interval per system."""
     from . import evaluation
 
@@ -201,7 +225,7 @@ def eval_mos(options: argparse.Namespace) -> None:
     sys.stdout.write(evaluation.format_mos_summary(summaries))
 
 
-def eval_pref(options: argparse.Namespace) -> None:
+def eval_pref(options) -> None:
     """Three-way preference percentages."""
     from . import evaluation
 
@@ -210,7 +234,7 @@ def eval_pref(options: argparse.Namespace) -> None:
     sys.stdout.write(evaluation.format_preference_summary(summary))
 
 
-def eval_styles(options: argparse.Namespace) -> None:
+def eval_styles(options) -> None:
     """Preference percentages broken down by style label."""
     from . import evaluation
 
@@ -220,103 +244,201 @@ def eval_styles(options: argparse.Namespace) -> None:
     sys.stdout.write(evaluation.format_style_breakdown(breakdown))
 
 
+def _refusal(message: str) -> Exception:
+    """The error argparse prints as a usage error; only a refused line loads argparse."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _input_file(path: str) -> str:
     """A file a command reads: a missing one or a directory is refused while parsing, before any work."""
     if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"File {path!r} does not exist.")
+        raise _refusal(f"File {path!r} does not exist.")
     return _not_a_directory(path)
 
 
 def _not_a_directory(path: str) -> str:
     """A file path; ``--transcript`` is written after the plan, so it is checked while parsing."""
     if os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"File {path!r} is a directory.")
+        raise _refusal(f"File {path!r} is a directory.")
     return path
 
 
-class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
-    """Help that names an option's default after its help text, unless the default is none."""
+_MODE_OPTIONS = (
+    (("--mode",), {"choices": ["neutral", "style", "dialogue"], "default": "neutral",
+                   "help": "What kind of context guides the suggestion."}),
+    (("--style",), {"help": "Target speaking style (style mode)."}),
+    (("--previous-line",), {"help": "Previous dialogue line (dialogue mode)."}),
+    (("--exemplars",), {"dest": "exemplars_path", "type": _input_file, "metavar": "PATH",
+                        "help": "Exemplar asset file replacing the built-in examples."}),
+)
 
-    def _get_help_string(self, action: argparse.Action) -> str | None:
-        return action.help if action.default is None else super()._get_help_string(action)
+
+def _utterance_options(which: str, output: str) -> tuple:
+    return (
+        (("--features",), {"dest": "features_path", "required": True, "type": _input_file, "metavar": "PATH"}),
+        (("--stats",), {"dest": "stats_path", "required": True, "type": _input_file, "metavar": "PATH"}),
+        (("--utterance-id",), {"help": f"Which utterance to {which}."}),
+        (("-o", "--output"), {"default": "-", "help": f"{output} file path, or - for stdout."}),
+    )
 
 
-def build_parser(prog: str = "llmprosody") -> argparse.ArgumentParser:
-    """The parser of every command; a command's namespace holds ``run``, its function, and ``parser``."""
-    settings = {"formatter_class": _HelpFormatter, "allow_abbrev": False}
+_BACKEND_CONFIG = config.BackendConfig()
+
+# Every command, by the words that name it: its function and its arguments.  An argument is its
+# flags (or its name, for a positional) and the keywords of argparse's ``add_argument``, which
+# build_parser passes on as they are and _accept reads.  A command has at most one positional.
+_COMMANDS = {
+    ("stats",): (stats, (
+        (("raw_features",), {"nargs": "+", "type": _input_file}),
+        (("-o", "--output"), {"default": "-", "help": "Stats file path, or - for stdout."}),
+        (("--min-duration-s",), {"type": float, "default": 1.5, "help": "Exclude shorter utterances."}),
+        (("--percentile-low",), {"type": float, "default": 5.0}),
+        (("--percentile-high",), {"type": float, "default": 95.0}),
+    )),
+    ("prompt",): (prompt_cmd, (
+        *_MODE_OPTIONS,
+        (("--text",), {"required": True, "help": "Target text to annotate."}),
+    )),
+    ("plan",): (plan_cmd, (
+        *_MODE_OPTIONS,
+        (("--text",), {"help": "Target text; defaults to the utterance's text."}),
+        *_utterance_options("plan for", "Plan"),
+        (("--backend",), {"choices": ["mock", "http"], "default": "mock"}),
+        (("--seed",), {"type": int, "default": 0, "help": "Seed for the mock backend."}),
+        (("--base-url",), {"default": _BACKEND_CONFIG.base_url}),
+        (("--model",), {"default": _BACKEND_CONFIG.model_name}),
+        (("--api-key-env",), {"default": _BACKEND_CONFIG.api_key_env,
+                              "help": "Environment variable holding the API key (http backend)."}),
+        (("--temperature",), {"type": float, "default": _BACKEND_CONFIG.temperature}),
+        (("--timeout-s",), {"type": float, "default": _BACKEND_CONFIG.timeout_s}),
+        (("--max-retries",), {"type": int, "default": _BACKEND_CONFIG.max_retries}),
+        (("--max-attempts",), {"type": int, "default": config.RepairPolicy().max_attempts,
+                               "help": "Suggest/parse/repair rounds."}),
+        (("--pitch-cap",), {"type": float, "default": mapping.MappingConfig().local_pitch_cap_fraction,
+                            "help": "Fraction of the upward pitch headroom one word may claim."}),
+        (("--transcript",), {"dest": "transcript_path", "type": _not_a_directory, "metavar": "PATH",
+                             "help": "Where to write the attempt transcript."}),
+    )),
+    ("apply",): (apply_cmd, (
+        *_utterance_options("modify", "Modified feature"),
+        (("--plan",), {"dest": "plan_path", "required": True, "type": _input_file, "metavar": "PATH"}),
+    )),
+    ("eval", "mos"): (eval_mos, (
+        (("ratings_file",), {"type": _input_file}),
+        (("--confidence",), {"type": float, "default": 0.95}),
+    )),
+    ("eval", "pref"): (eval_pref, (
+        (("preferences_file",), {"type": _input_file}),
+    )),
+    ("eval", "styles"): (eval_styles, (
+        (("preferences_file",), {"type": _input_file}),
+        (("--labels",), {"dest": "labels_file", "required": True, "type": _input_file, "metavar": "PATH",
+                         "help": "Tab-separated set_id/style mapping."}),
+    )),
+}
+_EVAL_HELP = "Aggregate listening-test data."
+
+
+def _dest(flags: tuple[str, ...], keywords: dict) -> str:
+    """The namespace attribute argparse stores an argument under."""
+    if "dest" in keywords:
+        return keywords["dest"]
+    long_flags = [flag for flag in flags if flag.startswith("--")]
+    return (long_flags or list(flags))[0].lstrip("-").replace("-", "_")
+
+
+def build_parser(prog: str = "llmprosody"):
+    """The argparse parser of ``_COMMANDS``; a command's namespace holds ``run``, its function, and ``parser``."""
+    import argparse
+
+    class HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+        """Help that names an option's default after its help text, unless the default is none."""
+
+        def _get_help_string(self, action: argparse.Action) -> str | None:
+            return action.help if action.default is None else super()._get_help_string(action)
+
+    settings = {"formatter_class": HelpFormatter, "allow_abbrev": False}
     parser = argparse.ArgumentParser(
         prog=prog, description="Turn natural-language context into prosody modifications.", **settings)
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    def command(group, name: str, run) -> argparse.ArgumentParser:
-        sub = group.add_parser(name, help=run.__doc__, description=run.__doc__, **settings)
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (run, arguments) in _COMMANDS.items():
+        if words[:-1] not in groups:  # eval, whose subcommands are commands
+            groups[words[:-1]] = groups[()].add_parser(
+                words[0], help=_EVAL_HELP, description=_EVAL_HELP, **settings,
+            ).add_subparsers(dest="command", required=True)
+        sub = groups[words[:-1]].add_parser(words[-1], help=run.__doc__, description=run.__doc__, **settings)
         sub.set_defaults(run=run, parser=sub)
-        return sub
-
-    def mode_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--mode", choices=["neutral", "style", "dialogue"], default="neutral",
-                         help="What kind of context guides the suggestion.")
-        sub.add_argument("--style", help="Target speaking style (style mode).")
-        sub.add_argument("--previous-line", help="Previous dialogue line (dialogue mode).")
-        sub.add_argument("--exemplars", dest="exemplars_path", type=_input_file, metavar="PATH",
-                         help="Exemplar asset file replacing the built-in examples.")
-
-    def utterance_options(sub: argparse.ArgumentParser, which: str, output: str) -> None:
-        sub.add_argument("--features", dest="features_path", required=True, type=_input_file, metavar="PATH")
-        sub.add_argument("--stats", dest="stats_path", required=True, type=_input_file, metavar="PATH")
-        sub.add_argument("--utterance-id", help=f"Which utterance to {which}.")
-        sub.add_argument("-o", "--output", default="-", help=f"{output} file path, or - for stdout.")
-
-    sub = command(commands, "stats", stats)
-    sub.add_argument("raw_features", nargs="+", type=_input_file)
-    sub.add_argument("-o", "--output", default="-", help="Stats file path, or - for stdout.")
-    sub.add_argument("--min-duration-s", type=float, default=1.5, help="Exclude shorter utterances.")
-    sub.add_argument("--percentile-low", type=float, default=5.0)
-    sub.add_argument("--percentile-high", type=float, default=95.0)
-
-    sub = command(commands, "prompt", prompt_cmd)
-    mode_options(sub)
-    sub.add_argument("--text", required=True, help="Target text to annotate.")
-
-    sub = command(commands, "plan", plan_cmd)
-    mode_options(sub)
-    sub.add_argument("--text", help="Target text; defaults to the utterance's text.")
-    utterance_options(sub, "plan for", "Plan")
-    sub.add_argument("--backend", choices=["mock", "http"], default="mock")
-    sub.add_argument("--seed", type=int, default=0, help="Seed for the mock backend.")
-    backend_config = config.BackendConfig()
-    sub.add_argument("--base-url", default=backend_config.base_url)
-    sub.add_argument("--model", default=backend_config.model_name)
-    sub.add_argument("--api-key-env", default=backend_config.api_key_env,
-                     help="Environment variable holding the API key (http backend).")
-    sub.add_argument("--temperature", type=float, default=backend_config.temperature)
-    sub.add_argument("--timeout-s", type=float, default=backend_config.timeout_s)
-    sub.add_argument("--max-retries", type=int, default=backend_config.max_retries)
-    sub.add_argument("--max-attempts", type=int, default=config.RepairPolicy().max_attempts,
-                     help="Suggest/parse/repair rounds.")
-    sub.add_argument("--pitch-cap", type=float, default=mapping.MappingConfig().local_pitch_cap_fraction,
-                     help="Fraction of the upward pitch headroom one word may claim.")
-    sub.add_argument("--transcript", dest="transcript_path", type=_not_a_directory, metavar="PATH",
-                     help="Where to write the attempt transcript.")
-
-    sub = command(commands, "apply", apply_cmd)
-    utterance_options(sub, "modify", "Modified feature")
-    sub.add_argument("--plan", dest="plan_path", required=True, type=_input_file, metavar="PATH")
-
-    evaluations = commands.add_parser(
-        "eval", help="Aggregate listening-test data.", description="Aggregate listening-test data.",
-        **settings).add_subparsers(dest="command", required=True)
-    sub = command(evaluations, "mos", eval_mos)
-    sub.add_argument("ratings_file", type=_input_file)
-    sub.add_argument("--confidence", type=float, default=0.95)
-    sub = command(evaluations, "pref", eval_pref)
-    sub.add_argument("preferences_file", type=_input_file)
-    sub = command(evaluations, "styles", eval_styles)
-    sub.add_argument("preferences_file", type=_input_file)
-    sub.add_argument("--labels", dest="labels_file", required=True, type=_input_file, metavar="PATH",
-                     help="Tab-separated set_id/style mapping.")
+        for flags, keywords in arguments:
+            sub.add_argument(*flags, **keywords)
     return parser
+
+
+def _accept(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give a plainly well-formed ``argv``, less ``parser``; else None.
+
+    It takes ``CMD [SUB]``, then one run of positionals and options written
+    ``--long VALUE``, ``--long=VALUE`` or ``-o VALUE``, each given once, with
+    every required option, values that convert and are among the choices,
+    and path checks that pass.  It declines the rest, for argparse to parse:
+    help, ``--version``, ``--``, an unknown or abbreviated name, a short
+    option glued to its value, and a value that starts with ``-`` but is not
+    ``-``.  It never prints and never exits.
+    """
+    words = tuple(argv[:2]) if argv[:1] == ["eval"] else tuple(argv[:1])
+    if words not in _COMMANDS:
+        return None
+    run, arguments = _COMMANDS[words]
+    by_flag = {flag: argument for argument in arguments for flag in argument[0] if flag[0] == "-"}
+    given: dict[tuple[str, ...], str] = {}
+    positionals: list[str] = []
+    options_after_positionals = False
+    rest = iter(argv[len(words):])
+    for word in rest:
+        if word[:1] != "-" or word == "-":
+            if options_after_positionals:  # argparse takes one run of positionals
+                return None
+            positionals.append(word)
+            continue
+        options_after_positionals = bool(positionals)
+        flag, equals, value = word.partition("=")
+        if flag not in by_flag or (equals and not flag.startswith("--")) or by_flag[flag][0] in given:
+            return None
+        if not equals:
+            value = next(rest, None)
+            if value is None:
+                return None
+        if value[:1] == "-" and value != "-":
+            return None
+        given[by_flag[flag][0]] = value
+    values = {"command": words[-1], "run": run}
+    for flags, keywords in arguments:
+        if flags[0][0] != "-":
+            if not positionals or (len(positionals) > 1 and keywords.get("nargs") != "+"):
+                return None
+            raw, positionals = positionals, []
+        elif flags in given:
+            raw = [given[flags]]
+        elif keywords.get("required"):
+            return None
+        else:
+            values[_dest(flags, keywords)] = keywords.get("default")
+            continue
+        converted = []
+        for text in raw:
+            try:
+                value = keywords.get("type", str)(text)
+            except Exception:  # argparse refuses it as well (ValueError, ArgumentTypeError) and says why
+                return None
+            if value not in keywords.get("choices", [value]):
+                return None
+            converted.append(value)
+        values[_dest(flags, keywords)] = converted if keywords.get("nargs") == "+" else converted[0]
+    if positionals:  # given to a command that takes none
+        return None
+    return SimpleNamespace(**values)
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
@@ -325,9 +447,16 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     An error of a package category, or an ``OSError``, prints ``error: <message>``
     and exits with its code; a usage error exits 2 with the command's usage.
     """
-    options = build_parser(prog_name or "llmprosody").parse_args(args)
+    argv = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or "llmprosody"
+    options = _accept(argv)
+    if options is None:
+        options = build_parser(prog).parse_args(argv)
     try:
         options.run(options)
+    except _UsageError as exc:
+        # argparse prints it, under the usage of the command that ran
+        build_parser(prog).parse_args(argv).parser.error(str(exc))
     except (DataError, LlmOutputError, BackendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(getattr(exc, "exit_code", DataError.exit_code))

@@ -1,8 +1,8 @@
 """Settings of the completion backend and the repair loop, apart from :mod:`llmprosody.llm`
 so that the CLI reads ``plan``'s defaults without loading the LLM, prompt and response layers."""
 
+import _thread
 import math
-import threading
 from collections import namedtuple
 
 from .errors import Checked, DataError
@@ -34,8 +34,8 @@ class BackendConfig(Checked, namedtuple(
         if not self.timeout_s > 0:
             raise DataError(f"timeout_s must be > 0, got {self.timeout_s}")
         # a socket refuses a longer timeout with OverflowError
-        if self.timeout_s > threading.TIMEOUT_MAX:
-            raise DataError(f"timeout_s must be at most {threading.TIMEOUT_MAX}, got {self.timeout_s}")
+        if self.timeout_s > _thread.TIMEOUT_MAX:
+            raise DataError(f"timeout_s must be at most {_thread.TIMEOUT_MAX}, got {self.timeout_s}")
         if self.max_parallel < 1:
             raise DataError(f"max_parallel must be >= 1, got {self.max_parallel}")
         # nan and inf would pass a bare `< 0` test, and JSON has no way to send them

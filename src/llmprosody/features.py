@@ -12,12 +12,11 @@ The module also owns the log-domain normalization with a speaker's
 from __future__ import annotations
 
 import math
-import string
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import reduce
 from operator import add
-from typing import Sequence
 
 from .errors import Checked, DataError
 
@@ -26,8 +25,9 @@ FILE_HEADER = "#feature-file\tv1"
 _UTTERANCE_TAG = "#utterance"
 _ABSENT = "-"
 
-# string.punctuation plus the common unicode marks LLMs and corpora emit
-_PUNCT = string.punctuation + "“”‘’«»—–…¿¡"
+# string.punctuation, written out so that no process imports string for it, plus the common
+# unicode marks LLMs and corpora emit
+_PUNCT = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~" + "“”‘’«»—–…¿¡"
 
 
 class Word(namedtuple("Word", "surface key")):

@@ -12,12 +12,13 @@ threads, so HTTP needs no third-party package.
 
 from __future__ import annotations
 
+import _thread
 import hashlib
 import os
 import random
 import time
 from collections import namedtuple
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .config import BackendConfig, RepairPolicy
 from .errors import BackendError, DataError, LlmOutputError
@@ -166,9 +167,7 @@ class _ConnectionPool:
     """
 
     def __init__(self) -> None:
-        import threading  # only the http backend needs it
-
-        self._lock = threading.Lock()
+        self._lock = _thread.allocate_lock()  # threading.Lock, without importing threading
         self._idle: dict[tuple[str, str], list[tuple]] = {}
         self._ssl_context = None
 

@@ -11,11 +11,11 @@ word, is what keeps the model from skipping or inventing words.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
-from importlib import resources
 
 from .errors import DataError
 from .features import Word, tokenize_words
@@ -248,7 +248,5 @@ def serialize_exemplars(exemplars: tuple[Exemplar, ...]) -> str:
 @lru_cache(maxsize=1)
 def default_exemplars() -> tuple[Exemplar, ...]:
     """The packaged set of ten worked examples covering all three modes."""
-    document = (
-        resources.files("llmprosody").joinpath("assets/exemplars.txt").read_text("utf-8")
-    )
-    return parse_exemplars(document)
+    with open(os.path.join(os.path.dirname(__file__), "assets", "exemplars.txt"), encoding="utf-8") as asset:
+        return parse_exemplars(asset.read())

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import threading
@@ -12,9 +13,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from conftest import PROPERTIES
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from llmprosody import features, llm, mapping, prompting
-from llmprosody.cli import build_parser, main
+from llmprosody.cli import _COMMANDS, _accept, build_parser, main
 from llmprosody.errors import BackendError, DataError, LlmOutputError
 from llmprosody.evaluation import (
     PREFERENCES_HEADER,
@@ -387,6 +391,42 @@ class TestPlanCommand:
         assert result.stderr == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option", ["-o", "--transcript"])
+    def test_a_symlink_stays_and_the_file_it_names_is_replaced(self, runner, tmp_path, option):
+        real, links = tmp_path / "real", tmp_path / "links"
+        real.mkdir()
+        links.mkdir()
+        target = real / "target.txt"
+        target.write_bytes(b"old bytes\n")
+        link = links / "link.txt"
+        link.symlink_to(target)
+        result = runner.invoke(main, golden_plan_writing(tmp_path, option, link))
+        assert result.exit_code == 0, result.output
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (GOLDEN_DIR / GOLDEN_OF[option]).read_bytes()
+        # the temporary file went beside the target, and was renamed
+        assert [path.name for path in real.iterdir()] == ["target.txt"]
+        assert [path.name for path in links.iterdir()] == ["link.txt"]
+
+    @pytest.mark.parametrize("option", ["-o", "--transcript"])
+    def test_a_fifo_stays_and_is_written_through(self, runner, tmp_path, option):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def drain():
+            with open(fifo, "rb") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        result = runner.invoke(main, golden_plan_writing(tmp_path, option, fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert result.exit_code == 0, result.output
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert received == [(GOLDEN_DIR / GOLDEN_OF[option]).read_bytes()]
+
     def test_text_word_mismatch_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -503,6 +543,16 @@ class TestPlanCommand:
     def test_default_is_the_library_default(self, option, owner, field):
         options = build_parser().parse_args(["plan", "--features", NORM, "--stats", STATS])
         assert getattr(options, option) == getattr(owner(), field)
+
+
+GOLDEN_OF = {"-o": "cli_plan_seed7.tsv", "--transcript": "cli_transcript_seed7.txt"}
+
+
+def golden_plan_writing(tmp_path, option, path):
+    """The seed-7 golden ``plan``, with ``option`` (``-o`` or ``--transcript``) naming ``path``."""
+    outputs = {"-o": str(tmp_path / "plan.tsv"), "--transcript": str(tmp_path / "transcript.txt"), option: str(path)}
+    return ["plan", "--features", NORM, "--stats", STATS, "--seed", "7",
+            "-o", outputs["-o"], "--transcript", outputs["--transcript"]]
 
 
 def with_er_phone(tmp_path, f0="0.400000", energy="0.800000"):
@@ -684,6 +734,119 @@ class TestPathRefusals:
         assert not out.exists()
 
 
+def comparable(options):
+    """A namespace's attributes but ``parser``, as reprs: ``nan`` equals ``nan`` there."""
+    return {name: repr(value) for name, value in vars(options).items() if name != "parser"}
+
+
+def parsed_by_argparse(argv):
+    """What argparse makes of ``argv`` (see ``comparable``), or None for a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return comparable(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# A flag of some command, a misspelled one, or one that argparse alone handles.
+NEAR_MISS_FLAGS = sorted(
+    {flag for _, arguments in _COMMANDS.values() for flags, _ in arguments for flag in flags if flag[0] == "-"}
+    | {"-h", "--help", "--version", "--", "-", "--feat", "--Features", "--output-", "-O", "-x", "---mode"}
+)
+
+
+@st.composite
+def command_lines(draw, existing, missing, directory):
+    """A line for one command: each argument given as often as it must be, with a value of its kind, in
+    any order.  In some lines an argument is left out or repeated, a value is odd (a missing path, a
+    directory, ``-``, a negative number, ``-Hi.``), or a near-miss flag or word comes along."""
+    words = draw(st.sampled_from([*_COMMANDS] * 3 + [("eval",), ("eval", "mo"), ("plans",), ()]))
+    flaws = draw(st.sampled_from([0, 0, 1, 3]))  # in tenths
+
+    def often(likely, unlikely):
+        return unlikely if draw(st.integers(0, 9)) < flaws else likely
+
+    odd = st.sampled_from(["Hi", "", "-", "3", "nan", "-3", "-0.5", "-Hi.", "--text", existing, missing, directory])
+    kinds = {
+        int: st.integers(0, 99).map(str),
+        float: st.floats(0, 2).map(str),
+        None: st.sampled_from(["Hi", "in a hurry", "Did you hear that?", "a=b", ""]),
+    }
+    chunks = []
+    for flags, keywords in _COMMANDS.get(words, (None, ()))[1]:
+        kind = keywords.get("type")
+        good = st.sampled_from(keywords["choices"]) if "choices" in keywords \
+            else kinds[kind] if kind in kinds else st.just(existing)
+        if flags[0][0] != "-":
+            size = 3 if keywords.get("nargs") == "+" else often(1, 2)
+            chunks.append([draw(often(good, odd)) for _ in range(draw(st.integers(often(1, 0), size)))])
+            continue
+        for _ in range(often(1, 0) if keywords.get("required") else often(draw(st.integers(0, 1)), 2)):
+            flag, value = draw(st.sampled_from(flags)), draw(often(good, odd))
+            chunks.append([f"{flag}={value}"] if flag.startswith("--") and draw(st.booleans()) else [flag, value])
+    if draw(st.integers(0, 9)) < flaws:
+        chunks.append([draw(st.one_of(st.sampled_from(NEAR_MISS_FLAGS), odd))])
+    return [*words, *[word for chunk in draw(st.permutations(chunks)) for word in chunk]]
+
+
+@pytest.fixture
+def parse_paths(tmp_path):
+    """An existing file, a missing one and a directory, as the path options are given them."""
+    (tmp_path / "existing.tsv").write_text("x\n", encoding="utf-8")
+    (tmp_path / "directory").mkdir()
+    return str(tmp_path / "existing.tsv"), str(tmp_path / "missing.tsv"), str(tmp_path / "directory")
+
+
+class TestAcceptor:
+    """``_accept`` parses plainly well-formed lines without argparse; argparse decides every other one."""
+
+    @settings(PROPERTIES, max_examples=600, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_an_accepted_line_is_parsed_as_argparse_parses_it(self, parse_paths, data):
+        argv = data.draw(command_lines(*parse_paths))
+        accepted = _accept(argv)
+        if accepted is not None:
+            assert parsed_by_argparse(argv) == comparable(accepted)
+
+    def test_every_line_the_benchmark_runs_is_accepted(self, tmp_path):
+        """The lines of ``perfbench/workloads.py``'s ``cli_session``: plan in each mode, apply, stats and eval."""
+        write_eval_inputs(tmp_path)
+        out, plan = str(tmp_path / "out.tsv"), str(GOLDEN_DIR / "cli_plan_seed7.tsv")
+        single = ["--features", NORM, "--stats", STATS]
+        lines = [
+            ["stats", RAW, "-o", out],
+            *(["plan", *single, "--backend", "mock", "--seed", "1", *mode, "-o", out] for mode in (
+                ["--mode", "neutral"], ["--mode", "style", "--style", "in a hurry"],
+                ["--mode", "dialogue", "--previous-line", "Did you hear that?"])),
+            ["plan", *single, "--backend", "mock", "--seed", "7", "-o", out, "--transcript", str(tmp_path / "t.txt")],
+            ["apply", *single, "--plan", plan, "-o", out],
+            ["eval", "mos", str(tmp_path / "ratings.tsv")],
+            ["eval", "pref", str(tmp_path / "prefs.tsv")],
+        ]
+        for argv in lines:
+            accepted = _accept(argv)
+            assert accepted is not None, argv
+            assert comparable(accepted) == parsed_by_argparse(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["--help"], ["--version"], ["eval"], ["eval", "mos"],
+            ["stats", RAW, "-h"], ["stats", RAW, "--", RAW],
+            ["stats", RAW, "-o", "a.tsv", RAW],  # positionals split by an option
+            ["stats", RAW, "-oa.tsv"], ["stats", RAW, "-o=a.tsv"],  # a short option glued to its value
+            ["stats", RAW, "--out", "a.tsv"],  # argparse refuses abbreviations here
+            ["stats", RAW, "-o", "a.tsv", "--output", "b.tsv"],  # a repeated option
+            ["plan", "--features", NORM, "--stats", STATS, "--seed", "-3"],
+            ["prompt", "--text=-Hi."], ["prompt", "--text", "-Hi."],
+            ["prompt", "--text", "Hi.", "--mode", "loud"], ["plan", "--features", NORM],
+            ["eval", "mos", "missing.tsv"], ["eval", "mos", RAW, RAW], ["apply", RAW],
+        ],
+    )
+    def test_declines_what_argparse_must_decide(self, argv):
+        assert _accept(argv) is None
+
+
 class TestEvalCommand:
     def test_pref_prints_table_two_numbers(self, runner, tmp_path):
         prefs = tmp_path / "prefs.tsv"
@@ -812,15 +975,13 @@ class TestUtteranceSelection:
 REPORT_MODULES = """
 import sys
 import llmprosody
-if sys.argv[2:]:
-    from llmprosody.cli import main
-    try:
+try:
+    if sys.argv[2:]:
+        from llmprosody.cli import main
         main(sys.argv[2:])
-    except SystemExit as exc:
-        if exc.code:
-            raise
-with open(sys.argv[1], "w", encoding="utf-8") as report:
-    report.write("\\n".join(sys.modules))
+finally:
+    with open(sys.argv[1], "w", encoding="utf-8") as report:
+        report.write("\\n".join(sys.modules))
 """
 
 HEAVY = {"numpy", "requests", "scipy"}
@@ -854,21 +1015,22 @@ def mock_completion_server():
     server.server_close()
 
 
-def run_fresh(tmp_path, args, env=None):
+def run_fresh(tmp_path, args, env=None, flags=(), exit_code=0):
     """Run the CLI on ``args`` in a fresh interpreter; return the process and its top-level modules.
 
-    ``env`` adds to or overrides the environment, ``PYTHONPATH`` included.
+    ``env`` adds to or overrides the environment, ``PYTHONPATH`` included; ``flags`` go to the
+    interpreter, and the process must exit with ``exit_code``.
     """
     report = tmp_path / "modules.txt"
     completed = subprocess.run(
-        [sys.executable, "-c", REPORT_MODULES, str(report), *args],
+        [sys.executable, *flags, "-c", REPORT_MODULES, str(report), *args],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": SRC_DIR, **(env or {})},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert completed.returncode == 0, completed.stderr
+    assert completed.returncode == exit_code, completed.stderr
     names = report.read_text(encoding="utf-8").split("\n")
     return completed, {name.partition(".")[0] for name in names}
 
@@ -997,11 +1159,16 @@ CLI_MODULES = {f"llmprosody.{name}" for name in ["cli", "config", "errors", "fea
 LLM_LAYERS = {"llmprosody.llm", "llmprosody.prompting", "llmprosody.response"}
 # the value types are namedtuples, so no command loads dataclasses or, through it, inspect
 DATACLASSES = {"dataclasses", "inspect"}
+# argparse and what its messages load; only help, --version and a line _accept declines need them
+ARGPARSE = {"argparse", "gettext", "locale"}
+MOCK_PLAN = ["plan", "--features", NORM, "--stats", STATS, "--backend", "mock", "-o", "plan.tsv"]
+APPLY = ["apply", "--features", NORM, "--stats", STATS, "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"),
+         "-o", "out.tsv"]
 
 
-def loaded_modules(tmp_path, args):
+def loaded_modules(tmp_path, args, **run_options):
     """Run the CLI on ``args`` in a fresh interpreter; return the full names of its loaded modules."""
-    run_fresh(tmp_path, args)
+    run_fresh(tmp_path, args, **run_options)
     return set((tmp_path / "modules.txt").read_text(encoding="utf-8").split("\n"))
 
 
@@ -1054,3 +1221,22 @@ class TestPackageModulesPerCommand:
         loaded = loaded_modules(tmp_path, ["eval", *args])
         assert package_modules(loaded) == CLI_MODULES | {"llmprosody.evaluation"}
         assert loaded & DATACLASSES == set()
+
+    @pytest.mark.parametrize("args", [MOCK_PLAN, APPLY], ids=["plan", "apply"])
+    def test_a_valid_plan_or_apply_loads_no_argparse(self, tmp_path, args):
+        assert loaded_modules(tmp_path, args) & ARGPARSE == set()
+
+    @pytest.mark.parametrize(
+        "args, exit_code",
+        [(["--help"], 0), (["plan", "--features", "missing.tsv", "--stats", STATS], 2),
+         (["plan", "--features", NORM, "--stats", STATS, "--mode", "style"], 2)],
+        ids=["help", "usage-error", "mode-mismatch"],
+    )
+    def test_help_and_usage_errors_still_load_argparse(self, tmp_path, args, exit_code):
+        assert "argparse" in loaded_modules(tmp_path, args, exit_code=exit_code)
+
+    def test_mock_plan_on_a_clean_interpreter_loads_no_stdlib_it_does_not_use(self, tmp_path):
+        # without site, which on some interpreters preloads these modules for every program
+        loaded = loaded_modules(tmp_path, MOCK_PLAN, flags=["-S"])
+        assert "llmprosody.llm" in loaded
+        assert loaded & ({"string", "typing", "importlib.resources", "threading"} | ARGPARSE) == set()

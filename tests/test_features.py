@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import string
 import subprocess
 import sys
 
@@ -287,6 +288,10 @@ class TestTokenizeWords:
 
     def test_pure_punctuation_dropped(self):
         assert tokenize_words("wait - no ...") == (Word("wait", "wait"), Word("no", "no"))
+
+    def test_each_ascii_and_common_unicode_mark_is_stripped(self):
+        for mark in string.punctuation + "“”‘’«»—–…¿¡":
+            assert tokenize_words(f"{mark}{mark}wait{mark} {mark}") == (Word("wait", "wait"),), mark
 
     def test_uppercase_gives_same_keys(self, rng):
         from conftest import random_text
