@@ -35,13 +35,14 @@ cmp "$out/modified.tsv" tests/golden/cli_modified_seed7.tsv
   --seed 7 -o "$out/plan.tsv" 2> "$out/importtime.txt"
 grep -qE '\| +llmprosody\.prompting$' "$out/importtime.txt"
 test -z "$(grep -E '\| +dataclasses$' "$out/importtime.txt")"
-# a valid plan or apply line is parsed without argparse (and gettext and locale, which its messages load);
-# for apply, the llmprosody.cli line shows that the log covers the import that used to load argparse
-test -z "$(grep -E '\| +(argparse|gettext|locale)$' "$out/importtime.txt")"
+# a valid plan or apply line is parsed without argparse (and gettext and locale, which its messages load),
+# and its files are read and written without pathlib; for apply, the llmprosody.cli line shows that the
+# log covers the import that used to load both
+test -z "$(grep -E '\| +(argparse|gettext|locale|pathlib)$' "$out/importtime.txt")"
 "$bare" -X importtime -m llmprosody apply --features tests/data/norm_utterance.tsv --stats tests/data/stats.tsv \
   --plan tests/golden/cli_plan_seed7.tsv -o "$out/modified.tsv" 2> "$out/importtime.txt"
 grep -qE '\| +llmprosody\.cli$' "$out/importtime.txt"
-test -z "$(grep -E '\| +(argparse|gettext|locale)$' "$out/importtime.txt")"
+test -z "$(grep -E '\| +(argparse|gettext|locale|pathlib)$' "$out/importtime.txt")"
 # the golden plan under stats with another F0 range has other BOUNDS: exit 2, no output file
 sed 's/^f0_max_hz\t300\.0$/f0_max_hz\t310.0/' tests/data/stats.tsv > "$out/stats_310.tsv"
 grep -q '^f0_max_hz.310\.0$' "$out/stats_310.tsv"

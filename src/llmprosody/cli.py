@@ -31,11 +31,15 @@ from __future__ import annotations
 import os
 import stat
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__, config, features, mapping
 from .errors import BackendError, DataError, LlmOutputError
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _write_file(path: str, text: str) -> None:
@@ -54,14 +58,18 @@ def _write_file(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
-    target = Path(os.path.realpath(path))
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(temporary, target)
     except BaseException as exc:
-        temporary.unlink(missing_ok=True)
+        try:
+            os.remove(temporary)
+        except FileNotFoundError:
+            pass
         if isinstance(exc, OSError) and exc.filename is not None:
             # name the path the user gave, not the temporary file
             raise OSError(exc.errno, exc.strerror, path) from exc
@@ -79,7 +87,7 @@ def _load_utterance(
     features_path: str, utterance_id: str | None, stats_path: str
 ) -> tuple[features.UtteranceFeatures, features.SpeakerStats]:
     """The utterance that ``plan`` or ``apply`` works on, and the speaker stats."""
-    utterances = features.parse_features(Path(features_path).read_text(encoding="utf-8"))
+    utterances = features.parse_features(_read(features_path))
     if utterance_id is None:
         if len(utterances) != 1:
             raise DataError(
@@ -90,7 +98,7 @@ def _load_utterance(
         utterance = next((u for u in utterances if u.id == utterance_id), None)
         if utterance is None:
             raise DataError(f"no utterance with id {utterance_id!r}")
-    return utterance, features.parse_speaker_stats(Path(stats_path).read_text(encoding="utf-8"))
+    return utterance, features.parse_speaker_stats(_read(stats_path))
 
 
 class _UsageError(Exception):
@@ -124,7 +132,7 @@ def _prompt_spec(mode: str, context: str | None, text: str, exemplars_path: str 
     if exemplars_path is None:
         exemplars = prompting.default_exemplars()
     else:
-        exemplars = prompting.parse_exemplars(Path(exemplars_path).read_text(encoding="utf-8"))
+        exemplars = prompting.parse_exemplars(_read(exemplars_path))
     return prompting.PromptSpec(
         mode=prompting.Mode(mode), target_text=text, context=context, exemplars=exemplars)
 
@@ -133,7 +141,7 @@ def stats(options) -> None:
     """Compute speaker statistics from raw feature files."""
     utterances: list[features.UtteranceFeatures] = []
     for path in options.raw_features:
-        utterances.extend(features.parse_features(Path(path).read_text(encoding="utf-8")))
+        utterances.extend(features.parse_features(_read(path)))
     result = features.compute_speaker_stats(
         utterances,
         min_duration_s=options.min_duration_s,
@@ -211,7 +219,7 @@ def apply_cmd(options) -> None:
     from . import modifier
 
     utterance, stats_obj = _load_utterance(options.features_path, options.utterance_id, options.stats_path)
-    plan = mapping.parse_plan(Path(options.plan_path).read_text(encoding="utf-8"))
+    plan = mapping.parse_plan(_read(options.plan_path))
     modified = modifier.apply_plan(utterance, stats_obj, plan)
     _write_output(features.serialize_features([modified]), options.output)
 
@@ -220,7 +228,7 @@ def eval_mos(options) -> None:
     """MOS mean and t-based confidence interval per system."""
     from . import evaluation
 
-    records = evaluation.parse_ratings(Path(options.ratings_file).read_text(encoding="utf-8"))
+    records = evaluation.parse_ratings(_read(options.ratings_file))
     summaries = evaluation.mos_summary(records, confidence=options.confidence)
     sys.stdout.write(evaluation.format_mos_summary(summaries))
 
@@ -229,7 +237,7 @@ def eval_pref(options) -> None:
     """Three-way preference percentages."""
     from . import evaluation
 
-    records = evaluation.parse_preferences(Path(options.preferences_file).read_text(encoding="utf-8"))
+    records = evaluation.parse_preferences(_read(options.preferences_file))
     summary = evaluation.preference_summary(records)
     sys.stdout.write(evaluation.format_preference_summary(summary))
 
@@ -238,8 +246,8 @@ def eval_styles(options) -> None:
     """Preference percentages broken down by style label."""
     from . import evaluation
 
-    records = evaluation.parse_preferences(Path(options.preferences_file).read_text(encoding="utf-8"))
-    labels = evaluation.parse_style_labels(Path(options.labels_file).read_text(encoding="utf-8"))
+    records = evaluation.parse_preferences(_read(options.preferences_file))
+    labels = evaluation.parse_style_labels(_read(options.labels_file))
     breakdown = evaluation.style_breakdown(records, labels)
     sys.stdout.write(evaluation.format_style_breakdown(breakdown))
 
@@ -293,9 +301,10 @@ _COMMANDS = {
     ("stats",): (stats, (
         (("raw_features",), {"nargs": "+", "type": _input_file}),
         (("-o", "--output"), {"default": "-", "help": "Stats file path, or - for stdout."}),
-        (("--min-duration-s",), {"type": float, "default": 1.5, "help": "Exclude shorter utterances."}),
-        (("--percentile-low",), {"type": float, "default": 5.0}),
-        (("--percentile-high",), {"type": float, "default": 95.0}),
+        (("--min-duration-s",), {"type": float, "default": features.MIN_DURATION_S,
+                                 "help": "Exclude shorter utterances."}),
+        (("--percentile-low",), {"type": float, "default": features.RANGE_PERCENTILES[0]}),
+        (("--percentile-high",), {"type": float, "default": features.RANGE_PERCENTILES[1]}),
     )),
     ("prompt",): (prompt_cmd, (
         *_MODE_OPTIONS,
@@ -327,6 +336,7 @@ _COMMANDS = {
     )),
     ("eval", "mos"): (eval_mos, (
         (("ratings_file",), {"type": _input_file}),
+        # a literal: reading evaluation's default would load that module in every process
         (("--confidence",), {"type": float, "default": 0.95}),
     )),
     ("eval", "pref"): (eval_pref, (

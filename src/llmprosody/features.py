@@ -254,6 +254,10 @@ def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeat
                 raise DataError(
                     f"utterance {utterance.id}: phone duration {ph.duration_s} rounds to 0.000000"
                 )
+            if not duration[0].isdigit():  # nor could a negative one, inf or nan
+                raise DataError(
+                    f"utterance {utterance.id}: phone {ph.label!r} duration {duration} is not finite and positive"
+                )
             if not math.isfinite(ph.energy) or (ph.f0 is not None and not math.isfinite(ph.f0)):
                 raise DataError(f"utterance {utterance.id}: phone {ph.label!r} has a non-finite F0 or energy")
             voiced = "1" if ph.voiced else "0"
@@ -421,11 +425,15 @@ def percentile(ascending: Sequence[float], q: float) -> float:
 # the largest x with a finite exp(x); numpy's exp gives inf above it, where math.exp raises
 _LOG_MAX = math.log(sys.float_info.max)
 
+# compute_speaker_stats' defaults, which the stats command's options take too
+MIN_DURATION_S = 1.5
+RANGE_PERCENTILES = (5.0, 95.0)
+
 
 def compute_speaker_stats(
     utterances: list[UtteranceFeatures] | tuple[UtteranceFeatures, ...],
-    min_duration_s: float = 1.5,
-    range_percentiles: tuple[float, float] = (5.0, 95.0),
+    min_duration_s: float = MIN_DURATION_S,
+    range_percentiles: tuple[float, float] = RANGE_PERCENTILES,
 ) -> SpeakerStats:
     """Corpus statistics over raw-variant utterances.
 

@@ -87,15 +87,11 @@ class WordCoefficients(namedtuple("WordCoefficients", "surface delta pi_hz epsil
     epsilon: float
 
 
-class ModificationPlan(namedtuple(
-    "ModificationPlan", "g_dur g_pitch_hz g_energy words bounds clamp_notes", defaults=((),)
-)):
+class ModificationPlan(namedtuple("ModificationPlan", "g_dur g_pitch_hz g_energy words bounds")):
     """Clamped coefficients ready for application.
 
     Invariants: g_dur/g_energy in [0.5, 2]; every delta/epsilon in [1, 2];
-    g_pitch_hz + pi_hz within the bounds for every word.  ``clamp_notes``
-    records any suggestion values that had to be clamped before mapping; it
-    is advisory and excluded from equality and the hash.
+    g_pitch_hz + pi_hz within the bounds for every word.
     """
 
     __slots__ = ()
@@ -104,16 +100,8 @@ class ModificationPlan(namedtuple(
     g_energy: float
     words: tuple[WordCoefficients, ...]
     bounds: PitchBounds
-    clamp_notes: tuple[str, ...]
 
-    def __eq__(self, other):
-        return self[:5] == other[:5] if isinstance(other, ModificationPlan) else NotImplemented
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:5])
+    clamp_notes = ()  # not a field: perfbench/spans.py reads it until ROADMAP item 1 deletes both
 
 
 def compute_pitch_bounds(utterance: UtteranceFeatures, stats: SpeakerStats) -> PitchBounds:
@@ -204,23 +192,20 @@ def build_plan(
 ) -> ModificationPlan:
     """Map a suggestion onto a valid :class:`ModificationPlan`.
 
-    Suggestion values outside the nominal scales are clamped first and the
-    clamping is recorded in ``plan.clamp_notes``; a non-finite value raises
-    :class:`DataError`.  The suggestion must fit the utterance's words
+    Suggestion values outside the nominal scales are clamped first, unrecorded
+    (the parser's ``clamped`` diagnostics report them); a non-finite value
+    raises :class:`DataError`.  The suggestion must fit the utterance's words
     (:func:`check_suggestion_words`).  The result is checked with
     :func:`validate_plan`.
     """
     check_suggestion_words(suggestion, utterance.words)
-    notes: list[str] = []
 
     def clamp(value: float, scale: tuple[float, float], name: str, index: int | None = None) -> float:
         low, high = scale
         if low <= value <= high:  # the common case: nothing to clamp, so no label to build
             return value
         what = f"global {name}" if index is None else f"word {index} {name}"
-        clamped = clamp_to_scale(value, scale, what)
-        notes.append(f"{what} {value!r} clamped to {clamped!r}")
-        return clamped
+        return clamp_to_scale(value, scale, what)
 
     v_dur = clamp(suggestion.global_duration, GLOBAL_SCALE, "duration")
     v_pitch = clamp(suggestion.global_pitch, GLOBAL_SCALE, "pitch")
@@ -247,7 +232,6 @@ def build_plan(
         g_energy=map_global_scale(v_energy),
         words=tuple(word_coeffs),
         bounds=bounds,
-        clamp_notes=tuple(notes),
     )
     validate_plan(plan)
     return plan

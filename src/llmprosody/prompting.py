@@ -4,7 +4,7 @@ A prompt is a fixed head (task description, value scales, rules), the worked
 examples, the response-format instructions and one target block: the mode's
 context, the target text with its words enumerated one per line, and
 ``Response:``.  Each example is the same block plus its canonical response,
-checked and rendered once per :class:`Exemplar` and reused by every prompt.
+checked and rendered once per exemplar set and reused by every prompt.
 The enumeration, and the requirement that the response echo each index and
 word, is what keeps the model from skipping or inventing words.
 """
@@ -15,7 +15,7 @@ import os
 import re
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import DataError
 from .features import Word, tokenize_words
@@ -32,29 +32,12 @@ class Mode(str, Enum):
 class Exemplar(namedtuple("Exemplar", "mode context target_text reasoning suggestion")):
     """A worked example: optional context, target text, reasoning, values."""
 
+    __slots__ = ()
     mode: Mode
     context: str | None
     target_text: str
     reasoning: str
     suggestion: LlmScaleSuggestion
-
-    @cached_property
-    def prompt_text(self) -> str:
-        """This example's target block and canonical response, checked and rendered once."""
-        try:
-            words = _target_words(self.mode, self.context, self.target_text)
-            response = serialize_suggestion(self.suggestion, words, self.reasoning)
-        except DataError as exc:
-            raise DataError(f"exemplar {self.target_text!r}: {exc}") from None
-        block = _render_target(self.mode, self.context, self.target_text, words)
-        return "\n".join(block + [response.rstrip("\n")])
-
-    # no __slots__, so that prompt_text is cached in the instance __dict__; no attribute can be set
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: an Exemplar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: an Exemplar is immutable")
 
 
 DEFAULT_TASK_DESCRIPTION = """\
@@ -162,14 +145,27 @@ def _target_words(mode: Mode, context: str | None, text: str) -> tuple[Word, ...
 def build_prompt(spec: PromptSpec) -> str:
     """Deterministic prompt text for ``spec`` (pure function, no environment reads)."""
     words = _target_words(spec.mode, spec.context, spec.target_text)
-    if not spec.exemplars:
+    target = _render_target(spec.mode, spec.context, spec.target_text, words)
+    return "\n".join([_prefix(tuple(spec.exemplars)), *target, ""])
+
+
+# the CLI and every caller in the package use one exemplar set
+@lru_cache(maxsize=8)
+def _prefix(exemplars: tuple[Exemplar, ...]) -> str:
+    """The prompt's lines before its target block: the head, each example checked and rendered, the format."""
+    if not exemplars:
         raise DataError("at least one exemplar is required")
     parts = [_HEAD]
-    for k, exemplar in enumerate(spec.exemplars, start=1):
-        parts += ["", f"Example {k}", exemplar.prompt_text]
+    for k, exemplar in enumerate(exemplars, start=1):
+        mode, context, text = exemplar.mode, exemplar.context, exemplar.target_text
+        try:
+            words = _target_words(mode, context, text)
+            response = serialize_suggestion(exemplar.suggestion, words, exemplar.reasoning)
+        except DataError as exc:
+            raise DataError(f"exemplar {text!r}: {exc}") from None
+        parts += ["", f"Example {k}", *_render_target(mode, context, text, words), response.rstrip("\n")]
     parts += ["", DEFAULT_FORMAT_INSTRUCTIONS, "", "Now solve this task."]
-    parts += _render_target(spec.mode, spec.context, spec.target_text, words)
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts)
 
 
 _RECORD_SEPARATOR = "---"

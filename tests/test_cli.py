@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import PROPERTIES
@@ -331,6 +333,14 @@ class TestPromptCommand:
         assert result.exit_code == 2
 
 
+def speaker_stats_defaults():
+    """``compute_speaker_stats``' defaults, each under the name of the ``stats`` option that sets it."""
+    parameters = inspect.signature(features.compute_speaker_stats).parameters
+    low, high = parameters["range_percentiles"].default
+    return SimpleNamespace(
+        min_duration_s=parameters["min_duration_s"].default, percentile_low=low, percentile_high=high)
+
+
 class TestPlanCommand:
     def test_mock_plan_matches_golden(self, runner, tmp_path):
         plan = tmp_path / "plan.tsv"
@@ -538,10 +548,14 @@ class TestPlanCommand:
             ("max_retries", llm.BackendConfig, "max_retries"),
             ("max_attempts", llm.RepairPolicy, "max_attempts"),
             ("pitch_cap", mapping.MappingConfig, "local_pitch_cap_fraction"),
+            ("min_duration_s", speaker_stats_defaults, "min_duration_s"),
+            ("percentile_low", speaker_stats_defaults, "percentile_low"),
+            ("percentile_high", speaker_stats_defaults, "percentile_high"),
         ],
     )
     def test_default_is_the_library_default(self, option, owner, field):
-        options = build_parser().parse_args(["plan", "--features", NORM, "--stats", STATS])
+        plan = ["plan", "--features", NORM, "--stats", STATS]
+        options = build_parser().parse_args(["stats", RAW] if owner is speaker_stats_defaults else plan)
         assert getattr(options, option) == getattr(owner(), field)
 
 
@@ -555,11 +569,11 @@ def golden_plan_writing(tmp_path, option, path):
             "-o", outputs["-o"], "--transcript", outputs["--transcript"]]
 
 
-def with_er_phone(tmp_path, f0="0.400000", energy="0.800000"):
-    """The test utterance with new F0 and energy values for its voiced phone ER."""
+def with_er_phone(tmp_path, f0="0.400000", energy="0.800000", duration="0.110000"):
+    """The test utterance with new duration, F0 and energy values for its voiced phone ER."""
     path = tmp_path / "features.tsv"
     old = "ER\t0\t0.110000\t0.400000\t0.800000"
-    path.write_text(Path(NORM).read_text().replace(old, f"ER\t0\t0.110000\t{f0}\t{energy}"))
+    path.write_text(Path(NORM).read_text().replace(old, f"ER\t0\t{duration}\t{f0}\t{energy}"))
     return str(path)
 
 
@@ -590,6 +604,19 @@ class TestValuesBeyondFloatRange:
             ["apply", "--features", features, "--stats", STATS, "--plan", str(plan), "-o", str(out)],
         )
         assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    def test_huge_duration_apply_exits_2(self, runner, tmp_path):
+        # 1e308 parses, and the golden plan's duration scales take it beyond the float range
+        features = with_er_phone(tmp_path, duration="1e308")
+        out = tmp_path / "out.tsv"
+        result = runner.invoke(
+            main,
+            ["apply", "--features", features, "--stats", STATS,
+             "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv"), "-o", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "phone 'ER' duration inf is not finite and positive" in result.output
         assert not out.exists()
 
     def test_tiny_energy_apply_exits_2_naming_the_value(self, runner, tmp_path):
@@ -797,6 +824,13 @@ def parse_paths(tmp_path):
     return str(tmp_path / "existing.tsv"), str(tmp_path / "missing.tsv"), str(tmp_path / "directory")
 
 
+# an option as the last word, with no value; a positional given to a command that takes none
+DECLINED_USAGE_ERRORS = (
+    ["plan", "--features", NORM, "--stats", STATS, "--seed"],
+    ["apply", "stray", "--features", NORM, "--stats", STATS, "--plan", str(GOLDEN_DIR / "cli_plan_seed7.tsv")],
+)
+
+
 class TestAcceptor:
     """``_accept`` parses plainly well-formed lines without argparse; argparse decides every other one."""
 
@@ -841,10 +875,27 @@ class TestAcceptor:
             ["prompt", "--text=-Hi."], ["prompt", "--text", "-Hi."],
             ["prompt", "--text", "Hi.", "--mode", "loud"], ["plan", "--features", NORM],
             ["eval", "mos", "missing.tsv"], ["eval", "mos", RAW, RAW], ["apply", RAW],
+            *DECLINED_USAGE_ERRORS,
         ],
     )
     def test_declines_what_argparse_must_decide(self, argv):
         assert _accept(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv, usage, message",
+        [
+            (DECLINED_USAGE_ERRORS[0], "usage: llmprosody plan [-h]",
+             "llmprosody plan: error: argument --seed: expected one argument"),
+            (DECLINED_USAGE_ERRORS[1], "usage: llmprosody [-h]", "llmprosody: error: unrecognized arguments: stray"),
+        ],
+        ids=["option-without-value", "positional-to-a-command-with-none"],
+    )
+    def test_argparse_refuses_what_it_is_left(self, runner, argv, usage, message):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(usage)
+        assert result.stderr.endswith(f"\n{message}\n")
 
 
 class TestEvalCommand:
@@ -1239,4 +1290,4 @@ class TestPackageModulesPerCommand:
         # without site, which on some interpreters preloads these modules for every program
         loaded = loaded_modules(tmp_path, MOCK_PLAN, flags=["-S"])
         assert "llmprosody.llm" in loaded
-        assert loaded & ({"string", "typing", "importlib.resources", "threading"} | ARGPARSE) == set()
+        assert loaded & ({"string", "typing", "importlib.resources", "threading", "pathlib"} | ARGPARSE) == set()

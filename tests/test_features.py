@@ -261,6 +261,15 @@ class TestSerializeFeatures:
         with pytest.raises(DataError, match="rounds to 0.000000"):
             serialize_features([utterance])
 
+    # a duration the reader would refuse: inf, nan or negative as written
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -0.1, -1e-9])
+    def test_duration_the_reader_refuses_is_refused(self, value):
+        phone = PhoneFeature("AA1", 0, 0.1, None, 0.0, voiced=False, pause=False)
+        utterance = make_utterance("u1", "spk1", "hi", [phone], normalized=True)
+        utterance = utterance._replace(phones=(phone._replace(duration_s=value),))
+        with pytest.raises(DataError, match="duration -?[0-9a-z.]+ is not finite and positive"):
+            serialize_features([utterance])
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("slot", ["f0", "energy"])
     def test_non_finite_f0_or_energy_refused(self, slot, value):

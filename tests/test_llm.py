@@ -702,6 +702,22 @@ class TestConnectionPool:
         assert len(keep_alive_server.requests) == 3
         assert len(_connections(keep_alive_server)) == 3
 
+    def test_an_interrupt_is_not_retried_and_closes_its_connection(self, keep_alive_server, monkeypatch):
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
+        interrupted = []
+
+        def interrupt(conn):
+            interrupted.append(conn)
+            raise KeyboardInterrupt  # neither OSError nor HTTPException, so not a transient failure
+
+        monkeypatch.setattr(http.client.HTTPConnection, "getresponse", interrupt)
+        sleeps = []
+        with pytest.raises(KeyboardInterrupt):
+            complete("p", _config(keep_alive_server), sleep=sleeps.append)
+        assert sleeps == [] and len(interrupted) == 1
+        assert interrupted[0].sock is None
+        assert llm._POOL._idle.get(("http", f"127.0.0.1:{keep_alive_server.server_port}"), []) == []
+
     def test_redirect_is_not_followed(self, keep_alive_server, monkeypatch):
         monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
         keep_alive_server.script.append((302, b"{}", {"Location": "/v1/elsewhere"}))

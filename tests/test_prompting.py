@@ -327,7 +327,8 @@ class TestPromptOracle:
         assert build_prompt(spec) == expected
 
     def test_each_exemplar_rendered_once(self, monkeypatch):
-        exemplars = parse_exemplars(serialize_exemplars(default_exemplars()))
+        # a set no other test builds, so no earlier prompt has rendered it
+        exemplars = tuple(e._replace(reasoning=f"{e.reasoning} (counted)") for e in default_exemplars())
         calls = []
 
         def counting(*args, **kwargs):
@@ -338,4 +339,13 @@ class TestPromptOracle:
         spec = PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=exemplars)
         first = build_prompt(spec)
         assert build_prompt(spec) == first
+        other = build_prompt(spec._replace(target_text="so long", exemplars=list(exemplars)))
+        assert other.split("Now solve this task.")[0] == first.split("Now solve this task.")[0]
         assert len(calls) == len(exemplars)
+
+    def test_an_exemplar_must_be_hashable(self):
+        exemplar = default_exemplars()[0]
+        suggestion = exemplar.suggestion._replace(words=list(exemplar.suggestion.words))
+        unhashable = exemplar._replace(suggestion=suggestion)
+        with pytest.raises(TypeError):
+            build_prompt(PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(unhashable,)))

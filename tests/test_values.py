@@ -33,9 +33,6 @@ DATA_DIR = Path(__file__).parent / "data"
 
 MODULES = ("config", "evaluation", "features", "llm", "mapping", "prompting", "response")
 
-# Exemplar's cached_property needs an instance __dict__
-UNSLOTTED = {"Exemplar"}
-
 # distinct valid fields, none a default, for each class that checks its fields (other classes take object())
 CHECKED_FIELDS = {
     "BackendConfig": ("http://localhost:1/v1", "m", "KEY", 0.5, 10.0, 2, 4),
@@ -103,17 +100,20 @@ def _samples() -> dict[str, object]:
 
 SAMPLES = _samples()
 
+OWN_METHODS = {"__eq__", "__ne__", "__hash__", "__setattr__", "__delattr__"}
 
-def test_every_package_value_type_is_a_namedtuple_slotted_but_exemplar():
-    slotted, unslotted = set(), set()
+
+def test_every_package_value_type_is_a_slotted_namedtuple():
+    value_types = set()
     for name in MODULES:
         module = importlib.import_module(f"llmprosody.{name}")
         for value in vars(module).values():
             if isinstance(value, type) and value.__module__ == module.__name__ and issubclass(value, tuple):
-                assert hasattr(value, "_fields"), value
-                (slotted if "__slots__" in value.__dict__ else unslotted).add(value.__name__)
-    assert unslotted == UNSLOTTED
-    assert slotted | unslotted == set(SAMPLES)
+                assert hasattr(value, "_fields") and value.__dict__["__slots__"] == (), value
+                # equality, hash and immutability are the namedtuple's own
+                assert not OWN_METHODS & set(value.__dict__), value
+                value_types.add(value.__name__)
+    assert value_types == set(SAMPLES)
     assert len(SAMPLES) == 25
 
 
@@ -121,9 +121,9 @@ ALL = pytest.mark.parametrize("name", sorted(SAMPLES))
 
 
 class TestSlottedValue:
-    """Every value type; all but Exemplar have slots."""
+    """Every value type."""
 
-    @pytest.mark.parametrize("name", sorted(set(SAMPLES) - UNSLOTTED))
+    @ALL
     def test_no_instance_dict(self, name):
         assert not hasattr(SAMPLES[name], "__dict__")
 
@@ -189,20 +189,13 @@ def test_every_way_of_making_a_value_runs_its_checks(name):
         copy.deepcopy(unchecked)
 
 
-def test_clamp_notes_stay_out_of_equality_and_hash():
+def test_clamp_notes_is_a_class_constant_not_a_field():
     plan = SAMPLES["ModificationPlan"]
-    noted = plan._replace(clamp_notes=("word 0 pitch 7.0 clamped to 5.0",))
-    assert noted == plan and hash(noted) == hash(plan)
-    assert not noted != plan
+    assert type(plan)._fields == ("g_dur", "g_pitch_hz", "g_energy", "words", "bounds")
+    assert plan.clamp_notes == type(plan).clamp_notes == ()
+    with pytest.raises(TypeError):
+        type(plan)(*plan, clamp_notes=())
     assert plan._replace(g_dur=plan.g_dur + 0.5) != plan
-
-
-def test_exemplar_prompt_text_is_cached_on_the_instance_and_copied():
-    exemplar = SAMPLES["Exemplar"]
-    text = exemplar.prompt_text
-    assert exemplar.__dict__ == {"prompt_text": text}
-    for copied in (pickle.loads(pickle.dumps(exemplar)), copy.deepcopy(exemplar)):
-        assert copied == exemplar and copied.prompt_text == text
 
 
 def test_prompt_spec_exemplars_default_when_left_out_or_none():
