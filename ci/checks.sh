@@ -62,6 +62,11 @@ bench() {
 }
 # the goldens, byte-stable passes and F0-range checks run in-process
 bench library_corpus 0
+# the traced pass wraps module attributes, so a layer that the pipeline calls any other way reads 0
+bench library_corpus 1 'all(r["metrics"][m]["value"] > 0 for m in (
+  "features.parse_us_per_utt", "features.serialize_us_per_utt", "prompting.build_prompt_us", "llm.suggest_us",
+  "llm.backend_ms", "response.parse_us", "mapping.build_plan_us", "mapping.serialize_plan_us",
+  "mapping.parse_plan_us", "modifier.apply_plan_us"))'
 # the only workload that runs the HTTP transport, its retry path and the repair loop, against
 # a loopback stub; the traced pass guards connection reuse: one connection per request reads 1
 bench http_stub 0

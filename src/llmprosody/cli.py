@@ -60,16 +60,25 @@ def _write_file(path: str, text: str) -> None:
         return
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    stem = os.path.join(directory, f".{name}.{os.getpid()}")
+    temporary = None  # the file this call created, once it has
     try:
-        with open(temporary, "x", encoding="utf-8") as handle:
+        n = 0
+        while temporary is None:  # a name that another file holds is left to that file
+            try:
+                handle = open(f"{stem}.{n}.tmp" if n else f"{stem}.tmp", "x", encoding="utf-8")
+                temporary = handle.name
+            except FileExistsError:
+                n += 1
+        with handle:
             handle.write(text)
         os.replace(temporary, target)
     except BaseException as exc:
-        try:
-            os.remove(temporary)
-        except FileNotFoundError:
-            pass
+        if temporary is not None:
+            try:
+                os.remove(temporary)
+            except FileNotFoundError:
+                pass
         if isinstance(exc, OSError) and exc.filename is not None:
             # name the path the user gave, not the temporary file
             raise OSError(exc.errno, exc.strerror, path) from exc

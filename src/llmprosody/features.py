@@ -51,12 +51,12 @@ def tokenize_words(text: str) -> tuple[Word, ...]:
     match key is the lowercased surface, so casing and edge punctuation never
     break alignment between a word list and an LLM response.
     """
+    make_word = Word._make
     words = []
     for token in text.split():
         core = token.strip(_PUNCT)
-        if not core:
-            continue
-        words.append(Word(surface=core, key=core.lower()))
+        if core:
+            words.append(make_word((core, core.lower())))
     return tuple(words)
 
 
@@ -183,26 +183,24 @@ def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence
 
     n_words = len(utterance.words)
     previous = -1
-    referenced = set()
-    for k, ph in enumerate(utterance.phones):
-        if ph.pause and (ph.word_index is not None or ph.voiced):
-            raise DataError(f"{where(k)}: pause phone {ph.label!r} must be unvoiced with no word index")
-        if ph.voiced != (ph.f0 is not None):
-            raise DataError(f"{where(k)}: phone {ph.label!r} voiced flag inconsistent with F0 presence")
-        if not ph.duration_s > 0:
-            raise DataError(f"{where(k)}: phone {ph.label!r} duration must be > 0, got {ph.duration_s}")
-        if ph.word_index is not None:
-            if not 0 <= ph.word_index < n_words:
-                raise DataError(f"{where(k)}: word index {ph.word_index} out of range (W={n_words})")
-            if ph.word_index < previous:
-                raise DataError(
-                    f"{where(k)}: word indices must be non-decreasing "
-                    f"({ph.word_index} after {previous})"
-                )
-            previous = ph.word_index
-            referenced.add(ph.word_index)
-    missing = set(range(n_words)) - referenced
-    if missing:
+    referenced = set()  # indices are checked non-decreasing, so each is added once
+    for k, (label, j, duration, f0, _, voiced, pause) in enumerate(utterance.phones):
+        if pause and (j is not None or voiced):
+            raise DataError(f"{where(k)}: pause phone {label!r} must be unvoiced with no word index")
+        if voiced != (f0 is not None):
+            raise DataError(f"{where(k)}: phone {label!r} voiced flag inconsistent with F0 presence")
+        if not duration > 0:
+            raise DataError(f"{where(k)}: phone {label!r} duration must be > 0, got {duration}")
+        if j is not None:
+            if not 0 <= j < n_words:
+                raise DataError(f"{where(k)}: word index {j} out of range (W={n_words})")
+            if j != previous:
+                if j < previous:
+                    raise DataError(f"{where(k)}: word indices must be non-decreasing ({j} after {previous})")
+                previous = j
+                referenced.add(j)
+    if not referenced.issuperset(range(n_words)):
+        missing = set(range(n_words)) - referenced
         raise DataError(f"utterance {uid}: words {sorted(missing)} are not referenced by any phone")
 
 
@@ -215,14 +213,8 @@ def make_utterance(
     line_numbers: Sequence[int] | None = None,
 ) -> UtteranceFeatures:
     """Build a validated utterance, deriving the word list from ``text``."""
-    utterance = UtteranceFeatures(
-        id=utterance_id,
-        speaker_id=speaker_id,
-        text=text,
-        words=tokenize_words(text),
-        phones=tuple(phones),
-        normalized=normalized,
-    )
+    words = tokenize_words(text)
+    utterance = UtteranceFeatures._make((utterance_id, speaker_id, text, words, tuple(phones), normalized))
     _validate_all_but_words(utterance, line_numbers)
     return utterance
 
@@ -240,29 +232,28 @@ def parse_finite(field: str, what: str, line_number: int) -> float:
 
 def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeatures, ...]) -> str:
     """Render utterances in the canonical feature-file form (inverse of parse)."""
+    isfinite = math.isfinite
     lines = [FILE_HEADER]
     for utterance in utterances:
+        uid = utterance.id
         variant = "norm" if utterance.normalized else "raw"
-        lines.append(
-            f"{_UTTERANCE_TAG}\t{utterance.id}\t{utterance.speaker_id}\t{variant}\t{utterance.text}"
-        )
-        for ph in utterance.phones:
-            word_index = _ABSENT if ph.word_index is None else ph.word_index
-            f0 = _ABSENT if ph.f0 is None else f"{ph.f0:.6f}"
-            duration = f"{ph.duration_s:.6f}"
+        lines.append(f"{_UTTERANCE_TAG}\t{uid}\t{utterance.speaker_id}\t{variant}\t{utterance.text}")
+        for label, word_index, duration_s, f0, energy, voiced, pause in utterance.phones:
+            duration = f"{duration_s:.6f}"
             if duration == "0.000000":  # written as zero, it could not be parsed back
-                raise DataError(
-                    f"utterance {utterance.id}: phone duration {ph.duration_s} rounds to 0.000000"
-                )
+                raise DataError(f"utterance {uid}: phone duration {duration_s} rounds to 0.000000")
             if not duration[0].isdigit():  # nor could a negative one, inf or nan
-                raise DataError(
-                    f"utterance {utterance.id}: phone {ph.label!r} duration {duration} is not finite and positive"
-                )
-            if not math.isfinite(ph.energy) or (ph.f0 is not None and not math.isfinite(ph.f0)):
-                raise DataError(f"utterance {utterance.id}: phone {ph.label!r} has a non-finite F0 or energy")
-            voiced = "1" if ph.voiced else "0"
-            pause = "1" if ph.pause else "0"
-            lines.append(f"{ph.label}\t{word_index}\t{duration}\t{f0}\t{ph.energy:.6f}\t{voiced}\t{pause}")
+                raise DataError(f"utterance {uid}: phone {label!r} duration {duration} is not finite and positive")
+            # nor a label that splits its row or line, or reads as a header; most labels are alphanumeric
+            if not label.isalnum() and ("\t" in label or "\n" in label or label.startswith(_UTTERANCE_TAG)):
+                raise DataError(f"utterance {uid}: phone label {label!r} would not read back as one phone row")
+            if not isfinite(energy) or (f0 is not None and not isfinite(f0)):
+                raise DataError(f"utterance {uid}: phone {label!r} has a non-finite F0 or energy")
+            f0_text = _ABSENT if f0 is None else f"{f0:.6f}"
+            lines.append(
+                f"{label}\t{_ABSENT if word_index is None else word_index}\t{duration}\t{f0_text}\t{energy:.6f}"
+                f"\t{'1' if voiced else '0'}\t{'1' if pause else '0'}"
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -272,24 +263,27 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
     Format errors report the offending line number; invariant violations name
     the utterance (and line, where one applies).
     """
-    lines = document.split("\n")
-    header_seen = False
+    make_phone = PhoneFeature._make
+    isfinite = math.isfinite
     utterances: list[UtteranceFeatures] = []
     ids: set[str] = set()
-    current: dict | None = None
+    current: tuple | None = None  # make_utterance's arguments for the open utterance
 
-    def finish(block: dict) -> None:
-        if not block["phones"]:
-            raise DataError(f"utterance {block['utterance_id']}: has no phones")
-        utterances.append(make_utterance(**block))
+    def finish(block: tuple) -> None:
+        if not block[3]:
+            raise DataError(f"utterance {block[0]}: has no phones")
+        utterances.append(make_utterance(*block))
 
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if not header_seen:
+    numbered_lines = enumerate(document.split("\n"), start=1)
+    for line_number, line in numbered_lines:  # the first line that is not blank must be the header
+        if line and not line.isspace():
             if line != FILE_HEADER:
                 raise DataError(f"line {line_number}: expected feature-file header, got {line!r}")
-            header_seen = True
+            break
+    else:
+        raise DataError("line 1: empty document (missing feature-file header)")
+    for line_number, line in numbered_lines:
+        if not line or line.isspace():
             continue
         if line.startswith(_UTTERANCE_TAG):
             if current is not None:
@@ -303,14 +297,8 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
             if fields[1] in ids:
                 raise DataError(f"line {line_number}: duplicate utterance id {fields[1]!r}")
             ids.add(fields[1])
-            current = {
-                "utterance_id": fields[1],
-                "speaker_id": fields[2],
-                "normalized": variant == "norm",
-                "text": fields[4],
-                "phones": [],
-                "line_numbers": [],
-            }
+            phones, line_numbers = [], []
+            current = (fields[1], fields[2], fields[4], phones, variant == "norm", line_numbers)
             continue
         if current is None:
             raise DataError(f"line {line_number}: phone row before any utterance header")
@@ -320,8 +308,6 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
         label, word_index_s, duration_s, f0_s, energy_s, voiced_s, pause_s = fields
         if voiced_s not in ("0", "1") or pause_s not in ("0", "1"):
             raise DataError(f"line {line_number}: voiced/pause flags must be 0 or 1")
-        voiced = voiced_s == "1"
-        pause = pause_s == "1"
         if word_index_s == _ABSENT:
             word_index = None
         else:
@@ -331,16 +317,19 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
                 raise DataError(
                     f"line {line_number}: word index {word_index_s!r} is not an integer"
                 ) from None
-        duration = parse_finite(duration_s, "duration", line_number)
-        energy = parse_finite(energy_s, "energy", line_number)
-        if f0_s == _ABSENT:
-            f0 = None
-        else:
-            f0 = parse_finite(f0_s, "F0", line_number)
-        current["phones"].append(PhoneFeature(label, word_index, duration, f0, energy, voiced, pause))
-        current["line_numbers"].append(line_number)
-    if not header_seen:
-        raise DataError("line 1: empty document (missing feature-file header)")
+        try:
+            duration = float(duration_s)
+            energy = float(energy_s)
+            f0 = None if f0_s == _ABSENT else float(f0_s)
+            finite = isfinite(duration) and isfinite(energy) and (f0 is None or isfinite(f0))
+        except ValueError:
+            finite = False
+        if not finite:  # parse_finite words the refusal of the first field at fault
+            duration = parse_finite(duration_s, "duration", line_number)
+            energy = parse_finite(energy_s, "energy", line_number)
+            f0 = None if f0_s == _ABSENT else parse_finite(f0_s, "F0", line_number)
+        phones.append(make_phone((label, word_index, duration, f0, energy, voiced_s == "1", pause_s == "1")))
+        line_numbers.append(line_number)
     if current is not None:
         finish(current)
     return utterances

@@ -277,26 +277,17 @@ def mock_complete(prompt: str, seed: int) -> str:
     """
     surfaces = prompt_target_words(prompt)
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-    rng = random.Random(f"{seed}:{digest}")
-    words = tuple(Word(surface=s, key=s.lower()) for s in surfaces)
-    suggestion = LlmScaleSuggestion(
-        global_duration=float(rng.randint(-5, 5)),
-        global_pitch=float(rng.randint(-5, 5)),
-        global_energy=float(rng.randint(-5, 5)),
-        words=tuple(
-            WordSuggestion(
-                key=word.key,
-                local_duration=float(rng.randint(0, 5)),
-                local_pitch=float(rng.randint(0, 5)),
-                local_energy=float(rng.randint(0, 5)),
-            )
-            for word in words
-        ),
-    )
-    reasoning = (
-        f"Deterministic mock suggestion for {len(words)} words (seed {seed})."
-    )
-    return serialize_suggestion(suggestion, words, reasoning)
+    draw = random.Random(f"{seed}:{digest}").randrange  # randrange(a, b + 1) draws as randint(a, b)
+    make_word, make_entry = Word._make, WordSuggestion._make
+    global_values = (float(draw(-5, 6)), float(draw(-5, 6)), float(draw(-5, 6)))
+    words, entries = [], []
+    for surface in surfaces:
+        key = surface.lower()
+        words.append(make_word((surface, key)))
+        entries.append(make_entry((key, float(draw(0, 6)), float(draw(0, 6)), float(draw(0, 6)))))
+    suggestion = LlmScaleSuggestion(*global_values, tuple(entries))
+    reasoning = f"Deterministic mock suggestion for {len(words)} words (seed {seed})."
+    return serialize_suggestion(suggestion, tuple(words), reasoning)
 
 
 class MockBackend(namedtuple("MockBackend", "seed", defaults=(0,))):

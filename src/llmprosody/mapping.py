@@ -111,14 +111,23 @@ def compute_pitch_bounds(utterance: UtteranceFeatures, stats: SpeakerStats) -> P
     [f0_min_hz, f0_max_hz], provided the utterance starts inside the range;
     the zero shift is always admissible.
     """
+    return _voiced_hz_and_bounds(utterance, stats)[1]
+
+
+def _voiced_hz_and_bounds(utterance: UtteranceFeatures, stats: SpeakerStats) -> tuple[list[float], PitchBounds]:
+    """The linear Hz of each voiced phone, in order, and :func:`compute_pitch_bounds` of them."""
     if not utterance.normalized:
         raise DataError(f"utterance {utterance.id}: pitch bounds require normalized features")
-    hz = [denorm_f0(ph.f0, stats) for ph in utterance.phones if ph.voiced]
+    exp, sigma, mu = math.exp, stats.sigma_logf0, stats.mu_logf0
+    try:
+        hz = [exp(f0 * sigma + mu) for _, _, _, f0, _, voiced, _ in utterance.phones if voiced]  # denorm_f0's Hz
+    except OverflowError:  # denorm_f0 words the refusal
+        hz = [denorm_f0(ph.f0, stats) for ph in utterance.phones if ph.voiced]
     if not hz:
         raise DataError(f"utterance {utterance.id} has no voiced phones")
     p_min = min(0.0, stats.f0_min_hz - min(hz))
     p_max = max(0.0, stats.f0_max_hz - max(hz))
-    return PitchBounds(p_min_hz=p_min, p_max_hz=p_max)
+    return hz, PitchBounds(p_min_hz=p_min, p_max_hz=p_max)
 
 
 def map_global_scale(v: float) -> float:
@@ -211,28 +220,17 @@ def build_plan(
     v_pitch = clamp(suggestion.global_pitch, GLOBAL_SCALE, "pitch")
     v_energy = clamp(suggestion.global_energy, GLOBAL_SCALE, "energy")
     bounds = compute_pitch_bounds(utterance, stats)
+    low, high = LOCAL_SCALE
     word_coeffs = []
     g_pitch_hz = 0.0
-    for i, (entry, word) in enumerate(zip(suggestion.words, utterance.words)):
-        ld = clamp(entry.local_duration, LOCAL_SCALE, "duration", i)
-        lp = clamp(entry.local_pitch, LOCAL_SCALE, "pitch", i)
-        le = clamp(entry.local_energy, LOCAL_SCALE, "energy", i)
+    for i, ((_, ld, lp, le), (surface, _)) in enumerate(zip(suggestion.words, utterance.words)):
+        if not (low <= ld <= high and low <= lp <= high and low <= le <= high):
+            ld = clamp(ld, LOCAL_SCALE, "duration", i)
+            lp = clamp(lp, LOCAL_SCALE, "pitch", i)
+            le = clamp(le, LOCAL_SCALE, "energy", i)
         g_pitch_hz, pi_hz = map_pitch(v_pitch, lp, bounds, config)
-        word_coeffs.append(
-            WordCoefficients(
-                surface=word.surface,
-                delta=map_local_scale(ld),
-                pi_hz=pi_hz,
-                epsilon=map_local_scale(le),
-            )
-        )
-    plan = ModificationPlan(
-        g_dur=map_global_scale(v_dur),
-        g_pitch_hz=g_pitch_hz,
-        g_energy=map_global_scale(v_energy),
-        words=tuple(word_coeffs),
-        bounds=bounds,
-    )
+        word_coeffs.append(WordCoefficients._make((surface, map_local_scale(ld), pi_hz, map_local_scale(le))))
+    plan = ModificationPlan(map_global_scale(v_dur), g_pitch_hz, map_global_scale(v_energy), tuple(word_coeffs), bounds)
     validate_plan(plan)
     return plan
 
@@ -250,43 +248,45 @@ def serialize_plan(plan: ModificationPlan) -> str:
 
 def parse_plan(document: str) -> ModificationPlan:
     """Parse and validate a plan document (inverse of :func:`serialize_plan`)."""
+    make_word = WordCoefficients._make
+    isfinite = math.isfinite
     global_fields: tuple[float, float, float] | None = None
     bounds: PitchBounds | None = None
     words: list[WordCoefficients] = []
     for line_number, line in enumerate(document.split("\n"), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         fields = line.split("\t")
         tag = fields[0]
-        if tag == "GLOBAL":
-            if global_fields is not None:
-                raise DataError(f"line {line_number}: duplicate GLOBAL line")
-            if len(fields) != 4:
-                raise DataError(f"line {line_number}: GLOBAL needs 3 values")
-            global_fields = (
-                parse_finite(fields[1], "g_dur", line_number),
-                parse_finite(fields[2], "g_pitch_hz", line_number),
-                parse_finite(fields[3], "g_energy", line_number),
-            )
-        elif tag == "WORD":
+        if tag == "WORD":
             if len(fields) != 6:
                 raise DataError(f"line {line_number}: WORD needs index, surface, 3 values")
+            _, index_s, surface, delta_s, pi_hz_s, epsilon_s = fields
             try:
-                index = int(fields[1])
+                index = int(index_s)
             except ValueError:
-                raise DataError(f"line {line_number}: word index {fields[1]!r}") from None
+                raise DataError(f"line {line_number}: word index {index_s!r}") from None
             if index != len(words):
                 raise DataError(
                     f"line {line_number}: word index {index} out of order (expected {len(words)})"
                 )
-            words.append(
-                WordCoefficients(
-                    surface=fields[2],
-                    delta=parse_finite(fields[3], "delta", line_number),
-                    pi_hz=parse_finite(fields[4], "pi_hz", line_number),
-                    epsilon=parse_finite(fields[5], "epsilon", line_number),
-                )
-            )
+            try:
+                delta, pi_hz, epsilon = float(delta_s), float(pi_hz_s), float(epsilon_s)
+                finite = isfinite(delta) and isfinite(pi_hz) and isfinite(epsilon)
+            except ValueError:
+                finite = False
+            if not finite:  # parse_finite words the refusal of the first value at fault
+                delta = parse_finite(delta_s, "delta", line_number)
+                pi_hz = parse_finite(pi_hz_s, "pi_hz", line_number)
+                epsilon = parse_finite(epsilon_s, "epsilon", line_number)
+            words.append(make_word((surface, delta, pi_hz, epsilon)))
+        elif tag == "GLOBAL":
+            if global_fields is not None:
+                raise DataError(f"line {line_number}: duplicate GLOBAL line")
+            if len(fields) != 4:
+                raise DataError(f"line {line_number}: GLOBAL needs 3 values")
+            names = ("g_dur", "g_pitch_hz", "g_energy")
+            global_fields = tuple(parse_finite(raw, name, line_number) for raw, name in zip(fields[1:], names))
         elif tag == "BOUNDS":
             if bounds is not None:
                 raise DataError(f"line {line_number}: duplicate BOUNDS line")
@@ -304,33 +304,25 @@ def parse_plan(document: str) -> ModificationPlan:
         raise DataError("plan document lacks a BOUNDS line")
     if not words:
         raise DataError("plan document lacks WORD lines")
-    plan = ModificationPlan(
-        g_dur=global_fields[0],
-        g_pitch_hz=global_fields[1],
-        g_energy=global_fields[2],
-        words=tuple(words),
-        bounds=bounds,
-    )
+    plan = ModificationPlan(*global_fields, tuple(words), bounds)
     validate_plan(plan)
     return plan
 
 
 def validate_plan(plan: ModificationPlan) -> None:
     """Raise :class:`DataError` unless the plan meets every invariant."""
-    if not 0.5 <= plan.g_dur <= 2.0:
-        raise DataError(f"g_dur {plan.g_dur} outside [0.5, 2]")
-    if not 0.5 <= plan.g_energy <= 2.0:
-        raise DataError(f"g_energy {plan.g_energy} outside [0.5, 2]")
-    for i, word in enumerate(plan.words):
-        if not 1.0 <= word.delta <= 2.0:
-            raise DataError(f"word {i}: delta {word.delta} outside [1, 2]")
-        if not 1.0 <= word.epsilon <= 2.0:
-            raise DataError(f"word {i}: epsilon {word.epsilon} outside [1, 2]")
-        if word.pi_hz < 0:
-            raise DataError(f"word {i}: pi_hz {word.pi_hz} must be >= 0")
-        shift = plan.g_pitch_hz + word.pi_hz
-        if not plan.bounds.p_min_hz <= shift <= plan.bounds.p_max_hz:
-            raise DataError(
-                f"word {i}: pitch shift {shift} outside "
-                f"[{plan.bounds.p_min_hz}, {plan.bounds.p_max_hz}]"
-            )
+    g_dur, g_pitch_hz, g_energy, words, (p_min_hz, p_max_hz) = plan
+    if not 0.5 <= g_dur <= 2.0:
+        raise DataError(f"g_dur {g_dur} outside [0.5, 2]")
+    if not 0.5 <= g_energy <= 2.0:
+        raise DataError(f"g_energy {g_energy} outside [0.5, 2]")
+    for i, (_, delta, pi_hz, epsilon) in enumerate(words):
+        if not 1.0 <= delta <= 2.0:
+            raise DataError(f"word {i}: delta {delta} outside [1, 2]")
+        if not 1.0 <= epsilon <= 2.0:
+            raise DataError(f"word {i}: epsilon {epsilon} outside [1, 2]")
+        if pi_hz < 0:
+            raise DataError(f"word {i}: pi_hz {pi_hz} must be >= 0")
+        shift = g_pitch_hz + pi_hz
+        if not p_min_hz <= shift <= p_max_hz:
+            raise DataError(f"word {i}: pitch shift {shift} outside [{p_min_hz}, {p_max_hz}]")

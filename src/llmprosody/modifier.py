@@ -11,11 +11,13 @@ is only applied to the utterance and stats it was built for.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DataError
-from .features import (
+from .features import (  # denorm_f0 too: the benchmark's F0-range check reads it from here
     PhoneFeature, SpeakerStats, UtteranceFeatures, denorm_energy, denorm_f0, renorm_energy, renorm_f0,
 )
-from .mapping import ModificationPlan, compute_pitch_bounds
+from .mapping import ModificationPlan, _voiced_hz_and_bounds
 
 
 def apply_plan(
@@ -39,39 +41,46 @@ def apply_plan(
     utterance_words = [w.surface for w in utterance.words]
     if plan_words != utterance_words:
         raise DataError(f"plan is for words {plan_words} but utterance {utterance.id} has {utterance_words}")
-    bounds = compute_pitch_bounds(utterance, stats)
+    voiced_hz, bounds = _voiced_hz_and_bounds(utterance, stats)
     if plan.bounds != bounds:
         raise DataError(
             f"plan BOUNDS do not match utterance {utterance.id!r} with these stats: the plan has "
             f"BOUNDS {plan.bounds.p_min_hz!r} {plan.bounds.p_max_hz!r}, the stats give "
             f"BOUNDS {bounds.p_min_hz!r} {bounds.p_max_hz!r}"
         )
-    g_dur, g_pitch_hz = plan.g_dur, plan.g_pitch_hz
-    f0_min_hz, f0_max_hz = stats.f0_min_hz, stats.f0_max_hz
+    exp, log, inf = math.exp, math.log, math.inf
+    g_dur, g_pitch_hz, g_energy = plan.g_dur, plan.g_pitch_hz, plan.g_energy
+    mu_f0, sigma_f0, mu_e, sigma_e, f0_min_hz, f0_max_hz = stats
     # per word: (delta, pi_hz, energy scale); a phone outside every word gets the neutral word values
-    per_word = [(w.delta, w.pi_hz, plan.g_energy * w.epsilon) for w in plan.words]
+    per_word = [(delta, pi_hz, g_energy * epsilon) for _, delta, pi_hz, epsilon in plan.words]
     n_words = len(per_word)
-    no_word = (1.0, 0.0, plan.g_energy)
+    no_word = (1.0, 0.0, g_energy)
+    next_hz = iter(voiced_hz).__next__  # one Hz per voiced phone, in order
+    make_phone = PhoneFeature._make
     new_phones = []
+    # the de- and re-normalisers of features word every refusal; their arithmetic is inlined where it cannot fail
     for k, ph in enumerate(utterance.phones):
-        if ph.pause:
+        label, j, duration, f0, energy, voiced, pause = ph
+        if voiced:
+            hz0 = next_hz()
+        if pause:
             new_phones.append(ph)
             continue
-        j = ph.word_index
         if j is not None and not 0 <= j < n_words:  # an utterance that skipped make_utterance
-            where = f"utterance {utterance.id} phone {k} {ph.label!r}"
-            raise DataError(f"{where}: word index {j} out of range (W={n_words})")
+            raise DataError(f"utterance {utterance.id} phone {k} {label!r}: word index {j} out of range (W={n_words})")
         delta, pi_hz, scale = no_word if j is None else per_word[j]
-        duration = ph.duration_s * g_dur * delta
-        f0 = ph.f0
-        energy = ph.energy
-        if ph.voiced:
-            hz0 = denorm_f0(f0, stats)
-            hz = min(max(hz0 + g_pitch_hz + pi_hz, f0_min_hz), f0_max_hz)
+        duration = duration * g_dur * delta
+        if voiced:
+            hz = hz0 + g_pitch_hz + pi_hz
+            hz = f0_min_hz if hz < f0_min_hz else f0_max_hz if hz > f0_max_hz else hz  # min(max(...)), nan kept
             if hz != hz0:  # an unmoved F0 keeps its stored value, with no log/exp round trip
-                f0 = renorm_f0(hz, stats)
-            linear = denorm_energy(energy, stats)  # refuses an energy beyond the float range
+                f0 = (log(hz) - mu_f0) / sigma_f0 if 0 < hz < inf else renorm_f0(hz, stats)
+            try:  # an energy beyond the float range overflows, or gives 0: denorm_energy refuses both
+                linear = exp(energy * sigma_e + mu_e) or denorm_energy(energy, stats)
+            except OverflowError:
+                linear = denorm_energy(energy, stats)
             if scale != 1.0:
-                energy = renorm_energy(linear * scale, stats)
-        new_phones.append(PhoneFeature(ph.label, ph.word_index, duration, f0, energy, ph.voiced, ph.pause))
+                linear *= scale
+                energy = (log(linear) - mu_e) / sigma_e if 0 < linear < inf else renorm_energy(linear, stats)
+        new_phones.append(make_phone((label, j, duration, f0, energy, voiced, pause)))
     return utterance._replace(phones=tuple(new_phones))

@@ -109,8 +109,18 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
     ) -> tuple[float | None, ...]:
         # the duration, pitch and energy of a GLOBAL (index None) or WORD line are its last three groups
         low, high = scale
+        raws = match.groups()[-3:]
+        joined = "".join(raws)
+        if joined.isascii() and "_" not in joined:  # the common case: three numbers on the scale
+            try:
+                duration, pitch, energy = float(raws[0]), float(raws[1]), float(raws[2])
+            except ValueError:
+                pass
+            else:
+                if low <= duration <= high and low <= pitch <= high and low <= energy <= high:
+                    return duration, pitch, energy
         values: list[float | None] = []
-        for name, raw in zip(("duration", "pitch", "energy"), match.groups()[-3:]):
+        for name, raw in zip(("duration", "pitch", "energy"), raws):
             try:
                 # float() also reads digit-group underscores and non-ASCII digits, which are not in the grammar
                 value = float(raw) if raw.isascii() and "_" not in raw else math.nan
@@ -191,7 +201,7 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 report(DiagnosticKind.WORD_IDENTITY_MISMATCH, line_number, detail)
             values = read_values(word_m, LOCAL_SCALE, line_number, index)
             if None not in values:
-                entries[index] = WordSuggestion(expected.key, *values)
+                entries[index] = WordSuggestion._make((expected.key, *values))
         expected_next = max(expected_next, index + 1)
 
     if not in_words:  # neither a GLOBAL line nor a WORD line standing in for one

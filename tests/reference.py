@@ -270,3 +270,194 @@ def reference_parse_response(text, expected_words):
     if not fatal and global_values is not None and len(entries) == n_words:
         suggestion = global_values + (tuple(entries[i] for i in range(n_words)),)
     return suggestion, "\n".join(reasoning_lines), tuple(diagnostics)
+
+
+# the tokenizer's edge punctuation: string.punctuation and common unicode marks
+_PUNCT = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~" + "“”‘’«»—–…¿¡"
+
+
+def _naive_finite(raw, what, line_number):
+    """``(value, None)`` for a finite number, else ``(None, message)``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return None, f"line {line_number}: {what} {raw!r} is not a number"
+    if value != value or value == math.inf or value == -math.inf:
+        return None, f"line {line_number}: {what} must be finite, got {raw!r}"
+    return value, None
+
+
+def _naive_utterance_fault(uid, speaker, text, phones, line_numbers):
+    """The message for the first fault of a finished utterance block, or None."""
+    if not phones:
+        return f"utterance {uid}: has no phones"
+    if uid == "" or any(c.isspace() for c in uid):
+        return f"utterance id {uid!r} must be non-empty without whitespace"
+    if speaker == "" or any(c.isspace() for c in speaker):
+        return f"utterance {uid}: speaker id {speaker!r} must be non-empty without whitespace"
+    n_words = len([token for token in text.split() if token.strip(_PUNCT)])
+    previous = -1
+    for (label, word_index, duration, f0, _, voiced, pause), line_number in zip(phones, line_numbers):
+        where = f"utterance {uid} line {line_number}"
+        if pause and (word_index is not None or voiced):
+            return f"{where}: pause phone {label!r} must be unvoiced with no word index"
+        if voiced != (f0 is not None):
+            return f"{where}: phone {label!r} voiced flag inconsistent with F0 presence"
+        if not duration > 0:
+            return f"{where}: phone {label!r} duration must be > 0, got {duration}"
+        if word_index is not None:
+            if word_index < 0 or word_index >= n_words:
+                return f"{where}: word index {word_index} out of range (W={n_words})"
+            if word_index < previous:
+                return f"{where}: word indices must be non-decreasing ({word_index} after {previous})"
+            previous = word_index
+    missing = [i for i in range(n_words) if all(phone[1] != i for phone in phones)]
+    if missing:
+        return f"utterance {uid}: words {missing} are not referenced by any phone"
+    return None
+
+
+def naive_parse_features(document):
+    """The feature-file reader as one plain loop.
+
+    Returns a list of ``(id, speaker_id, text, normalized, phones)`` with each
+    phone a plain 7-tuple, or the message of the first fault as a string.
+    """
+    utterances = []
+    ids = set()
+    header_seen = False
+    block = None  # id, speaker, text, normalized, phones, line numbers
+    for line_number, line in enumerate(document.split("\n"), start=1):
+        if line.strip() == "":
+            continue
+        if not header_seen:
+            if line != "#feature-file\tv1":
+                return f"line {line_number}: expected feature-file header, got {line!r}"
+            header_seen = True
+            continue
+        if line.startswith("#utterance"):
+            if block is not None:
+                fault = _naive_utterance_fault(block[0], block[1], block[2], block[4], block[5])
+                if fault:
+                    return fault
+                utterances.append((block[0], block[1], block[2], block[3], tuple(block[4])))
+            fields = line.split("\t", 4)
+            if len(fields) != 5 or fields[0] != "#utterance":
+                return f"line {line_number}: malformed utterance header"
+            if fields[3] not in ("raw", "norm"):
+                return f"line {line_number}: variant must be 'raw' or 'norm', got {fields[3]!r}"
+            if fields[1] in ids:
+                return f"line {line_number}: duplicate utterance id {fields[1]!r}"
+            ids.add(fields[1])
+            block = (fields[1], fields[2], fields[4], fields[3] == "norm", [], [])
+            continue
+        if block is None:
+            return f"line {line_number}: phone row before any utterance header"
+        fields = line.split("\t")
+        if len(fields) != 7:
+            return f"line {line_number}: expected 7 tab-separated fields, got {len(fields)}"
+        if fields[5] not in ("0", "1") or fields[6] not in ("0", "1"):
+            return f"line {line_number}: voiced/pause flags must be 0 or 1"
+        word_index = None
+        if fields[1] != "-":
+            try:
+                word_index = int(fields[1])
+            except ValueError:
+                return f"line {line_number}: word index {fields[1]!r} is not an integer"
+        values = {}
+        for what, raw in (("duration", fields[2]), ("energy", fields[4]), ("F0", fields[3])):
+            if what == "F0" and raw == "-":
+                values[what] = None
+                continue
+            values[what], fault = _naive_finite(raw, what, line_number)
+            if fault:
+                return fault
+        phone = (fields[0], word_index, values["duration"], values["F0"], values["energy"],
+                 fields[5] == "1", fields[6] == "1")
+        block[4].append(phone)
+        block[5].append(line_number)
+    if not header_seen:
+        return "line 1: empty document (missing feature-file header)"
+    if block is not None:
+        fault = _naive_utterance_fault(block[0], block[1], block[2], block[4], block[5])
+        if fault:
+            return fault
+        utterances.append((block[0], block[1], block[2], block[3], tuple(block[4])))
+    return utterances
+
+
+def naive_parse_plan(document):
+    """The plan reader as one plain loop.
+
+    Returns ``(g_dur, g_pitch_hz, g_energy, words, (p_min_hz, p_max_hz))``
+    with each word a plain ``(surface, delta, pi_hz, epsilon)``, or the
+    message of the first fault as a string.
+    """
+    global_values = None
+    bounds = None
+    words = []
+    for line_number, line in enumerate(document.split("\n"), start=1):
+        if line.strip() == "":
+            continue
+        fields = line.split("\t")
+        if fields[0] == "GLOBAL":
+            if global_values is not None:
+                return f"line {line_number}: duplicate GLOBAL line"
+            if len(fields) != 4:
+                return f"line {line_number}: GLOBAL needs 3 values"
+            names = ("g_dur", "g_pitch_hz", "g_energy")
+        elif fields[0] == "WORD":
+            if len(fields) != 6:
+                return f"line {line_number}: WORD needs index, surface, 3 values"
+            try:
+                index = int(fields[1])
+            except ValueError:
+                return f"line {line_number}: word index {fields[1]!r}"
+            if index != len(words):
+                return f"line {line_number}: word index {index} out of order (expected {len(words)})"
+            names = (None, None, "delta", "pi_hz", "epsilon")
+        elif fields[0] == "BOUNDS":
+            if bounds is not None:
+                return f"line {line_number}: duplicate BOUNDS line"
+            if len(fields) != 3:
+                return f"line {line_number}: BOUNDS needs 2 values"
+            names = ("p_min_hz", "p_max_hz")
+        else:
+            return f"line {line_number}: unknown tag {fields[0]!r}"
+        values = []
+        for raw, name in zip(fields[1:], names):
+            if name is not None:
+                value, fault = _naive_finite(raw, name, line_number)
+                if fault:
+                    return fault
+                values.append(value)
+        if fields[0] == "GLOBAL":
+            global_values = tuple(values)
+        elif fields[0] == "WORD":
+            words.append((fields[2],) + tuple(values))
+        else:
+            if not (values[0] <= 0.0 <= values[1]):
+                return f"pitch bounds must satisfy p_min <= 0 <= p_max, got [{values[0]}, {values[1]}]"
+            bounds = tuple(values)
+    if global_values is None:
+        return "plan document lacks a GLOBAL line"
+    if bounds is None:
+        return "plan document lacks a BOUNDS line"
+    if not words:
+        return "plan document lacks WORD lines"
+    g_dur, g_pitch_hz, g_energy = global_values
+    if not 0.5 <= g_dur <= 2.0:
+        return f"g_dur {g_dur} outside [0.5, 2]"
+    if not 0.5 <= g_energy <= 2.0:
+        return f"g_energy {g_energy} outside [0.5, 2]"
+    for i, (_, delta, pi_hz, epsilon) in enumerate(words):
+        if not 1.0 <= delta <= 2.0:
+            return f"word {i}: delta {delta} outside [1, 2]"
+        if not 1.0 <= epsilon <= 2.0:
+            return f"word {i}: epsilon {epsilon} outside [1, 2]"
+        if pi_hz < 0:
+            return f"word {i}: pi_hz {pi_hz} must be >= 0"
+        shift = g_pitch_hz + pi_hz
+        if not bounds[0] <= shift <= bounds[1]:
+            return f"word {i}: pitch shift {shift} outside [{bounds[0]}, {bounds[1]}]"
+    return g_dur, g_pitch_hz, g_energy, tuple(words), bounds

@@ -246,6 +246,19 @@ class TestStatsCommand:
         result = runner.invoke(main, ["stats", "no-such-file.tsv"])
         assert result.exit_code == 2
 
+    def test_a_file_holding_the_temporary_name_is_left_alone(self, runner, tmp_path):
+        # a leftover of a killed run whose pid this process now has, or anyone's file
+        directory = Path(os.path.realpath(tmp_path))
+        foreign = directory / f".out.tsv.{os.getpid()}.tmp"
+        foreign.write_bytes(b"not the CLI's\n")
+        out = directory / "out.tsv"
+        result = runner.invoke(main, ["stats", RAW, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert foreign.read_bytes() == b"not the CLI's\n"
+        stats = compute_speaker_stats(parse_features(Path(RAW).read_text(encoding="utf-8")))
+        assert out.read_text(encoding="utf-8") == serialize_speaker_stats(stats)
+        assert sorted(path.name for path in directory.iterdir()) == [foreign.name, out.name]
+
 
 class TestPromptCommand:
     def test_neutral_matches_golden(self, runner):

@@ -36,7 +36,7 @@ from conftest import (
     random_stats,
     random_utterance,
 )
-from reference import direct_mean, direct_percentile, direct_sample_std
+from reference import direct_mean, direct_percentile, direct_sample_std, naive_parse_features
 
 WELL_FORMED = """\
 #feature-file\tv1
@@ -185,6 +185,21 @@ class TestParseFeatures:
             parse_features(document)
         assert fragment in str(caught.value)
 
+    # with more than one number at fault, the refusal names the first in reading order: duration, energy, F0
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("AH\t0\tx\tinf\ty\t1\t0", "line 4: duration 'x' is not a number"),
+            ("AH\t0\tnan\tx\ty\t1\t0", "line 4: duration must be finite, got 'nan'"),
+            ("AH\t0\t0.1\tx\tinf\t1\t0", "line 4: energy must be finite, got 'inf'"),
+            ("AH\t0\t0.1\tnan\ty\t1\t0", "line 4: energy 'y' is not a number"),
+        ],
+    )
+    def test_first_number_at_fault_is_named(self, row, message):
+        with pytest.raises(DataError) as caught:
+            parse_features(WELL_FORMED.replace("AH\t0\t0.060000\t0.350000\t0.500000\t1\t0", row))
+        assert str(caught.value) == message
+
 
 class TestValidateUtterance:
     def test_words_not_matching_the_text_rejected(self):
@@ -277,6 +292,21 @@ class TestSerializeFeatures:
         utterance = make_utterance("u1", "spk1", "hi", [phone._replace(**{slot: value})], normalized=True)
         with pytest.raises(DataError, match="non-finite F0 or energy"):
             serialize_features([utterance])
+
+    # make_utterance takes these labels, but written out they split the row or the line, or read as a header
+    @pytest.mark.parametrize("label", ["A\tB", "A\nB", "#utterance", "#utterance\tx"])
+    def test_label_the_reader_refuses_is_refused(self, label):
+        phone = PhoneFeature(label, 0, 0.1, None, 0.0, voiced=False, pause=False)
+        utterance = make_utterance("u1", "spk1", "hi", [phone], normalized=True)
+        with pytest.raises(DataError) as refused:
+            serialize_features([utterance])
+        assert str(refused.value) == f"utterance u1: phone label {label!r} would not read back as one phone row"
+
+    @pytest.mark.parametrize("label", ["", "#", "#utteranc", "x#utterance", "A B", "ə:", "A\rB"])
+    def test_other_labels_round_trip(self, label):
+        phone = PhoneFeature(label, 0, 0.1, None, 0.0, voiced=False, pause=False)
+        utterance = make_utterance("u1", "spk1", "hi", [phone], normalized=True)
+        assert parse_features(serialize_features([utterance])) == [utterance]
 
 
 class TestTokenizeWords:
@@ -487,7 +517,46 @@ def feature_documents(draw):
     return "\n".join(lines) + "\n"
 
 
+# what float() refuses, what it reads as not finite, flags other than 0/1, and word indices of any kind
+NOT_NUMBERS = st.sampled_from(["", "x", "-", "1.2.3", "0x1", "1e", "--1", "1,5", "½"])
+NOT_FINITE = st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1e999", "-1e999"])
+BAD_FLAGS = st.sampled_from(["", "2", "01", "-1", "true", " 1", "1.0"])
+WORD_INDICES = st.sampled_from(["x", "1.5", "", "-", "٣"]) | st.integers(-3, 8).map(str)
+
+
+@st.composite
+def corrupted_feature_documents(draw):
+    """A feature_documents() document with at most one field of one phone row corrupted."""
+    lines = draw(feature_documents()).split("\n")
+    kind = draw(st.sampled_from(["none", "not a number", "not finite", "flag", "word index", "field count"]))
+    if kind == "none":
+        return "\n".join(lines)
+    k = draw(st.sampled_from([k for k, line in enumerate(lines) if line and not line.startswith("#")]))
+    fields = lines[k].split("\t")
+    if kind in ("not a number", "not finite"):  # duration, F0 or energy
+        fields[draw(st.sampled_from([2, 3, 4]))] = draw(NOT_NUMBERS if kind == "not a number" else NOT_FINITE)
+    elif kind == "flag":
+        fields[draw(st.sampled_from([5, 6]))] = draw(BAD_FLAGS)
+    elif kind == "word index":
+        fields[1] = draw(WORD_INDICES)
+    else:
+        fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
+    lines[k] = "\t".join(fields)
+    return "\n".join(lines)
+
+
 class TestFormatProperties:
+    @PROPERTIES
+    @given(document=corrupted_feature_documents())
+    def test_reader_gives_the_naive_readers_phones_or_refusal(self, document):
+        expected = naive_parse_features(document)
+        try:
+            utterances = parse_features(document)
+        except DataError as exc:
+            assert str(exc) == expected
+        else:
+            assert [(u.id, u.speaker_id, u.text, u.normalized, u.phones) for u in utterances] == expected
+
     @PROPERTIES
     @given(
         mu_logf0=FINITE,

@@ -36,6 +36,7 @@ from conftest import (
     random_suggestion,
     random_utterance,
 )
+from reference import naive_parse_plan
 
 
 def utterance_at_hz(hz_values, stats, text=None):
@@ -438,6 +439,35 @@ class TestPlanFile:
             assume(False)
         assert parse_plan(serialize_plan(plan)) == plan
 
+    @PROPERTIES
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+        value=st.sampled_from(["", "x", "-", "1.2.3", "1e", "inf", "-inf", "nan", "1e999", "٣"])
+        | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        | st.integers(-3, 9).map(str),
+    )
+    def test_reader_gives_the_naive_readers_plan_or_refusal(self, seed, data, value):
+        # a written plan with at most one value replaced: a GLOBAL or BOUNDS value, or a WORD index or value
+        rng = random.Random(seed)
+        stats = random_stats(rng)
+        utterance = random_utterance(rng, stats)
+        lines = serialize_plan(build_plan(random_suggestion(rng, utterance, wild=True), utterance, stats)).split("\n")
+        k = data.draw(st.sampled_from(range(len(lines) - 1)))
+        fields = lines[k].split("\t")
+        slots = {"GLOBAL": [1, 2, 3], "WORD": [1, 3, 4, 5], "BOUNDS": [1, 2]}[fields[0]]
+        if data.draw(st.booleans()):
+            fields[data.draw(st.sampled_from(slots))] = value
+        lines[k] = "\t".join(fields)
+        document = "\n".join(lines)
+        expected = naive_parse_plan(document)
+        try:
+            plan = parse_plan(document)
+        except DataError as exc:
+            assert str(exc) == expected
+        else:
+            assert plan == expected
+
     def test_layout(self):
         stats = make_stats()
         utterance = utterance_at_hz([200.0], stats, text="hey")
@@ -464,6 +494,21 @@ class TestPlanFile:
         )
         with pytest.raises(DataError, match="pitch shift 60.0 outside"):
             parse_plan(doc)
+
+    # with more than one value at fault, the refusal names the first on the line
+    @pytest.mark.parametrize(
+        "word_line, message",
+        [
+            ("WORD\t0\they\tx\tinf\ty", "line 2: delta 'x' is not a number"),
+            ("WORD\t0\they\tnan\tx\t1.0", "line 2: delta must be finite, got 'nan'"),
+            ("WORD\t0\they\t1.0\tx\tinf", "line 2: pi_hz 'x' is not a number"),
+            ("WORD\t0\they\t1.0\t0.0\tinf", "line 2: epsilon must be finite, got 'inf'"),
+        ],
+    )
+    def test_first_value_at_fault_is_named(self, word_line, message):
+        with pytest.raises(DataError) as caught:
+            parse_plan(f"GLOBAL\t1.0\t0.0\t1.0\n{word_line}\nBOUNDS\t-50.0\t50.0\n")
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("bad", ["abc", "inf", "nan"])
     @pytest.mark.parametrize(
