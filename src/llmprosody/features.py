@@ -117,6 +117,9 @@ class SpeakerStats(Checked, namedtuple("SpeakerStats", "mu_logf0 sigma_logf0 mu_
             raise DataError(f"sigma_loge must be > 0, got {self.sigma_loge}")
         if not 0 < self.f0_min_hz < self.f0_max_hz:
             raise DataError(f"F0 range must satisfy 0 < min < max, got [{self.f0_min_hz}, {self.f0_max_hz}]")
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
 
 
 def _exp(log_value: float, what: str, norm: float) -> float:
@@ -157,34 +160,39 @@ def renorm_energy(energy: float, stats: SpeakerStats) -> float:
     return (math.log(energy) - stats.mu_loge) / stats.sigma_loge
 
 
-def validate_utterance(utterance: UtteranceFeatures) -> None:
-    """Raise :class:`DataError` when the utterance is inconsistent."""
-    _validate_all_but_words(utterance, None)
-    if utterance.words != tokenize_words(utterance.text):
-        raise DataError(f"utterance {utterance.id}: word list does not match tokenized text")
+def make_utterance(
+    utterance_id: str,
+    speaker_id: str,
+    text: str,
+    phones: tuple[PhoneFeature, ...] | list[PhoneFeature],
+    normalized: bool,
+    line_numbers: Sequence[int] | None = None,
+) -> UtteranceFeatures:
+    """Build a validated utterance, deriving the word list from ``text``.
 
-
-def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence[int] | None) -> None:
-    # every check of validate_utterance except that the words are the tokenized
-    # text, which holds by construction in make_utterance; ``line_numbers``, when
-    # given, holds each phone's source line, and messages about a phone name it
-    uid = utterance.id
+    Raises :class:`DataError` when the utterance is inconsistent.
+    ``line_numbers``, when given, holds each phone's source line, and messages
+    about a phone name it.
+    """
+    uid = utterance_id
     if not uid or any(c.isspace() for c in uid):
         raise DataError(f"utterance id {uid!r} must be non-empty without whitespace")
-    if not utterance.speaker_id or any(c.isspace() for c in utterance.speaker_id):
+    if not speaker_id or any(c.isspace() for c in speaker_id):
         raise DataError(
-            f"utterance {uid}: speaker id {utterance.speaker_id!r} must be non-empty without whitespace"
+            f"utterance {uid}: speaker id {speaker_id!r} must be non-empty without whitespace"
         )
-    if "\t" in utterance.text or "\n" in utterance.text:
+    if "\t" in text or "\n" in text:
         raise DataError(f"utterance {uid}: text must not contain tabs or newlines")
+    words = tokenize_words(text)
+    phones = tuple(phones)
 
     def where(k: int) -> str:
         return f"utterance {uid}" if line_numbers is None else f"utterance {uid} line {line_numbers[k]}"
 
-    n_words = len(utterance.words)
+    n_words = len(words)
     previous = -1
     referenced = set()  # indices are checked non-decreasing, so each is added once
-    for k, (label, j, duration, f0, _, voiced, pause) in enumerate(utterance.phones):
+    for k, (label, j, duration, f0, _, voiced, pause) in enumerate(phones):
         if pause and (j is not None or voiced):
             raise DataError(f"{where(k)}: pause phone {label!r} must be unvoiced with no word index")
         if voiced != (f0 is not None):
@@ -202,21 +210,7 @@ def _validate_all_but_words(utterance: UtteranceFeatures, line_numbers: Sequence
     if not referenced.issuperset(range(n_words)):
         missing = set(range(n_words)) - referenced
         raise DataError(f"utterance {uid}: words {sorted(missing)} are not referenced by any phone")
-
-
-def make_utterance(
-    utterance_id: str,
-    speaker_id: str,
-    text: str,
-    phones: tuple[PhoneFeature, ...] | list[PhoneFeature],
-    normalized: bool,
-    line_numbers: Sequence[int] | None = None,
-) -> UtteranceFeatures:
-    """Build a validated utterance, deriving the word list from ``text``."""
-    words = tokenize_words(text)
-    utterance = UtteranceFeatures._make((utterance_id, speaker_id, text, words, tuple(phones), normalized))
-    _validate_all_but_words(utterance, line_numbers)
-    return utterance
+    return UtteranceFeatures._make((uid, speaker_id, text, words, phones, normalized))
 
 
 def parse_finite(field: str, what: str, line_number: int) -> float:
@@ -234,8 +228,12 @@ def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeat
     """Render utterances in the canonical feature-file form (inverse of parse)."""
     isfinite = math.isfinite
     lines = [FILE_HEADER]
+    ids = set()
     for utterance in utterances:
         uid = utterance.id
+        if uid in ids:  # the reader refuses a repeated id
+            raise DataError(f"duplicate utterance id {uid!r}")
+        ids.add(uid)
         variant = "norm" if utterance.normalized else "raw"
         lines.append(f"{_UTTERANCE_TAG}\t{uid}\t{utterance.speaker_id}\t{variant}\t{utterance.text}")
         for label, word_index, duration_s, f0, energy, voiced, pause in utterance.phones:
@@ -335,7 +333,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
     return utterances
 
 
-_STATS_KEYS = ("mu_logf0", "sigma_logf0", "mu_loge", "sigma_loge", "f0_min_hz", "f0_max_hz")
+_STATS_KEYS = SpeakerStats._fields
 
 
 def serialize_speaker_stats(stats: SpeakerStats) -> str:

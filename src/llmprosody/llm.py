@@ -30,6 +30,7 @@ from .prompting import PromptSpec, build_prompt, prompt_target_words
 from .response import ParseDiagnostic, parse_response, serialize_suggestion
 
 _BACKOFF_BASE_S = 0.5
+_RATE_LIMITED = "rate limited (HTTP 429)"
 
 
 class RateLimited(BackendError):
@@ -98,13 +99,12 @@ def complete(
         "User-Agent": f"Python-urllib/{urllib.request.__version__}",
     }
     attempts = 0
-    last_transient = ""
-    rate_limited = False
     while attempts <= config.max_retries:
         if attempts > 0:
             delay = _BACKOFF_BASE_S * (2 ** (attempts - 1))
             sleep(delay + random.uniform(0, delay / 2))
         attempts += 1
+        # the attempt returns the content, raises, or names its transient failure here
         conn = None
         try:
             route = _POOL.take(url.scheme, url.netloc, config.timeout_s)
@@ -117,40 +117,38 @@ def complete(
                 conn.close()
             if not isinstance(exc, (OSError, http.client.HTTPException)):
                 raise
-            rate_limited = False
-            last_transient = f"request failed: {type(exc).__name__}"
-            logger.warning("completion attempt %d failed (%s)", attempts, last_transient)
-            continue
-        # a response without keep-alive has closed the connection already
-        if conn.sock is not None:
-            _POOL.give_back(url.scheme, url.netloc, route)
-        if status in (401, 403):
-            raise BackendError(f"endpoint rejected credentials (HTTP {status})")
-        if status == 429:
-            rate_limited = True
-            last_transient = "rate limited (HTTP 429)"
+            failure = f"request failed: {type(exc).__name__}"
+        else:
+            # a response without keep-alive has closed the connection already
+            if conn.sock is not None:
+                _POOL.give_back(url.scheme, url.netloc, route)
+            if status in (401, 403):
+                raise BackendError(f"endpoint rejected credentials (HTTP {status})")
+            if status == 429:
+                failure = _RATE_LIMITED
+            elif status >= 500:
+                failure = f"server error (HTTP {status})"
+            elif status != 200:
+                raise NetworkError(f"unexpected HTTP {status} from endpoint", attempts=attempts)
+            else:
+                try:
+                    content = json.loads(payload)["choices"][0]["message"]["content"]
+                except (ValueError, LookupError, TypeError) as exc:
+                    raise BackendError(f"could not extract completion text: {type(exc).__name__}") from None
+                if not isinstance(content, str):
+                    raise BackendError("completion content is not a string")
+                return content
+        if failure == _RATE_LIMITED:
             logger.warning("completion attempt %d rate limited", attempts)
-            continue
-        if status >= 500:
-            rate_limited = False
-            last_transient = f"server error (HTTP {status})"
-            logger.warning("completion attempt %d failed (%s)", attempts, last_transient)
-            continue
-        if status != 200:
-            raise NetworkError(f"unexpected HTTP {status} from endpoint", attempts=attempts)
-        try:
-            content = json.loads(payload)["choices"][0]["message"]["content"]
-        except (ValueError, LookupError, TypeError) as exc:
-            raise BackendError(f"could not extract completion text: {type(exc).__name__}") from None
-        if not isinstance(content, str):
-            raise BackendError("completion content is not a string")
-        return content
-    if rate_limited:
+        else:
+            logger.warning("completion attempt %d failed (%s)", attempts, failure)
+    # the last attempt's failure picks the error
+    if failure == _RATE_LIMITED:
         raise RateLimited(
             f"still rate limited after {attempts} attempts", attempts=attempts
         )
     raise NetworkError(
-        f"gave up after {attempts} attempts; last failure: {last_transient}",
+        f"gave up after {attempts} attempts; last failure: {failure}",
         attempts=attempts,
     )
 

@@ -225,22 +225,6 @@ def _split_records(document: str) -> list[list[str]]:
     return [record for record in records if record]
 
 
-def serialize_exemplars(exemplars: tuple[Exemplar, ...]) -> str:
-    """Render exemplars in the asset format (inverse of :func:`parse_exemplars`)."""
-    blocks = []
-    for exemplar in exemplars:
-        lines = []
-        if exemplar.mode is not Mode.NEUTRAL:
-            lines.append(f"CONTEXT: {exemplar.mode.value}: {exemplar.context}")
-        lines.append(f"TEXT: {exemplar.target_text}")
-        words = tokenize_words(exemplar.target_text)
-        lines.append(
-            serialize_suggestion(exemplar.suggestion, words, exemplar.reasoning).rstrip("\n")
-        )
-        blocks.append("\n".join(lines))
-    return ("\n" + _RECORD_SEPARATOR + "\n").join(blocks) + "\n"
-
-
 @lru_cache(maxsize=1)
 def default_exemplars() -> tuple[Exemplar, ...]:
     """The packaged set of ten worked examples covering all three modes."""

@@ -461,3 +461,46 @@ def naive_parse_plan(document):
         if not bounds[0] <= shift <= bounds[1]:
             return f"word {i}: pitch shift {shift} outside [{bounds[0]}, {bounds[1]}]"
     return g_dur, g_pitch_hz, g_energy, tuple(words), bounds
+
+
+def naive_complete(answers, max_retries):
+    """``llm.complete``'s outcome against an endpoint giving ``answers`` in turn, as one plain loop.
+
+    Each answer is ``(status, content)``.  A 200 carries ``content`` as the
+    first choice's message content when it is a string or an int, and no
+    ``choices`` at all when it is ``None``; other statuses carry ``{}``.
+    Returns ``(outcome, requests, sleeps, warnings)``: the outcome is the
+    returned text, or ``(exception class name, message, .attempts)`` with
+    ``None`` for an error that has no ``.attempts``.
+    """
+    requests = 0
+    warnings = []
+    last_status = None
+    for attempt in range(1, max_retries + 2):
+        status, content = answers[attempt - 1]
+        requests += 1
+        outcome = None
+        if status == 401 or status == 403:
+            outcome = ("BackendError", f"endpoint rejected credentials (HTTP {status})", None)
+        elif status == 429:
+            warnings.append(f"completion attempt {attempt} rate limited")
+        elif status >= 500:
+            warnings.append(f"completion attempt {attempt} failed (server error (HTTP {status}))")
+        elif status != 200:
+            outcome = ("NetworkError", f"unexpected HTTP {status} from endpoint", attempt)
+        elif content is None:
+            outcome = ("BackendError", "could not extract completion text: KeyError", None)
+        elif not isinstance(content, str):
+            outcome = ("BackendError", "completion content is not a string", None)
+        else:
+            outcome = content
+        if outcome is not None:
+            return outcome, requests, requests - 1, warnings
+        last_status = status
+    attempts = max_retries + 1
+    if last_status == 429:
+        outcome = ("RateLimited", f"still rate limited after {attempts} attempts", attempts)
+    else:
+        message = f"gave up after {attempts} attempts; last failure: server error (HTTP {last_status})"
+        outcome = ("NetworkError", message, attempts)
+    return outcome, requests, requests - 1, warnings

@@ -242,6 +242,23 @@ class TestStatsCommand:
         result = runner.invoke(main, ["stats", str(bad)])
         assert result.exit_code == 2
 
+    def test_overflowing_statistics_exit_2_without_output(self, runner, tmp_path):
+        # the log-energies' sum overflows: a stats file of inf would be refused by plan and apply
+        doc = (
+            "#feature-file\tv1\n"
+            "#utterance\tu1\tspk1\traw\ta b c\n"
+            "AA\t0\t1.0\t5.0\t1e308\t1\t0\n"
+            "IY\t1\t1.0\t5.3\t1e308\t1\t0\n"
+            "EH\t2\t1.0\t5.1\t-1.0\t1\t0\n"
+        )
+        raw = tmp_path / "raw.tsv"
+        raw.write_text(doc)
+        out = tmp_path / "stats.tsv"
+        result = runner.invoke(main, ["stats", str(raw), "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: mu_loge must be finite, got inf\n"
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, runner):
         result = runner.invoke(main, ["stats", "no-such-file.tsv"])
         assert result.exit_code == 2

@@ -14,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import PROPERTIES, random_stats, random_utterance
 from llmprosody import llm, prompting
@@ -41,6 +41,7 @@ from llmprosody.mapping import (
 from llmprosody.modifier import apply_plan
 from llmprosody.prompting import Mode, PromptSpec, build_prompt
 from llmprosody.response import parse_response
+from reference import naive_complete
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DATA_DIR = Path(__file__).parent / "data"
@@ -569,6 +570,43 @@ class TestComplete:
         # JSON has no NaN or Infinity, so the request body could not carry it
         with pytest.raises(DataError, match=f"temperature must be a finite number >= 0, got {temperature}"):
             BackendConfig(temperature=temperature)
+
+
+# an endpoint answer (status, content) as naive_complete reads it: a 200 carries the completion text,
+# a content that is not a string, or no choices at all (None)
+ANSWERS = st.sampled_from([
+    (200, "fine"), (200, 5), (200, None), (401, None), (403, None), (429, None),
+    (500, None), (503, None), (302, None), (404, None),
+])
+
+
+def _answer_body(status, content) -> bytes:
+    if status != 200:
+        return b"{}"
+    return b'{"unexpected": true}' if content is None else _ok_body(content)
+
+
+class TestCompleteOutcome:
+    @settings(PROPERTIES, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(answers=st.lists(ANSWERS, min_size=4, max_size=4), max_retries=st.integers(0, 3))
+    @example(answers=[(429, None), (503, None), (200, "fine"), (200, "fine")], max_retries=1)
+    @example(answers=[(503, None), (429, None), (200, "fine"), (200, "fine")], max_retries=1)
+    @example(answers=[(503, None), (302, None), (200, "fine"), (200, "fine")], max_retries=3)
+    def test_matches_the_naive_loop(self, fake_server, monkeypatch, caplog, answers, max_retries):
+        # the last failed attempt picks the error, and .attempts counts every attempt made
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
+        fake_server.requests.clear()
+        fake_server.script[:] = [(status, _answer_body(status, content)) for status, content in answers]
+        caplog.clear()
+        sleeps = []
+        with caplog.at_level(logging.WARNING, logger="llmprosody.llm"):
+            try:
+                outcome = complete("p", _config(fake_server, max_retries=max_retries), sleep=sleeps.append)
+            except BackendError as exc:
+                outcome = (type(exc).__name__, str(exc), getattr(exc, "attempts", None))
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        got = (outcome, len(fake_server.requests), len(sleeps), warnings)
+        assert got == naive_complete(answers, max_retries)
 
 
 class _KeepAliveHandler(BaseHTTPRequestHandler):

@@ -18,7 +18,6 @@ from llmprosody.prompting import (
     build_prompt,
     default_exemplars,
     parse_exemplars,
-    serialize_exemplars,
 )
 from llmprosody.response import parse_response, serialize_suggestion
 from reference import naive_prompt
@@ -239,10 +238,6 @@ HI_RESPONSE = EMPTY_RESPONSE + "WORD 0 hi: duration=0 pitch=0 energy=0\n"
 
 
 class TestExemplarAssets:
-    def test_round_trip(self):
-        exemplars = default_exemplars()
-        assert parse_exemplars(serialize_exemplars(exemplars)) == exemplars
-
     def test_missing_text_line(self):
         with pytest.raises(DataError, match="record 1: missing TEXT: line"):
             parse_exemplars("REASONING: hi\nGLOBAL: duration=0 pitch=0 energy=0\n")

@@ -26,7 +26,7 @@ from llmprosody.evaluation import (
 from llmprosody.features import parse_features, parse_speaker_stats, tokenize_words
 from llmprosody.llm import HttpBackend, MockBackend, suggest_with_repair
 from llmprosody.mapping import MappingConfig, build_plan, compute_pitch_bounds
-from llmprosody.prompting import Mode, PromptSpec, default_exemplars, parse_exemplars, serialize_exemplars
+from llmprosody.prompting import Mode, PromptSpec, default_exemplars
 from llmprosody.response import parse_response
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -91,7 +91,7 @@ def _samples() -> dict[str, object]:
         "MappingConfig": MappingConfig(),
         "WordCoefficients": plan.words[0],
         "ModificationPlan": plan,
-        "Exemplar": parse_exemplars(serialize_exemplars(default_exemplars()[:1]))[0],
+        "Exemplar": default_exemplars()[0],
         "PromptSpec": spec,
         "ParseDiagnostic": broken.diagnostics[0],
         "ParseResult": broken,
