@@ -29,6 +29,12 @@ same_output eval mos "$out/ratings.tsv"
 cmp "$out/plan.tsv" tests/golden/cli_plan_seed7.tsv
 cmp "$out/transcript.txt" tests/golden/cli_transcript_seed7.txt
 cmp "$out/modified.tsv" tests/golden/cli_modified_seed7.tsv
+# the file stats writes is one that plan and apply read: both exit 0 with it
+"$bare" -m llmprosody stats tests/data/raw_corpus.tsv -o "$out/stats_cli.tsv"
+"$bare" -m llmprosody plan --features tests/data/norm_utterance.tsv --stats "$out/stats_cli.tsv" --seed 7 \
+  -o "$out/plan_cli.tsv"
+"$bare" -m llmprosody apply --features tests/data/norm_utterance.tsv --stats "$out/stats_cli.tsv" \
+  --plan "$out/plan_cli.tsv" -o "$out/modified_cli.tsv"
 # the value types are namedtuples: a plan process, which loads every layer but evaluation, imports no
 # dataclasses (the llmprosody.prompting line shows that the import log covers those layers)
 "$bare" -X importtime -m llmprosody plan --features tests/data/norm_utterance.tsv --stats tests/data/stats.tsv \

@@ -175,6 +175,9 @@ def make_utterance(
     about a phone name it.
     """
     uid = utterance_id
+    phones = tuple(phones)
+    if not phones:
+        raise DataError(f"utterance {uid}: has no phones")
     if not uid or any(c.isspace() for c in uid):
         raise DataError(f"utterance id {uid!r} must be non-empty without whitespace")
     if not speaker_id or any(c.isspace() for c in speaker_id):
@@ -184,7 +187,6 @@ def make_utterance(
     if "\t" in text or "\n" in text:
         raise DataError(f"utterance {uid}: text must not contain tabs or newlines")
     words = tokenize_words(text)
-    phones = tuple(phones)
 
     def where(k: int) -> str:
         return f"utterance {uid}" if line_numbers is None else f"utterance {uid} line {line_numbers[k]}"
@@ -266,12 +268,6 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
     utterances: list[UtteranceFeatures] = []
     ids: set[str] = set()
     current: tuple | None = None  # make_utterance's arguments for the open utterance
-
-    def finish(block: tuple) -> None:
-        if not block[3]:
-            raise DataError(f"utterance {block[0]}: has no phones")
-        utterances.append(make_utterance(*block))
-
     numbered_lines = enumerate(document.split("\n"), start=1)
     for line_number, line in numbered_lines:  # the first line that is not blank must be the header
         if line and not line.isspace():
@@ -285,7 +281,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
             continue
         if line.startswith(_UTTERANCE_TAG):
             if current is not None:
-                finish(current)
+                utterances.append(make_utterance(*current))
             fields = line.split("\t", 4)
             if len(fields) != 5 or fields[0] != _UTTERANCE_TAG:
                 raise DataError(f"line {line_number}: malformed utterance header")
@@ -329,16 +325,13 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
         phones.append(make_phone((label, word_index, duration, f0, energy, voiced_s == "1", pause_s == "1")))
         line_numbers.append(line_number)
     if current is not None:
-        finish(current)
+        utterances.append(make_utterance(*current))
     return utterances
-
-
-_STATS_KEYS = SpeakerStats._fields
 
 
 def serialize_speaker_stats(stats: SpeakerStats) -> str:
     """Render stats as key/value lines; floats keep full precision."""
-    return "".join(f"{key}\t{getattr(stats, key)!r}\n" for key in _STATS_KEYS)
+    return "".join(f"{key}\t{value!r}\n" for key, value in zip(stats._fields, stats))
 
 
 def parse_speaker_stats(document: str) -> SpeakerStats:
@@ -350,12 +343,12 @@ def parse_speaker_stats(document: str) -> SpeakerStats:
         if len(fields) != 2:
             raise DataError(f"line {line_number}: expected key<TAB>value")
         key, value_s = fields
-        if key not in _STATS_KEYS:
+        if key not in SpeakerStats._fields:
             raise DataError(f"line {line_number}: unknown stats key {key!r}")
         if key in values:
             raise DataError(f"line {line_number}: duplicate stats key {key!r}")
         values[key] = parse_finite(value_s, key, line_number)
-    missing = [key for key in _STATS_KEYS if key not in values]
+    missing = [key for key in SpeakerStats._fields if key not in values]
     if missing:
         raise DataError(f"stats file is missing keys: {', '.join(missing)}")
     return SpeakerStats(**values)

@@ -57,6 +57,8 @@ class PitchBounds(Checked, namedtuple("PitchBounds", "p_min_hz p_max_hz")):
                 f"pitch bounds must satisfy p_min <= 0 <= p_max, got "
                 f"[{self.p_min_hz}, {self.p_max_hz}]"
             )
+        if not (math.isfinite(self.p_min_hz) and math.isfinite(self.p_max_hz)):
+            raise DataError(f"pitch bounds must be finite, got [{self.p_min_hz}, {self.p_max_hz}]")
 
 
 class MappingConfig(Checked, namedtuple("MappingConfig", "local_pitch_cap_fraction", defaults=(0.5,))):
@@ -87,11 +89,11 @@ class WordCoefficients(namedtuple("WordCoefficients", "surface delta pi_hz epsil
     epsilon: float
 
 
-class ModificationPlan(namedtuple("ModificationPlan", "g_dur g_pitch_hz g_energy words bounds")):
+class ModificationPlan(Checked, namedtuple("ModificationPlan", "g_dur g_pitch_hz g_energy words bounds")):
     """Clamped coefficients ready for application.
 
-    Invariants: g_dur/g_energy in [0.5, 2]; every delta/epsilon in [1, 2];
-    g_pitch_hz + pi_hz within the bounds for every word.
+    Invariants, checked however a plan is made: at least one word; g_dur/g_energy in [0.5, 2]; every
+    delta/epsilon in [1, 2]; g_pitch_hz + pi_hz within the bounds; no surface holds a tab or a newline.
     """
 
     __slots__ = ()
@@ -102,6 +104,27 @@ class ModificationPlan(namedtuple("ModificationPlan", "g_dur g_pitch_hz g_energy
     bounds: PitchBounds
 
     clamp_notes = ()  # not a field: perfbench/spans.py reads it until ROADMAP item 1 deletes both
+
+    def _check(self) -> None:
+        g_dur, g_pitch_hz, g_energy, words, (p_min_hz, p_max_hz) = self
+        if not words:
+            raise DataError("plan document lacks WORD lines")
+        if not 0.5 <= g_dur <= 2.0:
+            raise DataError(f"g_dur {g_dur} outside [0.5, 2]")
+        if not 0.5 <= g_energy <= 2.0:
+            raise DataError(f"g_energy {g_energy} outside [0.5, 2]")
+        for i, (surface, delta, pi_hz, epsilon) in enumerate(words):
+            if "\t" in surface or "\n" in surface:  # it would split the WORD line
+                raise DataError(f"word {i}: surface {surface!r} holds a tab or a newline")
+            if not 1.0 <= delta <= 2.0:
+                raise DataError(f"word {i}: delta {delta} outside [1, 2]")
+            if not 1.0 <= epsilon <= 2.0:
+                raise DataError(f"word {i}: epsilon {epsilon} outside [1, 2]")
+            if pi_hz < 0:
+                raise DataError(f"word {i}: pi_hz {pi_hz} must be >= 0")
+            shift = g_pitch_hz + pi_hz
+            if not p_min_hz <= shift <= p_max_hz:
+                raise DataError(f"word {i}: pitch shift {shift} outside [{p_min_hz}, {p_max_hz}]")
 
 
 def compute_pitch_bounds(utterance: UtteranceFeatures, stats: SpeakerStats) -> PitchBounds:
@@ -204,8 +227,8 @@ def build_plan(
     Suggestion values outside the nominal scales are clamped first, unrecorded
     (the parser's ``clamped`` diagnostics report them); a non-finite value
     raises :class:`DataError`.  The suggestion must fit the utterance's words
-    (:func:`check_suggestion_words`).  The result is checked with
-    :func:`validate_plan`.
+    (:func:`check_suggestion_words`).  The plan checks its own invariants
+    when it is made.
     """
     check_suggestion_words(suggestion, utterance.words)
 
@@ -230,9 +253,7 @@ def build_plan(
             le = clamp(le, LOCAL_SCALE, "energy", i)
         g_pitch_hz, pi_hz = map_pitch(v_pitch, lp, bounds, config)
         word_coeffs.append(WordCoefficients._make((surface, map_local_scale(ld), pi_hz, map_local_scale(le))))
-    plan = ModificationPlan(map_global_scale(v_dur), g_pitch_hz, map_global_scale(v_energy), tuple(word_coeffs), bounds)
-    validate_plan(plan)
-    return plan
+    return ModificationPlan(map_global_scale(v_dur), g_pitch_hz, map_global_scale(v_energy), tuple(word_coeffs), bounds)
 
 
 def serialize_plan(plan: ModificationPlan) -> str:
@@ -302,27 +323,4 @@ def parse_plan(document: str) -> ModificationPlan:
         raise DataError("plan document lacks a GLOBAL line")
     if bounds is None:
         raise DataError("plan document lacks a BOUNDS line")
-    if not words:
-        raise DataError("plan document lacks WORD lines")
-    plan = ModificationPlan(*global_fields, tuple(words), bounds)
-    validate_plan(plan)
-    return plan
-
-
-def validate_plan(plan: ModificationPlan) -> None:
-    """Raise :class:`DataError` unless the plan meets every invariant."""
-    g_dur, g_pitch_hz, g_energy, words, (p_min_hz, p_max_hz) = plan
-    if not 0.5 <= g_dur <= 2.0:
-        raise DataError(f"g_dur {g_dur} outside [0.5, 2]")
-    if not 0.5 <= g_energy <= 2.0:
-        raise DataError(f"g_energy {g_energy} outside [0.5, 2]")
-    for i, (_, delta, pi_hz, epsilon) in enumerate(words):
-        if not 1.0 <= delta <= 2.0:
-            raise DataError(f"word {i}: delta {delta} outside [1, 2]")
-        if not 1.0 <= epsilon <= 2.0:
-            raise DataError(f"word {i}: epsilon {epsilon} outside [1, 2]")
-        if pi_hz < 0:
-            raise DataError(f"word {i}: pi_hz {pi_hz} must be >= 0")
-        shift = g_pitch_hz + pi_hz
-        if not p_min_hz <= shift <= p_max_hz:
-            raise DataError(f"word {i}: pitch shift {shift} outside [{p_min_hz}, {p_max_hz}]")
+    return ModificationPlan(*global_fields, tuple(words), bounds)

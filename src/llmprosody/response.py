@@ -28,6 +28,7 @@ import re
 from collections import namedtuple
 from enum import Enum
 
+from .errors import DataError
 from .features import Word, match_key
 from .mapping import (
     GLOBAL_SCALE, LOCAL_SCALE, LlmScaleSuggestion, WordSuggestion, check_suggestion_words, clamp_to_scale,
@@ -233,8 +234,13 @@ def serialize_suggestion(
 
     ``surface_words`` supplies the echoed word forms and must align with the
     suggestion's keys (:func:`~llmprosody.mapping.check_suggestion_words`).
+    A reasoning line after the first that is blank, or reads as a GLOBAL or
+    WORD line, raises :class:`DataError`: the parser would not read it back.
     """
     check_suggestion_words(suggestion, surface_words)
+    for line in reasoning.split("\n")[1:] if "\n" in reasoning else ():  # each must read back as reasoning
+        if not line.strip() or _GLOBAL_RE.match(line) or _WORD_RE.match(line):
+            raise DataError(f"reasoning line {line!r} would not read back as reasoning")
     lines = [f"REASONING: {reasoning}" if reasoning else "REASONING:"]
     lines.append(
         "GLOBAL: "

@@ -19,7 +19,7 @@ from llmprosody.features import (
     make_utterance,
     tokenize_words,
 )
-from llmprosody.mapping import LlmScaleSuggestion, WordSuggestion
+from llmprosody.mapping import LlmScaleSuggestion, ModificationPlan, WordSuggestion
 
 WORD_POOL = (
     "the", "quick", "brown", "fox", "jumps", "over", "a", "lazy", "dog",
@@ -178,6 +178,18 @@ def random_suggestion(
             for word in utterance.words
         ),
     )
+
+
+def assert_plan_invariants(plan: ModificationPlan) -> None:
+    """The invariants of a ModificationPlan, asserted apart from the check the type makes itself."""
+    assert plan.words
+    assert 0.5 <= plan.g_dur <= 2.0
+    assert 0.5 <= plan.g_energy <= 2.0
+    for word in plan.words:
+        assert 1.0 <= word.delta <= 2.0
+        assert 1.0 <= word.epsilon <= 2.0
+        assert word.pi_hz >= 0
+        assert plan.bounds.p_min_hz <= plan.g_pitch_hz + word.pi_hz <= plan.bounds.p_max_hz
 
 
 def identity_suggestion(utterance: UtteranceFeatures) -> LlmScaleSuggestion:

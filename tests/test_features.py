@@ -225,6 +225,15 @@ class TestValidateUtterance:
             )
         assert fragment in str(caught.value)
 
+    def test_no_phones_refused(self):
+        with pytest.raises(DataError) as caught:
+            make_utterance("u1", "s", "", [], True)
+        assert str(caught.value) == "utterance u1: has no phones"
+        # the first check, as the reader names it before any other fault of the utterance
+        with pytest.raises(DataError) as caught:
+            make_utterance("u 1", "", "a\tb", (), False)
+        assert str(caught.value) == "utterance u 1: has no phones"
+
 
 class TestSerializeFeatures:
     def test_empty_list_is_header_only(self):
@@ -551,6 +560,39 @@ def corrupted_feature_documents(draw):
     return "\n".join(lines)
 
 
+NO_WHITESPACE = st.text(min_size=1).filter(lambda s: not any(c.isspace() for c in s))
+
+
+@st.composite
+def made_utterances(draw):
+    """Utterances from make_utterance, with any id, label, text and number it takes; ids may repeat."""
+    utterances = []
+    for _ in range(draw(st.integers(1, 3))):
+        uid = draw(st.sampled_from(["u1", "u2"]) | NO_WHITESPACE)
+        text = draw(st.text().filter(lambda t: "\t" not in t and "\n" not in t) | st.sampled_from(WORD_POOL))
+        phones = []
+        for j in [None] * draw(st.integers(0, 1)) + list(range(len(tokenize_words(text)))):
+            pause = j is None and draw(st.booleans())
+            voiced = not pause and draw(st.booleans())
+            phones.append(PhoneFeature(
+                draw(st.text()), j, draw(st.floats(min_value=0.0, exclude_min=True)),
+                draw(st.floats()) if voiced else None, draw(st.floats()), voiced, pause,
+            ))
+        if not phones:
+            phones.append(PhoneFeature(draw(st.text()), None, 0.5, None, 0.0, False, True))
+        utterances.append(make_utterance(uid, draw(NO_WHITESPACE), text, phones, draw(st.booleans())))
+    return utterances
+
+
+def at_six_decimals(utterance):
+    """``utterance`` with each number as the feature file writes it: 6 decimals."""
+    def six(x):
+        return None if x is None else float(f"{x:.6f}")
+    return utterance._replace(phones=tuple(
+        ph._replace(duration_s=six(ph.duration_s), f0=six(ph.f0), energy=six(ph.energy)) for ph in utterance.phones
+    ))
+
+
 class TestFormatProperties:
     @PROPERTIES
     @given(document=corrupted_feature_documents())
@@ -562,6 +604,16 @@ class TestFormatProperties:
             assert str(exc) == expected
         else:
             assert [(u.id, u.speaker_id, u.text, u.normalized, u.phones) for u in utterances] == expected
+
+    @PROPERTIES
+    @given(utterances=made_utterances())
+    def test_written_utterances_read_back_at_six_decimals(self, utterances):
+        """The writer refuses the utterances, or the reader gives them back at the file's precision."""
+        try:
+            document = serialize_features(utterances)
+        except DataError:
+            return
+        assert parse_features(document) == [at_six_decimals(u) for u in utterances]
 
     @PROPERTIES
     @given(
@@ -711,6 +763,10 @@ class TestNumpyAgreement:
             f0_min, f0_max = expected[4:]
             if not f0_min < f0_max:  # an inf at the top of the range interpolates to nan
                 with pytest.raises(DataError, match="degenerate F0 range"):
+                    compute_speaker_stats(corpus, range_percentiles=(low, high))
+                continue
+            if f0_max == math.inf:  # the range ends at an inf itself, which SpeakerStats refuses
+                with pytest.raises(DataError, match="^f0_max_hz must be finite, got inf$"):
                     compute_speaker_stats(corpus, range_percentiles=(low, high))
                 continue
             stats = compute_speaker_stats(corpus, range_percentiles=(low, high))

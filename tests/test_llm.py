@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import PROPERTIES, random_stats, random_utterance
+from conftest import PROPERTIES, assert_plan_invariants, random_stats, random_utterance
 from llmprosody import llm, prompting
 from llmprosody.errors import BackendError, DataError
 from llmprosody.features import make_utterance, parse_features, parse_speaker_stats, tokenize_words
@@ -36,7 +36,6 @@ from llmprosody.llm import (
 )
 from llmprosody.mapping import (
     GLOBAL_SCALE, LOCAL_SCALE, LlmScaleSuggestion, WordSuggestion, build_plan, parse_plan, serialize_plan,
-    validate_plan,
 )
 from llmprosody.modifier import apply_plan
 from llmprosody.prompting import Mode, PromptSpec, build_prompt
@@ -347,7 +346,7 @@ class TestAdversarialBackend:
         numbers = [plan.g_dur, plan.g_pitch_hz, plan.g_energy, plan.bounds.p_min_hz, plan.bounds.p_max_hz]
         numbers += [v for w in plan.words for v in (w.delta, w.pi_hz, w.epsilon)]
         assert all(math.isfinite(v) for v in numbers)
-        validate_plan(parsed)
+        assert_plan_invariants(parsed)
         written = written_suggestion(attempts[-1].response, utterance.words)
         assert serialize_plan(build_plan(written, utterance, stats)) == document
         apply_plan(utterance, stats, parsed)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from llmprosody.errors import DataError
-from llmprosody.features import PhoneFeature, denorm_f0, make_utterance, tokenize_words
+from llmprosody.features import PhoneFeature, denorm_f0, make_utterance
 from llmprosody.mapping import (
     LlmScaleSuggestion,
     MappingConfig,
@@ -24,11 +24,11 @@ from llmprosody.mapping import (
     map_pitch,
     parse_plan,
     serialize_plan,
-    validate_plan,
 )
 
 from conftest import (
     PROPERTIES,
+    assert_plan_invariants,
     identity_suggestion,
     make_stats,
     random_raw_utterance,
@@ -289,14 +289,7 @@ class TestBuildPlan:
             stats = random_stats(rng)
             utterance = random_utterance(rng, stats, utterance_id=f"u{case}")
             suggestion = random_suggestion(rng, utterance, wild=True)
-            plan = build_plan(suggestion, utterance, stats)
-            validate_plan(plan)  # raises on any range violation
-            assert 0.5 <= plan.g_dur <= 2.0
-            assert 0.5 <= plan.g_energy <= 2.0
-            for word in plan.words:
-                assert 1.0 <= word.delta <= 2.0
-                assert 1.0 <= word.epsilon <= 2.0
-                assert plan.bounds.p_min_hz <= plan.g_pitch_hz + word.pi_hz <= plan.bounds.p_max_hz
+            assert_plan_invariants(build_plan(suggestion, utterance, stats))
 
     def test_word_count_mismatch(self, rng):
         stats = make_stats()
@@ -363,7 +356,7 @@ class TestBuildPlan:
             assert not all(math.isfinite(v) for v in used)
             return
         assert all(math.isfinite(v) for v in used)
-        validate_plan(plan)
+        assert_plan_invariants(plan)
 
     def test_clamp_ordering_matches_endpoint(self, rng):
         # a wild value and the scale endpoint map to the same coefficient
@@ -373,6 +366,45 @@ class TestBuildPlan:
         wild = type(base)(100.0, 0.0, 0.0, words=base.words)
         capped = type(base)(5.0, 0.0, 0.0, words=base.words)
         assert build_plan(wild, utterance, stats).g_dur == build_plan(capped, utterance, stats).g_dur
+
+
+GOLDEN_PLAN = (Path(__file__).parent / "golden" / "cli_plan_seed7.tsv").read_text(encoding="utf-8")
+
+
+class TestCheckedPlan:
+    """A plan the file reader would refuse cannot be made, so no writer or apply_plan is given one."""
+
+    def test_out_of_range_coefficient_refused(self):
+        plan = parse_plan(GOLDEN_PLAN)
+        with pytest.raises(DataError) as refused:
+            plan._replace(g_dur=100.0)
+        assert str(refused.value) == "g_dur 100.0 outside [0.5, 2]"
+
+    def test_empty_word_list_refused(self):
+        with pytest.raises(DataError) as refused:
+            ModificationPlan(1.0, 0.0, 1.0, (), PitchBounds(-1.0, 1.0))
+        assert str(refused.value) == "plan document lacks WORD lines"
+
+    # written out, each would split its WORD line
+    @pytest.mark.parametrize("surface", ["a\tb", "a\nb", "\t", "a\n"])
+    def test_surface_the_plan_file_cannot_hold_refused(self, surface):
+        plan = parse_plan(GOLDEN_PLAN)
+        word = plan.words[1]._replace(surface=surface)
+        with pytest.raises(DataError) as refused:
+            plan._replace(words=plan.words[:1] + (word,) + plan.words[2:])
+        assert str(refused.value) == f"word 1: surface {surface!r} holds a tab or a newline"
+
+    @pytest.mark.parametrize("surface", ["", " ", "a b", "a\rb", "WORD", "#"])
+    def test_other_surfaces_round_trip(self, surface):
+        plan = parse_plan(GOLDEN_PLAN)
+        plan = plan._replace(words=(plan.words[0]._replace(surface=surface),) + plan.words[1:])
+        assert parse_plan(serialize_plan(plan)) == plan
+
+    @pytest.mark.parametrize("bounds", [(-1.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+    def test_infinite_bounds_refused(self, bounds):
+        with pytest.raises(DataError) as refused:
+            PitchBounds(*bounds)
+        assert str(refused.value) == f"pitch bounds must be finite, got [{bounds[0]}, {bounds[1]}]"
 
 
 PLAN_GLOBAL = "GLOBAL\t1.0\t0.0\t1.0"
@@ -412,32 +444,23 @@ class TestPlanFile:
         assert parse_plan(serialize_plan(plan)) == plan
 
     @PROPERTIES
-    @given(text=st.text(), data=st.data())
-    def test_every_valid_plan_round_trips(self, text, data):
-        # surfaces are whatever the tokenizer gives; a word's number in the file is its position
-        words = tokenize_words(text)
-        assume(words)
-        p_min = data.draw(st.floats(-1e6, 0.0))
-        p_max = data.draw(st.floats(0.0, 1e6))
+    @given(data=st.data())
+    def test_every_valid_plan_round_trips(self, data):
+        """Any surface, and bounds across the float range: a plan the constructor takes reads back equal."""
+        p_min = data.draw(st.floats(max_value=0.0, allow_infinity=False))
+        p_max = data.draw(st.floats(min_value=0.0, allow_infinity=False))
         g_pitch_hz = data.draw(st.floats(p_min, p_max))
-        scale, local = st.floats(0.5, 2.0), st.floats(1.0, 2.0)
-        plan = ModificationPlan(
-            g_dur=data.draw(scale),
-            g_pitch_hz=g_pitch_hz,
-            g_energy=data.draw(scale),
-            words=tuple(
-                WordCoefficients(
-                    w.surface, data.draw(local), data.draw(st.floats(0.0, p_max - g_pitch_hz)), data.draw(local)
-                )
-                for w in words
-            ),
-            bounds=PitchBounds(p_min, p_max),
-        )
+        scale, local, pi_hz = st.floats(0.5, 2.0), st.floats(1.0, 2.0), st.floats(0.0, max(0.0, p_max - g_pitch_hz))
+        # a word's number in the file is its position
+        words = data.draw(st.lists(st.builds(WordCoefficients, st.text(), local, pi_hz, local), min_size=1, max_size=8))
+        bounds = PitchBounds(p_min, p_max)
         try:
-            validate_plan(plan)
-        except DataError:  # a rounded sum past p_max
+            plan = ModificationPlan(data.draw(scale), g_pitch_hz, data.draw(scale), tuple(words), bounds)
+        except DataError:  # a surface with a tab or a newline, or a rounded sum past p_max
             assume(False)
-        assert parse_plan(serialize_plan(plan)) == plan
+        document = serialize_plan(plan)
+        assert parse_plan(document) == plan
+        assert serialize_plan(parse_plan(document)) == document
 
     @PROPERTIES
     @given(

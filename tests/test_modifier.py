@@ -350,11 +350,14 @@ class TestApplyPlanInvariants:
             assert after.duration_s == before.duration_s * plan.g_dur * coeff.delta
 
     def test_order_preserved_under_uniform_local_pitch(self, rng):
+        clamp_free_cases = 0
         for _ in range(50):
             stats = random_stats(rng)
             utterance = random_utterance(rng, stats)
-            g_pitch = rng.uniform(-8.0, 8.0)
-            pi = rng.uniform(0.0, 5.0)
+            # shifts of up to 8 Hz down and 13 Hz up, inside the bounds a plan must keep
+            bounds = compute_pitch_bounds(utterance, stats)
+            g_pitch = rng.uniform(max(-8.0, bounds.p_min_hz), min(8.0, bounds.p_max_hz))
+            pi = rng.uniform(0.0, min(5.0, bounds.p_max_hz - g_pitch))
             shift = g_pitch + pi
             plan = manual_plan(utterance, stats, g_pitch=g_pitch, pi=pi)
             out = apply_plan(utterance, stats, plan)
@@ -364,9 +367,11 @@ class TestApplyPlanInvariants:
                 stats.f0_min_hz < hz + shift < stats.f0_max_hz for hz in before_hz
             )
             if clamp_free:
+                clamp_free_cases += 1
                 ranks_before = sorted(range(len(before_hz)), key=before_hz.__getitem__)
                 ranks_after = sorted(range(len(after_hz)), key=after_hz.__getitem__)
                 assert ranks_before == ranks_after
+        assert clamp_free_cases >= 40
 
     def test_duration_only_plans_compose(self, rng):
         stats = make_stats()

@@ -149,6 +149,18 @@ class TestInvalidSpec:
                 PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(broken,))
             )
 
+    def test_exemplar_reasoning_that_would_not_read_back(self):
+        # the example would teach an answer with two GLOBAL lines, which the parser refuses
+        exemplar = default_exemplars()[0]
+        broken = exemplar._replace(reasoning="x\nGLOBAL: duration=0 pitch=0 energy=0")
+        message = (
+            f"exemplar {exemplar.target_text!r}: reasoning line 'GLOBAL: duration=0 pitch=0 energy=0' "
+            "would not read back as reasoning"
+        )
+        with pytest.raises(DataError) as refused:
+            build_prompt(PromptSpec(Mode.NEUTRAL, "Turn left.", exemplars=(broken,)))
+        assert str(refused.value) == message
+
     def test_misaligned_exemplar_fails_on_every_call(self):
         exemplar = default_exemplars()[0]
         broken = Exemplar(

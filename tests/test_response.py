@@ -276,6 +276,26 @@ class TestParseProperties:
         assert result.reasoning == reasoning
 
     @PROPERTIES
+    @given(text=st.text(), reasoning=st.text(), data=st.data())
+    def test_any_reasoning_round_trips_or_is_refused(self, text, reasoning, data):
+        """Any reasoning, and any values on the scales: the writer refuses, or the reader gives both back."""
+        words = tokenize_words(text)
+        assume(words)
+        g, lo = st.floats(-5.0, 5.0), st.floats(0.0, 5.0)
+        suggestion = LlmScaleSuggestion(
+            data.draw(g), data.draw(g), data.draw(g),
+            words=tuple(WordSuggestion(w.key, data.draw(lo), data.draw(lo), data.draw(lo)) for w in words),
+        )
+        try:
+            document = serialize_suggestion(suggestion, words, reasoning)
+        except DataError:
+            return
+        result = parse_response(document, words)
+        assert result.diagnostics == ()
+        assert result.suggestion == suggestion
+        assert result.reasoning == reasoning
+
+    @PROPERTIES
     @given(text=st.text(), data=st.data())
     def test_every_aligned_suggestion_round_trips(self, text, data):
         # surfaces are whatever the tokenizer gives; a word's number in the answer is its position
@@ -389,6 +409,35 @@ class TestSerializeSuggestion:
         )
         with pytest.raises(DataError, match="word 1: suggestion says 'c', target text says 'b'"):
             serialize_suggestion(suggestion, words)
+
+    # each would not read back: a reasoning line that is blank, or reads as a GLOBAL or WORD line
+    @pytest.mark.parametrize(
+        "reasoning, line",
+        [
+            ("x\nGLOBAL: duration=0 pitch=0 energy=0", "GLOBAL: duration=0 pitch=0 energy=0"),
+            ("x\nWORD 0 hello: duration=0 pitch=0 energy=0", "WORD 0 hello: duration=0 pitch=0 energy=0"),
+            ("a\n\nb", ""),
+            ("x\n  ", "  "),
+            ("x\n", ""),
+            ("x\n\r", "\r"),
+        ],
+    )
+    def test_reasoning_that_would_not_read_back_refused(self, reasoning, line):
+        words = tokenize_words("hello")
+        suggestion = LlmScaleSuggestion(0.0, 0.0, 0.0, words=(WordSuggestion("hello", 0.0, 0.0, 0.0),))
+        with pytest.raises(DataError) as refused:
+            serialize_suggestion(suggestion, words, reasoning)
+        assert str(refused.value) == f"reasoning line {line!r} would not read back as reasoning"
+
+    @pytest.mark.parametrize(
+        "reasoning", ["GLOBAL: duration=0 pitch=0 energy=0", "a\nb", "\nb", " \n b ", "a\nREASONING: b", "a\rb"]
+    )
+    def test_other_reasoning_reads_back(self, reasoning):
+        words = tokenize_words("hello")
+        suggestion = LlmScaleSuggestion(0.0, 0.0, 0.0, words=(WordSuggestion("hello", 0.0, 0.0, 0.0),))
+        result = parse_response(serialize_suggestion(suggestion, words, reasoning), words)
+        assert result.diagnostics == () and result.suggestion == suggestion
+        assert result.reasoning == reasoning
 
     def test_reasoning_embedded(self):
         words = tokenize_words("a")

@@ -25,7 +25,7 @@ from llmprosody.evaluation import (
 )
 from llmprosody.features import parse_features, parse_speaker_stats, tokenize_words
 from llmprosody.llm import HttpBackend, MockBackend, suggest_with_repair
-from llmprosody.mapping import MappingConfig, build_plan, compute_pitch_bounds
+from llmprosody.mapping import MappingConfig, PitchBounds, WordCoefficients, build_plan, compute_pitch_bounds
 from llmprosody.prompting import Mode, PromptSpec, default_exemplars
 from llmprosody.response import parse_response
 
@@ -40,6 +40,7 @@ CHECKED_FIELDS = {
     "MappingConfig": (0.25,),
     "SpeakerStats": (0.1, 0.2, 0.3, 0.4, 100.0, 300.0),
     "PitchBounds": (-1.0, 2.0),
+    "ModificationPlan": (1.5, 0.5, 0.75, (WordCoefficients("a", 1.25, 1.0, 1.75),), PitchBounds(-1.0, 2.0)),
     "RatingRecord": ("s1", "A", "r1", 4),
     "PreferenceRecord": ("set1", "r1", "A", ("A", "B", "C")),
 }
@@ -51,6 +52,7 @@ BAD_FIELDS = {
     "MappingConfig": {"local_pitch_cap_fraction": 2.0},
     "SpeakerStats": {"sigma_logf0": 0.0},
     "PitchBounds": {"p_min_hz": 1.0},
+    "ModificationPlan": {"g_dur": 100.0},
     "RatingRecord": {"score": 6},
     "PreferenceRecord": {"chosen_system": "Z"},
 }
@@ -195,7 +197,7 @@ def test_clamp_notes_is_a_class_constant_not_a_field():
     assert plan.clamp_notes == type(plan).clamp_notes == ()
     with pytest.raises(TypeError):
         type(plan)(*plan, clamp_notes=())
-    assert plan._replace(g_dur=plan.g_dur + 0.5) != plan
+    assert plan._replace(g_dur=plan.g_dur - 0.5) != plan
 
 
 def test_prompt_spec_exemplars_default_when_left_out_or_none():
