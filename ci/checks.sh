@@ -41,6 +41,8 @@ cmp "$out/modified.tsv" tests/golden/cli_modified_seed7.tsv
   --seed 7 -o "$out/plan.tsv" 2> "$out/importtime.txt"
 grep -qE '\| +llmprosody\.prompting$' "$out/importtime.txt"
 test -z "$(grep -E '\| +dataclasses$' "$out/importtime.txt")"
+# the mock backend needs no transport: logging, json, http.client and the thread pool load on first use
+test -z "$(grep -E '\| +(logging|json|http\.client|concurrent\.futures)$' "$out/importtime.txt")"
 # a valid plan or apply line is parsed without argparse (and gettext and locale, which its messages load),
 # and its files are read and written without pathlib; for apply, the llmprosody.cli line shows that the
 # log covers the import that used to load both

@@ -266,6 +266,22 @@ class HttpBackend(namedtuple("HttpBackend", "config")):
         return complete(prompt, self.config)
 
 
+_SCALE_VALUES = tuple(float(v) for v in range(-5, 6))  # the global scale; its last six are the local one
+
+
+def _draws(getrandbits: Callable[[int], int], values: tuple[float, ...], count: int) -> list[float]:
+    # values[randrange(len(values))], count times, as CPython 3.10-3.13 draw it without randrange's argument
+    # checks: randrange(n) keeps the first getrandbits(n.bit_length()) below n
+    k = len(values).bit_length()
+    table = values + (None,) * ((1 << k) - len(values))  # a draw past the values is drawn again
+    out: list[float] = []
+    while len(out) < count:
+        value = table[getrandbits(k)]
+        if value is not None:
+            out.append(value)
+    return out
+
+
 def mock_complete(prompt: str, seed: int) -> str:
     """Deterministic grammar-valid response for any built prompt.
 
@@ -275,17 +291,15 @@ def mock_complete(prompt: str, seed: int) -> str:
     """
     surfaces = prompt_target_words(prompt)
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-    draw = random.Random(f"{seed}:{digest}").randrange  # randrange(a, b + 1) draws as randint(a, b)
-    make_word, make_entry = Word._make, WordSuggestion._make
-    global_values = (float(draw(-5, 6)), float(draw(-5, 6)), float(draw(-5, 6)))
-    words, entries = [], []
-    for surface in surfaces:
-        key = surface.lower()
-        words.append(make_word((surface, key)))
-        entries.append(make_entry((key, float(draw(0, 6)), float(draw(0, 6)), float(draw(0, 6)))))
+    getrandbits = random.Random(f"{seed}:{digest}").getrandbits
+    global_values = _draws(getrandbits, _SCALE_VALUES, 3)
+    local_values = iter(_draws(getrandbits, _SCALE_VALUES[5:], 3 * len(surfaces)))  # three per word, in order
+    keys = [surface.lower() for surface in surfaces]
+    words = tuple(map(Word._make, zip(surfaces, keys)))
+    entries = map(WordSuggestion._make, zip(keys, local_values, local_values, local_values))
     suggestion = LlmScaleSuggestion(*global_values, tuple(entries))
     reasoning = f"Deterministic mock suggestion for {len(words)} words (seed {seed})."
-    return serialize_suggestion(suggestion, tuple(words), reasoning)
+    return serialize_suggestion(suggestion, words, reasoning)
 
 
 class MockBackend(namedtuple("MockBackend", "seed", defaults=(0,))):

@@ -185,16 +185,25 @@ def map_pitch(
     low, high = LOCAL_SCALE
     if not low <= v_local <= high:
         raise DataError(f"local pitch {v_local!r} is not in [{low:g}, {high:g}]")
+    g = _global_pitch_hz(v_global, bounds)
+    return g, _local_pitch_hz(g, v_local, bounds.p_max_hz, config.local_pitch_cap_fraction)
+
+
+def _global_pitch_hz(v_global: float, bounds: PitchBounds) -> float:
+    """:func:`map_pitch`'s global shift, for a value on its scale."""
     if v_global <= 0:
-        g = (-v_global / 5.0) * bounds.p_min_hz
-    else:
-        g = (v_global / 5.0) * bounds.p_max_hz
-    pi = (v_local / 5.0) * config.local_pitch_cap_fraction * bounds.p_max_hz
-    if g + pi > bounds.p_max_hz:
-        pi = max(0.0, bounds.p_max_hz - g)
-    while g + pi > bounds.p_max_hz:  # float guard for the exact constraint
-        pi = math.nextafter(pi, -math.inf)
-    return g, pi
+        return (-v_global / 5.0) * bounds.p_min_hz
+    return (v_global / 5.0) * bounds.p_max_hz
+
+
+def _local_pitch_hz(g: float, v_local: float, p_max_hz: float, cap_fraction: float) -> float:
+    """:func:`map_pitch`'s local shift next to the global shift ``g``, for a value on its scale."""
+    pi = (v_local / 5.0) * cap_fraction * p_max_hz
+    if g + pi > p_max_hz:
+        pi = max(0.0, p_max_hz - g)
+        while g + pi > p_max_hz:  # float guard for the exact constraint
+            pi = math.nextafter(pi, -math.inf)
+    return pi
 
 
 def clamp_to_scale(value: float, scale: tuple[float, float], what: str) -> float:
@@ -243,15 +252,15 @@ def build_plan(
     v_pitch = clamp(suggestion.global_pitch, GLOBAL_SCALE, "pitch")
     v_energy = clamp(suggestion.global_energy, GLOBAL_SCALE, "energy")
     bounds = compute_pitch_bounds(utterance, stats)
+    g_pitch_hz = _global_pitch_hz(v_pitch, bounds)
     low, high = LOCAL_SCALE
     word_coeffs = []
-    g_pitch_hz = 0.0
     for i, ((_, ld, lp, le), (surface, _)) in enumerate(zip(suggestion.words, utterance.words)):
         if not (low <= ld <= high and low <= lp <= high and low <= le <= high):
             ld = clamp(ld, LOCAL_SCALE, "duration", i)
             lp = clamp(lp, LOCAL_SCALE, "pitch", i)
             le = clamp(le, LOCAL_SCALE, "energy", i)
-        g_pitch_hz, pi_hz = map_pitch(v_pitch, lp, bounds, config)
+        pi_hz = _local_pitch_hz(g_pitch_hz, lp, bounds.p_max_hz, config.local_pitch_cap_fraction)
         word_coeffs.append(WordCoefficients._make((surface, map_local_scale(ld), pi_hz, map_local_scale(le))))
     return ModificationPlan(map_global_scale(v_dur), g_pitch_hz, map_global_scale(v_energy), tuple(word_coeffs), bounds)
 

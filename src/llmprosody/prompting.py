@@ -84,7 +84,9 @@ _CONTEXT_LABELS = {Mode.STYLE: "Target speaking style", Mode.DIALOGUE: "Previous
 _WORDS_HEADER = "Words:"
 # framed by newlines, a header line is found wherever it stands, first and last line included
 _FRAMED_WORDS_HEADER = f"\n{_WORDS_HEADER}\n"
-_WORD_LINE_RE = re.compile(r"^(\d+) (\S+)$")
+# the run of enumerated word lines that starts a text, and one line of it
+_WORD_LINES_RE = re.compile(r"(?:\d+ \S+\n)*")
+_WORD_LINE_RE = re.compile(r"\d+ (\S+)\n")
 
 
 def _render_target(mode: Mode, context: str | None, text: str, words: tuple[Word, ...]) -> list[str]:
@@ -98,16 +100,10 @@ def _render_target(mode: Mode, context: str | None, text: str, words: tuple[Word
 
 def prompt_target_words(prompt: str) -> list[str]:
     """The surfaces of the last enumerated word list in ``prompt`` (inverse of :func:`_render_target`)."""
-    framed = f"\n{prompt}\n"
-    start = framed.rfind(_FRAMED_WORDS_HEADER)
-    if start < 0:
+    _, header, block = f"\n{prompt}\n".rpartition(_FRAMED_WORDS_HEADER)
+    if not header:
         raise DataError("prompt contains no enumerated word list")
-    surfaces = []
-    for line in framed[start + len(_FRAMED_WORDS_HEADER):].split("\n"):
-        m = _WORD_LINE_RE.match(line)
-        if not m:
-            break
-        surfaces.append(m.group(2))
+    surfaces = _WORD_LINE_RE.findall(block, 0, _WORD_LINES_RE.match(block).end())
     if not surfaces:
         raise DataError("prompt's word list is empty")
     return surfaces

@@ -106,11 +106,10 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
         diagnostics.append(ParseDiagnostic(kind, line_number, detail))
 
     def read_values(
-        match: re.Match[str], scale: tuple[float, float], line_number: int, index: int | None = None
+        raws: tuple[str, str, str], scale: tuple[float, float], line_number: int, index: int | None = None
     ) -> tuple[float | None, ...]:
-        # the duration, pitch and energy of a GLOBAL (index None) or WORD line are its last three groups
+        # the raw duration, pitch and energy of a GLOBAL (index None) or WORD line
         low, high = scale
-        raws = match.groups()[-3:]
         joined = "".join(raws)
         if joined.isascii() and "_" not in joined:  # the common case: three numbers on the scale
             try:
@@ -167,7 +166,7 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
         if not in_words:
             global_m = _GLOBAL_RE.match(line)
             if global_m:
-                global_values = read_values(global_m, GLOBAL_SCALE, line_number)
+                global_values = read_values(global_m.groups(), GLOBAL_SCALE, line_number)
                 in_words = True
                 continue
             if not word_m:
@@ -182,7 +181,8 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 detail = f"line is neither a WORD line nor blank: {line!r}"
             report(DiagnosticKind.UNPARSEABLE_LINE, line_number, detail)
             continue
-        index = int(word_m.group(1))
+        index_text, surface, duration, pitch, energy = word_m.groups()
+        index = int(index_text)
         if index in mentioned:
             detail = f"word index {index} appears more than once"
             report(DiagnosticKind.DUPLICATE_WORD_INDEX, line_number, detail)
@@ -197,13 +197,14 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 detail = f"expected word index {expected_next} next, got {index}"
                 report(DiagnosticKind.WORD_COUNT_MISMATCH, line_number, detail)
             expected = expected_words[index]
-            if match_key(word_m.group(2)) != expected.key:
-                detail = f"word {index} should be {expected.surface!r}, response says {word_m.group(2)!r}"
+            if match_key(surface) != expected.key:
+                detail = f"word {index} should be {expected.surface!r}, response says {surface!r}"
                 report(DiagnosticKind.WORD_IDENTITY_MISMATCH, line_number, detail)
-            values = read_values(word_m, LOCAL_SCALE, line_number, index)
+            values = read_values((duration, pitch, energy), LOCAL_SCALE, line_number, index)
             if None not in values:
                 entries[index] = WordSuggestion._make((expected.key, *values))
-        expected_next = max(expected_next, index + 1)
+        if index >= expected_next:
+            expected_next = index + 1
 
     if not in_words:  # neither a GLOBAL line nor a WORD line standing in for one
         report(DiagnosticKind.MISSING_GLOBAL, len(lines), "no GLOBAL line found")
@@ -217,12 +218,19 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
     return ParseResult(suggestion, "\n".join(reasoning_lines), tuple(diagnostics))
 
 
-def _value_text(value: float) -> str:
-    # integral values render without a trailing .0, matching the integer
-    # scales the prompt asks for; repr keeps non-integral values exact
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+# the text of each integral value on a scale: every mock and packaged exemplar value is one
+_GLOBAL_TEXTS = {float(v): str(v) for v in range(-5, 6)}
+_LOCAL_TEXTS = {float(v): _GLOBAL_TEXTS[v] for v in range(6)}
+
+
+def _value_text(value: float, scale: tuple[float, float], name: str, index: int | None = None) -> str:
+    # integral values render as the prompt's integer scales ask, others exactly; one off its scale is refused
+    number = float(value)
+    low, high = scale
+    if not low <= number <= high:
+        label = f"GLOBAL {name}" if index is None else f"word {index} {name}"
+        raise DataError(f"{label} value {value!r} is not a number in [{low:g}, {high:g}]")
+    return str(int(number)) if number.is_integer() else repr(number)
 
 
 def serialize_suggestion(
@@ -234,25 +242,27 @@ def serialize_suggestion(
 
     ``surface_words`` supplies the echoed word forms and must align with the
     suggestion's keys (:func:`~llmprosody.mapping.check_suggestion_words`).
-    A reasoning line after the first that is blank, or reads as a GLOBAL or
-    WORD line, raises :class:`DataError`: the parser would not read it back.
+    A reasoning line after the first that is blank or reads as a GLOBAL or
+    WORD line, or a value that is not a number on its scale, raises
+    :class:`DataError`: the parser would not read it back as written.
     """
     check_suggestion_words(suggestion, surface_words)
     for line in reasoning.split("\n")[1:] if "\n" in reasoning else ():  # each must read back as reasoning
         if not line.strip() or _GLOBAL_RE.match(line) or _WORD_RE.match(line):
             raise DataError(f"reasoning line {line!r} would not read back as reasoning")
     lines = [f"REASONING: {reasoning}" if reasoning else "REASONING:"]
+    duration, pitch, energy, _ = suggestion
+    get = _GLOBAL_TEXTS.get
     lines.append(
-        "GLOBAL: "
-        f"duration={_value_text(suggestion.global_duration)} "
-        f"pitch={_value_text(suggestion.global_pitch)} "
-        f"energy={_value_text(suggestion.global_energy)}"
+        f"GLOBAL: duration={get(duration) or _value_text(duration, GLOBAL_SCALE, 'duration')} "
+        f"pitch={get(pitch) or _value_text(pitch, GLOBAL_SCALE, 'pitch')} "
+        f"energy={get(energy) or _value_text(energy, GLOBAL_SCALE, 'energy')}"
     )
-    for i, (entry, word) in enumerate(zip(suggestion.words, surface_words)):
+    get = _LOCAL_TEXTS.get
+    for i, ((_, duration, pitch, energy), word) in enumerate(zip(suggestion.words, surface_words)):
         lines.append(
-            f"WORD {i} {word.surface}: "
-            f"duration={_value_text(entry.local_duration)} "
-            f"pitch={_value_text(entry.local_pitch)} "
-            f"energy={_value_text(entry.local_energy)}"
+            f"WORD {i} {word.surface}: duration={get(duration) or _value_text(duration, LOCAL_SCALE, 'duration', i)} "
+            f"pitch={get(pitch) or _value_text(pitch, LOCAL_SCALE, 'pitch', i)} "
+            f"energy={get(energy) or _value_text(energy, LOCAL_SCALE, 'energy', i)}"
         )
     return "\n".join(lines) + "\n"

@@ -5,11 +5,14 @@ no imports from the modules they check) so a bug in the production code
 cannot hide in a shared helper.
 """
 
+import hashlib
 import math
+import random
 import re
 from collections import Counter
 
-from llmprosody.features import match_key, tokenize_words
+from llmprosody.features import Word, match_key, tokenize_words
+from llmprosody.mapping import LlmScaleSuggestion, WordSuggestion
 
 
 def naive_apply_plan(utterance, stats, plan):
@@ -124,6 +127,27 @@ def naive_response_lines(suggestion, words, reasoning):
             f"energy={naive_value_text(entry.local_energy)}"
         )
     return lines
+
+
+def naive_mock_complete(prompt, seed):
+    """``llm.mock_complete`` with ``randrange`` draws: three global values in [-5, 5], then three per word in [0, 5]."""
+    lines = prompt.split("\n")
+    surfaces = []
+    for line in lines[max(i for i, line in enumerate(lines) if line == "Words:") + 1:]:
+        m = re.match(r"^(\d+) (\S+)$", line)
+        if not m:
+            break
+        surfaces.append(m.group(2))
+    digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    draw = random.Random(f"{seed}:{digest}").randrange
+    global_values = (float(draw(-5, 6)), float(draw(-5, 6)), float(draw(-5, 6)))
+    words, entries = [], []
+    for surface in surfaces:
+        words.append(Word(surface, surface.lower()))
+        entries.append(WordSuggestion(surface.lower(), float(draw(0, 6)), float(draw(0, 6)), float(draw(0, 6))))
+    suggestion = LlmScaleSuggestion(*global_values, tuple(entries))
+    reasoning = f"Deterministic mock suggestion for {len(words)} words (seed {seed})."
+    return "\n".join(naive_response_lines(suggestion, words, reasoning)) + "\n"
 
 
 _REASONING_RE = re.compile(r"^\s*REASONING\s*:\s?(.*)$")

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import PROPERTIES, assert_plan_invariants, random_stats, random_utterance
+from conftest import PROPERTIES, WORD_POOL, assert_plan_invariants, random_stats, random_utterance
 from llmprosody import llm, prompting
 from llmprosody.errors import BackendError, DataError
 from llmprosody.features import make_utterance, parse_features, parse_speaker_stats, tokenize_words
@@ -40,7 +40,7 @@ from llmprosody.mapping import (
 from llmprosody.modifier import apply_plan
 from llmprosody.prompting import Mode, PromptSpec, build_prompt
 from llmprosody.response import parse_response
-from reference import naive_complete
+from reference import naive_complete, naive_mock_complete
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DATA_DIR = Path(__file__).parent / "data"
@@ -82,6 +82,22 @@ class TestMockComplete:
     def test_prompt_without_word_list(self):
         with pytest.raises(DataError, match="prompt contains no enumerated word list"):
             mock_complete("annotate this text please", seed=0)
+
+    @PROPERTIES
+    @given(
+        mode=st.sampled_from(list(Mode)),
+        words=st.lists(st.sampled_from(WORD_POOL + ("Turn,", "(left)", "été")), min_size=1, max_size=80),
+        context=st.sampled_from(["calm", "Did you hear that?"]),
+        seed=st.one_of(st.integers(-2**70, 2**70), st.integers(2**64, 2**80)),
+    )
+    @example(mode=Mode.NEUTRAL, words=["turn"], context="calm", seed=0)
+    @example(mode=Mode.STYLE, words=["turn"] * 80, context="calm", seed=-1)
+    @example(mode=Mode.DIALOGUE, words=["left"], context="calm", seed=2**64 + 1)
+    def test_same_bytes_as_randrange_draws(self, mode, words, context, seed):
+        """The values are the seeded generator's randrange draws, on any Python the package supports."""
+        spec = PromptSpec(mode, " ".join(words), None if mode is Mode.NEUTRAL else context)
+        prompt = build_prompt(spec)
+        assert mock_complete(prompt, seed) == naive_mock_complete(prompt, seed)
 
 
 def _reference_target_words(prompt: str) -> list[str]:

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from llmprosody.errors import DataError
 from llmprosody.features import PhoneFeature, denorm_f0, make_utterance
@@ -357,6 +357,34 @@ class TestBuildPlan:
             return
         assert all(math.isfinite(v) for v in used)
         assert_plan_invariants(plan)
+
+    @PROPERTIES
+    @given(
+        # below 100 Hz the utterance leaves no room down (p_min 0), above 300 Hz none up (p_max 0)
+        hz=st.lists(st.one_of(st.sampled_from([80.0, 320.0]), st.floats(90.0, 310.0)), min_size=1, max_size=6),
+        values=st.lists(
+            st.one_of(st.integers(-7, 7).map(float), st.floats(-7.0, 7.0)), min_size=3 + 3 * 6, max_size=3 + 3 * 6
+        ),
+        cap=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example(hz=[80.0, 150.0], values=[0.0, -5.0, 0.0] + [2.5] * 18, cap=1.0)
+    @example(hz=[320.0, 150.0], values=[0.0, 5.0, 0.0] + [7.0] * 18, cap=0.0)
+    @example(hz=[80.0, 320.0], values=[0.0, -0.5, 0.0] + [-1.0, 5.5, 0.0] * 6, cap=1.0)
+    def test_each_word_gets_map_pitch_of_its_clamped_values(self, hz, values, cap):
+        stats = make_stats()
+        utterance = utterance_at_hz(hz, stats)
+        suggestion = LlmScaleSuggestion(
+            *values[:3],
+            words=tuple(
+                WordSuggestion(word.key, *values[3 + 3 * i:6 + 3 * i]) for i, word in enumerate(utterance.words)
+            ),
+        )
+        config = MappingConfig(local_pitch_cap_fraction=cap)
+        plan = build_plan(suggestion, utterance, stats, config)
+        v_global = min(max(suggestion.global_pitch, -5.0), 5.0)
+        for word, entry in zip(plan.words, suggestion.words):
+            expected = map_pitch(v_global, min(max(entry.local_pitch, 0.0), 5.0), plan.bounds, config)
+            assert (plan.g_pitch_hz.hex(), word.pi_hz.hex()) == (expected[0].hex(), expected[1].hex())
 
     def test_clamp_ordering_matches_endpoint(self, rng):
         # a wild value and the scale endpoint map to the same coefficient

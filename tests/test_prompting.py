@@ -7,6 +7,7 @@ import llmprosody.prompting as prompting
 from conftest import PROPERTIES, WORD_POOL
 from llmprosody.errors import DataError
 from llmprosody.features import tokenize_words
+from llmprosody.mapping import LlmScaleSuggestion, WordSuggestion
 from llmprosody.prompting import (
     DEFAULT_FORMAT_INSTRUCTIONS,
     DEFAULT_RULES,
@@ -134,6 +135,15 @@ class TestInvalidSpec:
     def test_line_break_in_target_or_context(self, mode, target_text, context):
         with pytest.raises(DataError, match="must each be a single line"):
             build_prompt(PromptSpec(mode=mode, target_text=target_text, context=context))
+
+    def test_exemplar_value_off_its_scale_refused(self):
+        # the reader would read 7.0 back clamped to 5, so no prompt teaches it
+        suggestion = LlmScaleSuggestion(0.0, 0.0, 7.0, words=(WordSuggestion("hello", 0.0, 0.0, 0.0),))
+        exemplar = Exemplar(Mode.NEUTRAL, None, "hello", "r", suggestion)
+        spec = PromptSpec(mode=Mode.NEUTRAL, target_text="Turn left.", exemplars=(exemplar,))
+        with pytest.raises(DataError) as refused:
+            build_prompt(spec)
+        assert str(refused.value) == "exemplar 'hello': GLOBAL energy value 7.0 is not a number in [-5, 5]"
 
     def test_misaligned_exemplar(self):
         exemplar = default_exemplars()[0]

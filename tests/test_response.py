@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
@@ -259,9 +261,11 @@ class TestParseProperties:
     @PROPERTIES
     @given(data=st.data())
     def test_serialize_round_trip(self, data):
+        """Any values: the writer refuses one off its scale, or the reader gives the suggestion back."""
         words = data.draw(WORD_LISTS)
-        g = st.floats(-5.0, 5.0)
-        lo = st.floats(0.0, 5.0)
+        # any float, and the scales' own values, endpoints and integers included
+        g = st.one_of(st.floats(), st.floats(-5.0, 5.0), st.integers(-6, 6).map(float))
+        lo = st.one_of(st.floats(), st.floats(0.0, 5.0), st.integers(-1, 6).map(float))
         suggestion = LlmScaleSuggestion(
             data.draw(g), data.draw(g), data.draw(g),
             words=tuple(
@@ -270,7 +274,16 @@ class TestParseProperties:
             ),
         )
         reasoning = data.draw(ONE_LINE)
-        result = parse_response(serialize_suggestion(suggestion, words, reasoning), words)
+        on_scales = all(-5.0 <= v <= 5.0 for v in suggestion[:3]) and all(
+            0.0 <= v <= 5.0 for entry in suggestion.words for v in entry[1:]
+        )
+        try:
+            document = serialize_suggestion(suggestion, words, reasoning)
+        except DataError:
+            assert not on_scales
+            return
+        assert on_scales
+        result = parse_response(document, words)
         assert result.ok and result.diagnostics == ()
         assert result.suggestion == suggestion
         assert result.reasoning == reasoning
@@ -438,6 +451,26 @@ class TestSerializeSuggestion:
         result = parse_response(serialize_suggestion(suggestion, words, reasoning), words)
         assert result.diagnostics == () and result.suggestion == suggestion
         assert result.reasoning == reasoning
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((math.nan, 0.0, 7.0, 0.0, 0.0, 0.0), "GLOBAL duration value nan is not a number in [-5, 5]"),
+            ((0.0, 0.0, 7.0, 0.0, 0.0, 0.0), "GLOBAL energy value 7.0 is not a number in [-5, 5]"),
+            ((0.0, -math.inf, 0.0, 0.0, 0.0, 0.0), "GLOBAL pitch value -inf is not a number in [-5, 5]"),
+            ((0.0, 0.0, 0.0, -1.0, 0.0, 0.0), "word 0 duration value -1.0 is not a number in [0, 5]"),
+            ((0.0, 0.0, 0.0, 0.0, 5.5, 0.0), "word 0 pitch value 5.5 is not a number in [0, 5]"),
+            ((0.0, 0.0, 0.0, 0.0, 0.0, math.nan), "word 0 energy value nan is not a number in [0, 5]"),
+        ],
+    )
+    def test_value_the_reader_would_refuse_or_clamp_refused(self, values, message):
+        g_dur, g_pitch, g_energy, l_dur, l_pitch, l_energy = values
+        suggestion = LlmScaleSuggestion(
+            g_dur, g_pitch, g_energy, words=(WordSuggestion("hello", l_dur, l_pitch, l_energy),)
+        )
+        with pytest.raises(DataError) as refused:
+            serialize_suggestion(suggestion, tokenize_words("hello"), "r")
+        assert str(refused.value) == message
 
     def test_reasoning_embedded(self):
         words = tokenize_words("a")
