@@ -29,6 +29,32 @@ same_output eval mos "$out/ratings.tsv"
 cmp "$out/plan.tsv" tests/golden/cli_plan_seed7.tsv
 cmp "$out/transcript.txt" tests/golden/cli_transcript_seed7.txt
 cmp "$out/modified.tsv" tests/golden/cli_modified_seed7.tsv
+# a CLI process builds one prompt, so it takes only the cold paths of build_prompt's prefix memo and the
+# mock's digest cache: one bare process builds the three golden prompts twice, in turn, and answers each
+# neutral prompt with the seed-7 mock, the second time from the kept prompt head
+"$bare" -c '
+import sys
+from llmprosody.llm import mock_complete
+from llmprosody.prompting import Mode, PromptSpec, build_prompt
+specs = {
+    "neutral": PromptSpec(Mode.NEUTRAL, "Turn left at the second light."),
+    "style": PromptSpec(Mode.STYLE, "Everything is going to be fine.", "frightened"),
+    "dialogue": PromptSpec(Mode.DIALOGUE, "I told you to wait outside.", "Why is the door open?"),
+}
+for turn in (1, 2):
+    for name, spec in specs.items():
+        texts = {f"prompt_{name}": build_prompt(spec)}
+        if name == "neutral":
+            texts["mock_response_seed7"] = mock_complete(texts["prompt_neutral"], 7)
+        for stem, text in texts.items():
+            with open(f"{sys.argv[1]}/{stem}.{turn}.txt", "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+' "$out"
+for turn in 1 2; do
+  for stem in prompt_neutral prompt_style prompt_dialogue mock_response_seed7; do
+    cmp "$out/$stem.$turn.txt" "tests/golden/$stem.txt"
+  done
+done
 # the file stats writes is one that plan and apply read: both exit 0 with it
 "$bare" -m llmprosody stats tests/data/raw_corpus.tsv -o "$out/stats_cli.tsv"
 "$bare" -m llmprosody plan --features tests/data/norm_utterance.tsv --stats "$out/stats_cli.tsv" --seed 7 \

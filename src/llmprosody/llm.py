@@ -84,10 +84,13 @@ def complete(
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
         raise BackendError(f"no API key found in environment variable {config.api_key_env!r}")
-    url = urllib.parse.urlsplit(config.base_url.rstrip("/") + "/chat/completions")
+    url = urllib.parse.urlsplit(config.base_url)
     if url.scheme not in ("http", "https"):
         raise BackendError(f"base URL must use http or https, got {url.scheme!r}")
-    path = url.path + (f"?{url.query}" if url.query else "")
+    if "#" in config.base_url:  # a fragment, even an empty one, is never sent: refuse it, do not drop it
+        raise BackendError("base URL must not have a fragment")
+    # the endpoint extends the base URL's path; its query, e.g. api-version=..., goes after it
+    path = url.path.rstrip("/") + "/chat/completions" + (f"?{url.query}" if url.query else "")
     body = json.dumps({
         "model": config.model_name,
         "messages": [{"role": "user", "content": prompt}],
@@ -282,6 +285,29 @@ def _draws(getrandbits: Callable[[int], int], values: tuple[float, ...], count: 
     return out
 
 
+def _sha256_hex(prompt: str) -> str:
+    """SHA-256 hex of ``prompt``'s UTF-8 bytes, resumed from the kept hash state when its head is the kept one.
+
+    The head is the bytes before the last blank line ahead of the last word
+    list: the exemplar prefix that every prompt of one set starts with.
+    """
+    global _last_head
+    data = prompt.encode("utf-8")
+    cut = data.rfind(b"\n\n", 0, max(data.rfind(b"\nWords:\n"), 0)) + 1  # 0 with no blank line
+    head, state = _last_head
+    # the same length as well: every prompt starts with an empty head
+    if cut != len(head) or not data.startswith(head):
+        head = data[:cut]
+        state = hashlib.sha256(head)
+        _last_head = (head, state)  # one assignment: concurrent callers see a whole entry
+    digest = state.copy()  # the kept state is never updated, only copied
+    digest.update(data[cut:])
+    return digest.hexdigest()
+
+
+_last_head: tuple = (b"", hashlib.sha256())
+
+
 def mock_complete(prompt: str, seed: int) -> str:
     """Deterministic grammar-valid response for any built prompt.
 
@@ -290,8 +316,7 @@ def mock_complete(prompt: str, seed: int) -> str:
     inputs give byte-identical output in any process.
     """
     surfaces = prompt_target_words(prompt)
-    digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-    getrandbits = random.Random(f"{seed}:{digest}").getrandbits
+    getrandbits = random.Random(f"{seed}:{_sha256_hex(prompt)}").getrandbits
     global_values = _draws(getrandbits, _SCALE_VALUES, 3)
     local_values = iter(_draws(getrandbits, _SCALE_VALUES[5:], 3 * len(surfaces)))  # three per word, in order
     keys = [surface.lower() for surface in surfaces]

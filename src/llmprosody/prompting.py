@@ -7,6 +7,16 @@ context, the target text with its words enumerated one per line, and
 checked and rendered once per exemplar set and reused by every prompt.
 The enumeration, and the requirement that the response echo each index and
 word, is what keeps the model from skipping or inventing words.
+
+The prefix, everything before the target block, is found by the exemplar
+set: the last tuple rendered is kept with its prefix and matched by
+identity, so the common case hashes no exemplar; any other set goes through
+a cache keyed on its value.  The target block holds no blank line, so the
+last one before a prompt's word list is the one before ``Now solve this
+task.``, and the bytes before it are the same in every prompt of one
+exemplar set, repair prompts included: the mock backend
+(:func:`llmprosody.llm.mock_complete`) keeps their SHA-256 state and resumes
+each prompt's digest from a copy.
 """
 
 from __future__ import annotations
@@ -140,9 +150,20 @@ def _target_words(mode: Mode, context: str | None, text: str) -> tuple[Word, ...
 
 def build_prompt(spec: PromptSpec) -> str:
     """Deterministic prompt text for ``spec`` (pure function, no environment reads)."""
+    global _last_prefix
     words = _target_words(spec.mode, spec.context, spec.target_text)
     target = _render_target(spec.mode, spec.context, spec.target_text, words)
-    return "\n".join([_prefix(tuple(spec.exemplars)), *target, ""])
+    kept, prefix = _last_prefix
+    if spec.exemplars is not kept:
+        prefix = _prefix(tuple(spec.exemplars))
+        if type(spec.exemplars) is tuple:  # a list can change under the same identity
+            _last_prefix = (spec.exemplars, prefix)  # one assignment: concurrent callers see a whole entry
+    return "\n".join([prefix, *target, ""])
+
+
+# the last tuple that rendered, kept alive so that no other object takes its identity, and its prefix:
+# the lookup below hashes every exemplar, which costs as much as building a short prompt
+_last_prefix: tuple = (object(), "")
 
 
 # the CLI and every caller in the package use one exemplar set

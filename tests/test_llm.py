@@ -100,6 +100,80 @@ class TestMockComplete:
         assert mock_complete(prompt, seed) == naive_mock_complete(prompt, seed)
 
 
+# two exemplar sets whose prompts have different heads, the second with multi-byte UTF-8 in its examples
+DIGEST_SETS = (prompting.default_exemplars(), tuple(
+    e._replace(reasoning=f"{e.reasoning} Naïve — 日本語.") for e in prompting.default_exemplars()[2:6]
+))
+DIGEST_WORDS = WORD_POOL + ("été", "naïve", "日本")
+REPAIR_TEMPLATE = RepairPolicy.repair_instruction_template
+
+
+@st.composite
+def digest_prompts(draw):
+    """A prompt of either set, one of its repair prompts, or a word list with no blank line before it."""
+    words = draw(st.lists(st.sampled_from(DIGEST_WORDS), min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["base", "repair", "no blank line"]))
+    if kind == "no blank line":
+        lines = ["Words:", *(f"{i} {w}" for i, w in enumerate(words)), "Response:", ""]
+        return draw(st.sampled_from(["", "Text: é\n"])) + "\n".join(lines)
+    mode = draw(st.sampled_from(list(Mode)))
+    context = None if mode is Mode.NEUTRAL else draw(st.sampled_from(["calm", "Où es-tu ?"]))
+    spec = PromptSpec(mode, " ".join(words), context, draw(st.sampled_from(DIGEST_SETS)))
+    prompt = build_prompt(spec)
+    if kind == "repair":
+        diagnostics = draw(st.sampled_from(["line 3: word 0 missing", "é\n\nx"]))
+        prompt += REPAIR_TEMPLATE.format(diagnostics=diagnostics)
+    return prompt
+
+
+class TestMockDigestCache:
+    """``mock_complete`` resumes its SHA-256 from the kept state of a prompt head; its bytes stay the same."""
+
+    @PROPERTIES
+    @given(prompts=st.lists(digest_prompts(), min_size=1, max_size=6), seed=st.integers(0, 20))
+    def test_same_bytes_as_a_full_hash_over_interleaved_prompts(self, prompts, seed):
+        for prompt in prompts:
+            assert mock_complete(prompt, seed) == naive_mock_complete(prompt, seed)
+
+    def test_heads_of_one_length_or_one_start_are_told_apart(self):
+        # "A\n" and "B\n" have one length; "A\n\nx\n" starts with "A\n"; the last has an empty head
+        for prompt in ("A\n\nWords:\n0 a\n", "B\n\nWords:\n0 a\n", "A\n\nx\n\nWords:\n0 a\n",
+                       "Words:\n0 a\n", "A\n\nWords:\n0 a\n"):
+            assert mock_complete(prompt, 1) == naive_mock_complete(prompt, 1)
+
+    def test_a_repair_prompt_resumes_from_its_base_prompts_head(self):
+        base = build_prompt(SPEC)
+        mock_complete(base, 1)
+        kept = llm._last_head
+        repair = base + REPAIR_TEMPLATE.format(diagnostics="line 2: word 1 missing")
+        assert mock_complete(repair, 1) == naive_mock_complete(repair, 1)
+        assert llm._last_head is kept
+        other = build_prompt(SPEC._replace(exemplars=DIGEST_SETS[1]))
+        assert mock_complete(other, 1) == naive_mock_complete(other, 1)
+        assert llm._last_head is not kept
+
+    def test_batch_over_alternating_sets_gives_the_serial_results(self):
+        # every third answer loses its last line, so repair prompts of both sets interleave too
+        def backend(prompt, answer=mock_complete):
+            text = answer(prompt, 3)
+            first = prompt.endswith("Response:\n") and len(prompting.prompt_target_words(prompt)) % 3 == 0
+            return text.rsplit("\n", 2)[0] + "\n" if first else text
+
+        specs = [
+            PromptSpec(Mode.NEUTRAL, " ".join(WORD_POOL[i % 20:i % 20 + 1 + i % 4]), None, DIGEST_SETS[i % 2])
+            for i in range(40)
+        ]
+        expected = [suggest_with_repair(s, lambda p: backend(p, naive_mock_complete)) for s in specs]
+        assert any(len(attempts) > 1 for _, attempts in expected)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 6):
+                assert suggest_batch(specs, backend, max_parallel=workers) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+
 def _reference_target_words(prompt: str) -> list[str]:
     """The word-list lookup as a scan over every line of the prompt."""
     lines = prompt.split("\n")
@@ -784,6 +858,22 @@ class TestConnectionPool:
         keep_alive_server.script.extend([(503, b'{"error": "busy"}', {}), (200, _ok_body(), {})])
         assert complete("p", _config(keep_alive_server), sleep=NO_SLEEP) == "fine"
         assert len(_connections(keep_alive_server)) == 1
+
+    def test_the_base_urls_query_follows_the_endpoint_path(self, keep_alive_server, monkeypatch):
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
+        keep_alive_server.script.append((200, _ok_body(), {}))
+        base_url = f"http://127.0.0.1:{keep_alive_server.server_port}/v1?api-version=2024-02-01"
+        assert complete("p", _config(keep_alive_server, base_url=base_url), sleep=NO_SLEEP) == "fine"
+        paths = [request["path"] for request in keep_alive_server.requests]
+        assert paths == ["/v1/chat/completions?api-version=2024-02-01"]
+
+    @pytest.mark.parametrize("fragment", ["#section", "#"])
+    def test_a_base_url_with_a_fragment_is_refused(self, keep_alive_server, monkeypatch, fragment):
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
+        base_url = f"http://127.0.0.1:{keep_alive_server.server_port}/v1{fragment}"
+        with pytest.raises(BackendError, match="base URL must not have a fragment"):
+            complete("p", _config(keep_alive_server, base_url=base_url), sleep=NO_SLEEP)
+        assert keep_alive_server.requests == []
 
     def test_unsupported_scheme_is_refused(self, monkeypatch):
         monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")

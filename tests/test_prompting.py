@@ -366,3 +366,58 @@ class TestPromptOracle:
         unhashable = exemplar._replace(suggestion=suggestion)
         with pytest.raises(TypeError):
             build_prompt(PromptSpec(mode=Mode.NEUTRAL, target_text="hi there", exemplars=(unhashable,)))
+
+
+def _fresh(spec: PromptSpec) -> str:
+    """``spec``'s prompt with every part, examples included, rendered afresh."""
+    return naive_prompt(
+        spec, DEFAULT_TASK_DESCRIPTION, DEFAULT_SCALE_EXPLANATIONS, DEFAULT_RULES, DEFAULT_FORMAT_INSTRUCTIONS
+    )
+
+
+class TestPrefixMemo:
+    """``build_prompt`` keeps the last exemplar tuple it rendered; each prompt still equals a fresh render."""
+
+    SET_A = default_exemplars()
+    SET_B = tuple(e._replace(reasoning=f"{e.reasoning} (set B)") for e in default_exemplars()[3:7])
+
+    def test_sets_in_turn(self):
+        for exemplars in (self.SET_A, self.SET_B, self.SET_A, self.SET_A, self.SET_B):
+            spec = PromptSpec(Mode.STYLE, "Hold the door.", "calm", exemplars)
+            assert build_prompt(spec) == _fresh(spec)
+
+    def test_an_equal_but_distinct_tuple(self):
+        copy = tuple(list(self.SET_A))
+        assert copy == self.SET_A and copy is not self.SET_A
+        for exemplars in (self.SET_A, copy, self.SET_A, copy):
+            spec = NEUTRAL_SPEC._replace(exemplars=exemplars)
+            assert build_prompt(spec) == _fresh(spec)
+
+    def test_a_list_mutated_between_calls(self):
+        exemplars = list(self.SET_A[:3])
+        spec = NEUTRAL_SPEC._replace(exemplars=exemplars)
+        before = build_prompt(spec)
+        assert before == _fresh(spec)
+        exemplars[1] = self.SET_B[0]
+        after = build_prompt(spec)
+        assert after == _fresh(spec) and after != before
+        exemplars.append(self.SET_B[1])
+        assert build_prompt(spec) == _fresh(spec)
+
+    def test_a_set_that_fails_to_render_raises_on_every_call(self):
+        broken = (self.SET_A[0], self.SET_A[1]._replace(target_text="two\nlines"))
+        spec = NEUTRAL_SPEC._replace(exemplars=broken)
+        for _ in range(3):
+            with pytest.raises(DataError, match="exemplar 'two\\\\nlines': target text and context"):
+                build_prompt(spec)
+            assert build_prompt(NEUTRAL_SPEC) == _fresh(NEUTRAL_SPEC)
+
+    def test_an_unhashable_set_raises_on_every_call(self):
+        exemplar = self.SET_A[0]
+        suggestion = exemplar.suggestion._replace(words=list(exemplar.suggestion.words))
+        unhashable = (exemplar._replace(suggestion=suggestion),)
+        spec = NEUTRAL_SPEC._replace(exemplars=unhashable)
+        for _ in range(3):
+            with pytest.raises(TypeError):
+                build_prompt(spec)
+            assert build_prompt(NEUTRAL_SPEC) == _fresh(NEUTRAL_SPEC)
