@@ -31,10 +31,13 @@ cmp "$out/transcript.txt" tests/golden/cli_transcript_seed7.txt
 cmp "$out/modified.tsv" tests/golden/cli_modified_seed7.tsv
 # a CLI process builds one prompt, so it takes only the cold paths of build_prompt's prefix memo and the
 # mock's digest cache: one bare process builds the three golden prompts twice, in turn, and answers each
-# neutral prompt with the seed-7 mock, the second time from the kept prompt head
+# neutral prompt with the seed-7 mock, the second time from the kept prompt head; then it plans the golden
+# utterance twice from a cleared tokenization memo, the second time on the warm memo, which misses once
 "$bare" -c '
 import sys
-from llmprosody.llm import mock_complete
+from llmprosody.features import parse_features, parse_speaker_stats, tokenize_words
+from llmprosody.llm import MockBackend, mock_complete, plan_utterance
+from llmprosody.mapping import serialize_plan
 from llmprosody.prompting import Mode, PromptSpec, build_prompt
 specs = {
     "neutral": PromptSpec(Mode.NEUTRAL, "Turn left at the second light."),
@@ -49,11 +52,22 @@ for turn in (1, 2):
         for stem, text in texts.items():
             with open(f"{sys.argv[1]}/{stem}.{turn}.txt", "w", encoding="utf-8", newline="") as f:
                 f.write(text)
+with open("tests/data/norm_utterance.tsv", encoding="utf-8") as f:
+    utterance = parse_features(f.read())[0]
+with open("tests/data/stats.tsv", encoding="utf-8") as f:
+    stats = parse_speaker_stats(f.read())
+tokenize_words.cache_clear()
+for turn in (1, 2):
+    plan, _ = plan_utterance(PromptSpec(Mode.NEUTRAL, utterance.text), utterance, stats, MockBackend(7))
+    with open(f"{sys.argv[1]}/plan.{turn}.tsv", "w", encoding="utf-8", newline="") as f:
+        f.write(serialize_plan(plan))
+sys.exit(tokenize_words.cache_info().misses != 1)
 ' "$out"
 for turn in 1 2; do
   for stem in prompt_neutral prompt_style prompt_dialogue mock_response_seed7; do
     cmp "$out/$stem.$turn.txt" "tests/golden/$stem.txt"
   done
+  cmp "$out/plan.$turn.tsv" tests/golden/cli_plan_seed7.tsv
 done
 # the file stats writes is one that plan and apply read: both exit 0 with it
 "$bare" -m llmprosody stats tests/data/raw_corpus.tsv -o "$out/stats_cli.tsv"

@@ -15,7 +15,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 
 from .errors import Checked, DataError
@@ -43,20 +43,28 @@ def match_key(token: str) -> str:
     return token.strip(_PUNCT).lower()
 
 
+# more texts than the packaged exemplar set plus one target: a CLI plan reads the ten examples between
+# parsing its utterance and building its prompt, and its target text is then tokenized once
+_TOKENIZE_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=_TOKENIZE_MEMO_SIZE)
 def tokenize_words(text: str) -> tuple[Word, ...]:
     """Split ``text`` on whitespace into matchable word tokens.
 
     Leading/trailing punctuation is stripped (word-internal characters such as
     apostrophes survive); tokens that are pure punctuation are dropped.  The
     match key is the lowercased surface, so casing and edge punctuation never
-    break alignment between a word list and an LLM response.
+    break alignment between a word list and an LLM response.  The last texts
+    are memoised: a repeated text gets the same immutable tuple, so the
+    utterance, its prompt and its response check share one tokenization.
     """
-    make_word = Word._make
+    new = tuple.__new__  # a Word without namedtuple's _make frame: the field count is fixed here
     words = []
     for token in text.split():
         core = token.strip(_PUNCT)
         if core:
-            words.append(make_word((core, core.lower())))
+            words.append(new(Word, (core, core.lower())))
     return tuple(words)
 
 
@@ -212,7 +220,7 @@ def make_utterance(
     if not referenced.issuperset(range(n_words)):
         missing = set(range(n_words)) - referenced
         raise DataError(f"utterance {uid}: words {sorted(missing)} are not referenced by any phone")
-    return UtteranceFeatures._make((uid, speaker_id, text, words, phones, normalized))
+    return tuple.__new__(UtteranceFeatures, (uid, speaker_id, text, words, phones, normalized))
 
 
 def parse_finite(field: str, what: str, line_number: int) -> float:
@@ -263,7 +271,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
     Format errors report the offending line number; invariant violations name
     the utterance (and line, where one applies).
     """
-    make_phone = PhoneFeature._make
+    new = tuple.__new__  # a PhoneFeature without namedtuple's _make frame: the field count is fixed here
     isfinite = math.isfinite
     utterances: list[UtteranceFeatures] = []
     ids: set[str] = set()
@@ -322,7 +330,7 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
             duration = parse_finite(duration_s, "duration", line_number)
             energy = parse_finite(energy_s, "energy", line_number)
             f0 = None if f0_s == _ABSENT else parse_finite(f0_s, "F0", line_number)
-        phones.append(make_phone((label, word_index, duration, f0, energy, voiced_s == "1", pause_s == "1")))
+        phones.append(new(PhoneFeature, (label, word_index, duration, f0, energy, voiced_s == "1", pause_s == "1")))
         line_numbers.append(line_number)
     if current is not None:
         utterances.append(make_utterance(*current))

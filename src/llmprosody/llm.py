@@ -19,6 +19,7 @@ import random
 import time
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from itertools import repeat
 
 from .config import BackendConfig, RepairPolicy
 from .errors import BackendError, DataError, LlmOutputError
@@ -31,6 +32,9 @@ from .response import ParseDiagnostic, parse_response, serialize_suggestion
 
 _BACKOFF_BASE_S = 0.5
 _RATE_LIMITED = "rate limited (HTTP 429)"
+# the longest response body read, 1 MiB: a 1,000-word answer in the grammar, in its JSON envelope, is about 60 KB
+_MAX_BODY_BYTES = 1 << 20
+_BODY_TOO_LONG = f"response body is longer than {_MAX_BODY_BYTES} bytes"
 
 
 class RateLimited(BackendError):
@@ -66,7 +70,8 @@ def complete(
     Timeouts, connection errors, HTTP 429, and 5xx responses are retried up
     to ``config.max_retries`` times with exponential backoff and jitter.
     Auth failures are raised immediately, and so is any other status,
-    redirects included: none is followed.  Each attempt takes a kept-alive
+    redirects included: none is followed, and so is a response body longer
+    than 1 MiB, whatever its status.  Each attempt takes a kept-alive
     connection from the process-wide pool, or opens one, and returns it once
     the whole response is read.  Each retried failure is logged as a warning
     on the ``llmprosody.llm`` logger.  The transport modules and ``logging``
@@ -113,8 +118,16 @@ def complete(
             route = _POOL.take(url.scheme, url.netloc, config.timeout_s)
             conn, prefix, proxy_headers = route
             conn.request("POST", prefix + path, body, {**headers, **proxy_headers})
+            # a body over the cap is not retried, and its connection is closed below, not pooled
             with conn.getresponse() as resp:
-                status, payload = resp.status, resp.read()
+                status, length = resp.status, resp.length
+                if length is not None and length > _MAX_BODY_BYTES:
+                    raise BackendError(_BODY_TOO_LONG)
+                # an announced length is read whole, so that a cut-off body stays an IncompleteRead;
+                # a chunked or close-delimited one is read one byte past the cap
+                payload = resp.read() if length is not None else resp.read(_MAX_BODY_BYTES + 1)
+            if len(payload) > _MAX_BODY_BYTES:
+                raise BackendError(_BODY_TOO_LONG)
         except BaseException as exc:
             if conn is not None:
                 conn.close()
@@ -320,8 +333,10 @@ def mock_complete(prompt: str, seed: int) -> str:
     global_values = _draws(getrandbits, _SCALE_VALUES, 3)
     local_values = iter(_draws(getrandbits, _SCALE_VALUES[5:], 3 * len(surfaces)))  # three per word, in order
     keys = [surface.lower() for surface in surfaces]
-    words = tuple(map(Word._make, zip(surfaces, keys)))
-    entries = map(WordSuggestion._make, zip(keys, local_values, local_values, local_values))
+    # the values are built without namedtuple's _make frame: each zip fixes the field count
+    new = tuple.__new__
+    words = tuple(map(new, repeat(Word), zip(surfaces, keys)))
+    entries = map(new, repeat(WordSuggestion), zip(keys, local_values, local_values, local_values))
     suggestion = LlmScaleSuggestion(*global_values, tuple(entries))
     reasoning = f"Deterministic mock suggestion for {len(words)} words (seed {seed})."
     return serialize_suggestion(suggestion, words, reasoning)

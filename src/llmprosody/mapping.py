@@ -254,6 +254,7 @@ def build_plan(
     bounds = compute_pitch_bounds(utterance, stats)
     g_pitch_hz = _global_pitch_hz(v_pitch, bounds)
     low, high = LOCAL_SCALE
+    new = tuple.__new__  # a WordCoefficients without namedtuple's _make frame: the field count is fixed here
     word_coeffs = []
     for i, ((_, ld, lp, le), (surface, _)) in enumerate(zip(suggestion.words, utterance.words)):
         if not (low <= ld <= high and low <= lp <= high and low <= le <= high):
@@ -261,7 +262,7 @@ def build_plan(
             lp = clamp(lp, LOCAL_SCALE, "pitch", i)
             le = clamp(le, LOCAL_SCALE, "energy", i)
         pi_hz = _local_pitch_hz(g_pitch_hz, lp, bounds.p_max_hz, config.local_pitch_cap_fraction)
-        word_coeffs.append(WordCoefficients._make((surface, map_local_scale(ld), pi_hz, map_local_scale(le))))
+        word_coeffs.append(new(WordCoefficients, (surface, map_local_scale(ld), pi_hz, map_local_scale(le))))
     return ModificationPlan(map_global_scale(v_dur), g_pitch_hz, map_global_scale(v_energy), tuple(word_coeffs), bounds)
 
 
@@ -278,7 +279,7 @@ def serialize_plan(plan: ModificationPlan) -> str:
 
 def parse_plan(document: str) -> ModificationPlan:
     """Parse and validate a plan document (inverse of :func:`serialize_plan`)."""
-    make_word = WordCoefficients._make
+    new = tuple.__new__  # a WordCoefficients without namedtuple's _make frame: the field count is fixed here
     isfinite = math.isfinite
     global_fields: tuple[float, float, float] | None = None
     bounds: PitchBounds | None = None
@@ -309,7 +310,7 @@ def parse_plan(document: str) -> ModificationPlan:
                 delta = parse_finite(delta_s, "delta", line_number)
                 pi_hz = parse_finite(pi_hz_s, "pi_hz", line_number)
                 epsilon = parse_finite(epsilon_s, "epsilon", line_number)
-            words.append(make_word((surface, delta, pi_hz, epsilon)))
+            words.append(new(WordCoefficients, (surface, delta, pi_hz, epsilon)))
         elif tag == "GLOBAL":
             if global_fields is not None:
                 raise DataError(f"line {line_number}: duplicate GLOBAL line")

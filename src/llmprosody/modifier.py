@@ -56,7 +56,7 @@ def apply_plan(
     n_words = len(per_word)
     no_word = (1.0, 0.0, g_energy)
     next_hz = iter(voiced_hz).__next__  # one Hz per voiced phone, in order
-    make_phone = PhoneFeature._make
+    new = tuple.__new__  # values without namedtuple's _make frame: the field counts are fixed here
     new_phones = []
     # the de- and re-normalisers of features word every refusal; their arithmetic is inlined where it cannot fail
     for k, ph in enumerate(utterance.phones):
@@ -82,5 +82,6 @@ def apply_plan(
             if scale != 1.0:
                 linear *= scale
                 energy = (log(linear) - mu_e) / sigma_e if 0 < linear < inf else renorm_energy(linear, stats)
-        new_phones.append(make_phone((label, j, duration, f0, energy, voiced, pause)))
-    return utterance._replace(phones=tuple(new_phones))
+        new_phones.append(new(PhoneFeature, (label, j, duration, f0, energy, voiced, pause)))
+    uid, speaker_id, text, words, _, normalized = utterance
+    return new(UtteranceFeatures, (uid, speaker_id, text, words, tuple(new_phones), normalized))

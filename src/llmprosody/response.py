@@ -202,7 +202,8 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 report(DiagnosticKind.WORD_IDENTITY_MISMATCH, line_number, detail)
             values = read_values((duration, pitch, energy), LOCAL_SCALE, line_number, index)
             if None not in values:
-                entries[index] = WordSuggestion._make((expected.key, *values))
+                # built without namedtuple's _make frame: read_values gives three values
+                entries[index] = tuple.__new__(WordSuggestion, (expected.key, *values))
         if index >= expected_next:
             expected_next = index + 1
 

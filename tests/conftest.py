@@ -11,6 +11,7 @@ import random
 
 import pytest
 from hypothesis import settings
+from hypothesis.internal.conjecture import providers
 
 from llmprosody.features import (
     PhoneFeature,
@@ -31,6 +32,22 @@ PHONE_LABELS = ("AA1", "IY0", "EH1", "T", "K", "N", "S", "L", "R", "M")
 
 # property tests draw the same examples on every run, like the seeded generators
 PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# Hypothesis mixes the literals of every loaded module outside site-packages and the standard library (the
+# package under src/ and these tests) into its draws, so one literal added anywhere would change what every
+# property draws, and a test file run alone would draw other examples than the full suite.  Its pool of them
+# stays empty here, so a property's draws depend on the property alone.  The hook is private:
+# tests/test_draws.py fails, naming it, when it moves.
+LOCAL_CONSTANTS_HOOK = "_get_local_constants"
+EMPTY_LOCAL_CONSTANTS = getattr(providers, "_local_constants", None)
+
+
+def no_local_constants():
+    return EMPTY_LOCAL_CONSTANTS
+
+
+if hasattr(providers, LOCAL_CONSTANTS_HOOK):
+    setattr(providers, LOCAL_CONSTANTS_HOOK, no_local_constants)
 
 
 def make_stats(

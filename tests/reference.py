@@ -487,12 +487,19 @@ def naive_parse_plan(document):
     return g_dur, g_pitch_hz, g_energy, tuple(words), bounds
 
 
+# the longest response body llm.complete reads (README "Imports and HTTP transport")
+MAX_BODY_BYTES = 1 << 20
+# an answer content that stands for a body one byte longer than MAX_BODY_BYTES, whatever its status
+TOO_LONG = "<too long>"
+
+
 def naive_complete(answers, max_retries):
     """``llm.complete``'s outcome against an endpoint giving ``answers`` in turn, as one plain loop.
 
     Each answer is ``(status, content)``.  A 200 carries ``content`` as the
     first choice's message content when it is a string or an int, and no
-    ``choices`` at all when it is ``None``; other statuses carry ``{}``.
+    ``choices`` at all when it is ``None``; other statuses carry ``{}``.  A
+    content of ``TOO_LONG`` is a body over the cap, with any status.
     Returns ``(outcome, requests, sleeps, warnings)``: the outcome is the
     returned text, or ``(exception class name, message, .attempts)`` with
     ``None`` for an error that has no ``.attempts``.
@@ -504,7 +511,9 @@ def naive_complete(answers, max_retries):
         status, content = answers[attempt - 1]
         requests += 1
         outcome = None
-        if status == 401 or status == 403:
+        if content == TOO_LONG:
+            outcome = ("BackendError", f"response body is longer than {MAX_BODY_BYTES} bytes", None)
+        elif status == 401 or status == 403:
             outcome = ("BackendError", f"endpoint rejected credentials (HTTP {status})", None)
         elif status == 429:
             warnings.append(f"completion attempt {attempt} rate limited")

@@ -312,6 +312,14 @@ class TestSerializeFeatures:
         assert parse_features(serialize_features([utterance])) == [utterance]
 
 
+# more distinct texts than the tokenization memo holds, among them punctuation-only, whitespace-only and
+# non-ASCII ones
+MEMO_TEXTS = tuple(f"{WORD_POOL[i % len(WORD_POOL)]}, take {i}." for i in range(40)) + (
+    "", "   ", "\t \u3000", "...", "— … ¿¡",
+    "«Ça va?» — oui.", "naïve café", "ΑΒΓ δεζ", "中文 字", "it's FINE.",
+)
+
+
 class TestTokenizeWords:
     def test_punctuation_stripped(self):
         assert tokenize_words("Hello, world!") == (
@@ -343,6 +351,28 @@ class TestTokenizeWords:
             keys = [w.key for w in tokenize_words(text)]
             upper_keys = [w.key for w in tokenize_words(text.upper())]
             assert keys == upper_keys
+
+    def test_a_repeated_text_gets_the_same_tuple(self):
+        tokenize_words.cache_clear()
+        first = tokenize_words("Hello, world!")
+        assert tokenize_words("Hello, world!") is first
+        assert tokenize_words.cache_info().hits == 1
+
+    def test_the_memo_holds_the_packaged_exemplars_and_a_target(self):
+        from llmprosody.prompting import default_exemplars
+
+        assert tokenize_words.cache_info().maxsize > len(default_exemplars()) + 1
+        assert len(set(MEMO_TEXTS)) > tokenize_words.cache_info().maxsize  # the property below evicts
+
+    @PROPERTIES
+    @given(texts=st.lists(st.one_of(st.sampled_from(MEMO_TEXTS), st.text(max_size=12)), min_size=1, max_size=120))
+    def test_the_memo_gives_what_a_fresh_tokenization_gives(self, texts):
+        tokenize_words.cache_clear()
+        for text in texts:
+            words = tokenize_words(text)
+            assert type(words) is tuple and all(type(word) is Word for word in words)
+            assert words == tokenize_words.__wrapped__(text)
+        assert tokenize_words.cache_info().currsize <= tokenize_words.cache_info().maxsize
 
 
 def _corpus_with_durations(rng, durations):

@@ -40,7 +40,7 @@ from llmprosody.mapping import (
 from llmprosody.modifier import apply_plan
 from llmprosody.prompting import Mode, PromptSpec, build_prompt
 from llmprosody.response import parse_response
-from reference import naive_complete, naive_mock_complete
+from reference import MAX_BODY_BYTES, TOO_LONG, naive_complete, naive_mock_complete
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DATA_DIR = Path(__file__).parent / "data"
@@ -343,6 +343,44 @@ class TestPlanUtterance:
         assert backend.prompts == []
 
 
+class TestTokenizationMemo:
+    """A plan tokenizes its target text once: the word check, the prompt and the response check share it."""
+
+    def test_a_plan_misses_the_memo_once_for_its_target_text(self):
+        (utterance,) = parse_features((DATA_DIR / "norm_utterance.tsv").read_text(encoding="utf-8"))
+        stats = parse_speaker_stats((DATA_DIR / "stats.tsv").read_text(encoding="utf-8"))
+        spec = PromptSpec(mode=Mode.NEUTRAL, target_text=utterance.text)
+        build_prompt(spec)  # the exemplars' prefix is rendered, and their texts tokenized, before the count
+        tokenize_words.cache_clear()
+        plan, attempts = plan_utterance(spec, utterance, stats, MockBackend(seed=7))
+        info = tokenize_words.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert len(attempts) == 1
+        assert serialize_plan(plan) == (GOLDEN_DIR / "cli_plan_seed7.tsv").read_text(encoding="utf-8")
+
+    def test_two_threads_over_alternating_specs_give_the_serial_results(self):
+        # more distinct texts than the memo holds, so one thread's misses evict the other's entries
+        size = tokenize_words.cache_info().maxsize
+        texts = [f"{WORD_POOL[i % len(WORD_POOL)]} said {i} times, no {WORD_POOL[(i * 7) % len(WORD_POOL)]}!"
+                 for i in range(size + 8)]
+        specs = [
+            PromptSpec(Mode.NEUTRAL, texts[i // 2 % len(texts)]) if i % 2 else
+            PromptSpec(Mode.STYLE, texts[-1 - i // 2 % len(texts)], "calm")
+            for i in range(4 * len(texts))
+        ]
+        tokenize_words.cache_clear()
+        expected = [suggest_with_repair(s, MockBackend(seed=3)) for s in specs]
+        for s, (suggestion, _) in zip(specs, expected):
+            assert [w.key for w in suggestion.words] == [w.key for w in tokenize_words.__wrapped__(s.target_text)]
+        tokenize_words.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert suggest_batch(specs, MockBackend(seed=3), max_parallel=2) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+
 # changes to a valid answer: the number forms the grammar refuses (digit-group underscores, full-width and
 # Arabic-Indic digits, an overflow to inf, nan), one it reads (-0), and changes of layout
 REFUSED_VALUES = ("1_0", "\uff11", "\u0663", "1e309", "nan", "-inf")
@@ -442,7 +480,15 @@ class TestAdversarialBackend:
         apply_plan(utterance, stats, parsed)
 
 
-class _ScriptedHandler(BaseHTTPRequestHandler):
+class _ClosedEarlyHandler(BaseHTTPRequestHandler):
+    def handle(self):
+        try:
+            super().handle()
+        except ConnectionError:  # a client that refuses a body over the cap closes with the body unread
+            pass
+
+
+class _ScriptedHandler(_ClosedEarlyHandler):
     # each entry: (status:int, body:bytes) ; server.script is mutated in place
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
@@ -662,14 +708,21 @@ class TestComplete:
 
 
 # an endpoint answer (status, content) as naive_complete reads it: a 200 carries the completion text,
-# a content that is not a string, or no choices at all (None)
+# a content that is not a string, or no choices at all (None); TOO_LONG pads either body past the cap
 ANSWERS = st.sampled_from([
     (200, "fine"), (200, 5), (200, None), (401, None), (403, None), (429, None),
-    (500, None), (503, None), (302, None), (404, None),
+    (500, None), (503, None), (302, None), (404, None), (200, TOO_LONG), (503, TOO_LONG),
 ])
 
 
+def _padded(body: bytes, size: int) -> bytes:
+    """``body`` followed by JSON whitespace, ``size`` bytes in all."""
+    return body + b" " * (size - len(body))
+
+
 def _answer_body(status, content) -> bytes:
+    if content == TOO_LONG:
+        return _padded(_answer_body(status, "fine"), MAX_BODY_BYTES + 1)
     if status != 200:
         return b"{}"
     return b'{"unexpected": true}' if content is None else _ok_body(content)
@@ -698,7 +751,7 @@ class TestCompleteOutcome:
         assert got == naive_complete(answers, max_retries)
 
 
-class _KeepAliveHandler(BaseHTTPRequestHandler):
+class _KeepAliveHandler(_ClosedEarlyHandler):
     """HTTP/1.1 endpoint that keeps connections open unless ``server.close_each`` is set.
 
     Answers ``server.script`` entries ``(status, body, headers)`` in order, then
@@ -726,8 +779,12 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
             status, body, headers = (
                 server.script.pop(0) if server.script else (200, _ok_body(mock_complete(prompt, 5)), {})
             )
+        if headers.get("Transfer-Encoding") == "chunked":  # the body in one chunk, and no Content-Length
+            body, length = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body), []
+        else:
+            length = [f"Content-Length: {len(body)}"]
         lines = [f"HTTP/1.1 {status} Scripted", "Content-Type: application/json",
-                 f"Content-Length: {len(body)}", *(f"{k}: {v}" for k, v in headers.items())]
+                 *length, *(f"{k}: {v}" for k, v in headers.items())]
         self.wfile.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body)
         if server.close_each:
             # no "Connection: close" was sent: the client learns of the close from the socket
@@ -858,6 +915,26 @@ class TestConnectionPool:
         keep_alive_server.script.extend([(503, b'{"error": "busy"}', {}), (200, _ok_body(), {})])
         assert complete("p", _config(keep_alive_server), sleep=NO_SLEEP) == "fine"
         assert len(_connections(keep_alive_server)) == 1
+
+    @pytest.mark.parametrize("framing", [{}, {"Transfer-Encoding": "chunked"}], ids=["length", "chunked"])
+    def test_a_body_at_the_cap_is_read(self, keep_alive_server, monkeypatch, framing):
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
+        keep_alive_server.script.append((200, _padded(_ok_body(), MAX_BODY_BYTES), framing))
+        assert complete("p", _config(keep_alive_server), sleep=NO_SLEEP) == "fine"
+        assert len(llm._POOL._idle[("http", f"127.0.0.1:{keep_alive_server.server_port}")]) == 1
+
+    @pytest.mark.parametrize("framing", [{}, {"Transfer-Encoding": "chunked"}], ids=["length", "chunked"])
+    def test_a_body_one_byte_over_the_cap_is_refused_once(self, keep_alive_server, monkeypatch, framing):
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "secret-key-value")
+        keep_alive_server.script.append((200, _padded(_ok_body(), MAX_BODY_BYTES + 1), framing))
+        sleeps = []
+        with pytest.raises(BackendError) as err:
+            complete("p", _config(keep_alive_server), sleep=sleeps.append)
+        assert type(err.value) is BackendError
+        assert str(err.value) == f"response body is longer than {MAX_BODY_BYTES} bytes"
+        assert "secret-key-value" not in str(err.value)
+        assert sleeps == [] and len(keep_alive_server.requests) == 1
+        assert llm._POOL._idle.get(("http", f"127.0.0.1:{keep_alive_server.server_port}"), []) == []
 
     def test_the_base_urls_query_follows_the_endpoint_path(self, keep_alive_server, monkeypatch):
         monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")

@@ -9,12 +9,13 @@ The classes that check their fields check them however a value is made.
 import copy
 import importlib
 import pickle
+import re
 from pathlib import Path
 
 import pytest
 
 from llmprosody.config import BackendConfig, RepairPolicy
-from llmprosody.errors import DataError
+from llmprosody.errors import Checked, DataError
 from llmprosody.evaluation import (
     MosSummary,
     PreferenceRecord,
@@ -213,3 +214,54 @@ def test_parsed_utterance_survives_pickle_and_deepcopy(protocol):
         assert copied == utterance and hash(copied) == hash(utterance)
         assert copied.words == tokenize_words(copied.text)
         assert [tuple(ph) for ph in copied.phones] == [tuple(ph) for ph in utterance.phones]
+
+
+def test_values_built_without_make_have_the_declared_class_and_fields(monkeypatch):
+    """The hot readers and builders make unchecked values with ``tuple.__new__``; each is a whole value."""
+    from llmprosody import llm
+    from llmprosody.features import PhoneFeature, UtteranceFeatures, Word
+    from llmprosody.mapping import WordSuggestion, parse_plan, serialize_plan
+    from llmprosody.modifier import apply_plan
+    from llmprosody.prompting import build_prompt
+
+    utterance = _utterance()
+    stats = SAMPLES["SpeakerStats"]
+    plan = SAMPLES["ModificationPlan"]
+    modified = apply_plan(utterance, stats, plan)
+    written = []
+    serialize = llm.serialize_suggestion
+    monkeypatch.setattr(llm, "serialize_suggestion", lambda s, w, r: written.append((s, w)) or serialize(s, w, r))
+    answer = llm.mock_complete(build_prompt(SAMPLES["PromptSpec"]), 7)
+    ((mock_suggestion, mock_words),) = written
+    built = {
+        "tokenize_words": (Word, utterance.words + tokenize_words.__wrapped__(utterance.text)),
+        "make_utterance": (UtteranceFeatures, [utterance]),
+        "parse_features": (PhoneFeature, utterance.phones),
+        "apply_plan": (UtteranceFeatures, [modified]),
+        "apply_plan phones": (PhoneFeature, modified.phones),
+        "mock_complete words": (Word, mock_words),
+        "mock_complete": (WordSuggestion, mock_suggestion.words),
+        "parse_response": (WordSuggestion, parse_response(answer, utterance.words).suggestion.words),
+        "build_plan": (WordCoefficients, plan.words),
+        "parse_plan": (WordCoefficients, parse_plan(serialize_plan(plan)).words),
+    }
+    for site, (cls, values) in built.items():
+        assert values, site
+        for value in values:
+            assert type(value) is cls, site
+            assert len(value) == len(cls._fields) and value == cls._make(tuple(value)), site
+
+
+def test_no_checked_type_is_built_through_tuple_new():
+    # the classes named where src/ calls tuple.__new__, directly, as ``new`` or through ``repeat``
+    built = set()
+    for name in MODULES + ("modifier",):
+        module = importlib.import_module(f"llmprosody.{name}")
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        if "tuple.__new__" in source:
+            for cls in re.findall(r"\b(?:new|tuple\.__new__)\((\w+),|\brepeat\((\w+)\)", source):
+                built.add(getattr(module, cls[0] or cls[1]))
+    assert {cls.__name__ for cls in built} == {
+        "Word", "PhoneFeature", "UtteranceFeatures", "WordSuggestion", "WordCoefficients"
+    }
+    assert not any(issubclass(cls, Checked) for cls in built)
