@@ -31,7 +31,12 @@ _PUNCT = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~" + "“”‘’«»—–…¿¡"
 
 
 class Word(namedtuple("Word", "surface key")):
-    """A word token: punctuation-stripped surface plus its lowercase match key."""
+    """A word token: punctuation-stripped surface plus its lowercase match key.
+
+    ``key == match_key(surface)``, as :func:`tokenize_words` builds it;
+    :func:`~llmprosody.response.parse_response` relies on that and matches an
+    echo of the surface itself without calling :func:`match_key`.
+    """
 
     __slots__ = ()
     surface: str
@@ -186,9 +191,11 @@ def make_utterance(
     phones = tuple(phones)
     if not phones:
         raise DataError(f"utterance {uid}: has no phones")
-    if not uid or any(c.isspace() for c in uid):
+    # str.split and str.isspace agree on every code point, so an id splits into itself exactly when it is
+    # non-empty and holds no whitespace
+    if uid.split() != [uid]:
         raise DataError(f"utterance id {uid!r} must be non-empty without whitespace")
-    if not speaker_id or any(c.isspace() for c in speaker_id):
+    if speaker_id.split() != [speaker_id]:
         raise DataError(
             f"utterance {uid}: speaker id {speaker_id!r} must be non-empty without whitespace"
         )
@@ -234,10 +241,35 @@ def parse_finite(field: str, what: str, line_number: int) -> float:
     return value
 
 
+# the two forms of a phone row, without and with an F0: an utterance's rows are rendered by one % operation
+_ROW = "%s\t%s\t%.6f\t" + _ABSENT + "\t%.6f\t%s\t%s\n"
+_ROW_F0 = "%s\t%s\t%.6f\t%.6f\t%.6f\t%s\t%s\n"
+
+
+def _check_row(uid: str, label: str, duration_s: float, f0: float | None, energy: float) -> None:
+    """Refuse a phone row that the reader would not read back as written, with the message of its first fault."""
+    duration = f"{duration_s:.6f}"
+    if duration == "0.000000":  # written as zero, it could not be parsed back
+        raise DataError(f"utterance {uid}: phone duration {duration_s} rounds to 0.000000")
+    if not duration[0].isdigit():  # nor could a negative one, inf or nan
+        raise DataError(f"utterance {uid}: phone {label!r} duration {duration} is not finite and positive")
+    # nor a label that splits its row or line, or reads as a header; most labels are alphanumeric
+    if not label.isalnum() and ("\t" in label or "\n" in label or label.startswith(_UTTERANCE_TAG)):
+        raise DataError(f"utterance {uid}: phone label {label!r} would not read back as one phone row")
+    if not math.isfinite(energy) or (f0 is not None and not math.isfinite(f0)):
+        raise DataError(f"utterance {uid}: phone {label!r} has a non-finite F0 or energy")
+
+
 def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeatures, ...]) -> str:
-    """Render utterances in the canonical feature-file form (inverse of parse)."""
+    """Render utterances in the canonical feature-file form (inverse of parse).
+
+    Each phone row is first checked by value: a finite duration of at least 1e-6 s (six decimals never round
+    it to zero), a finite energy and F0, and an alphanumeric label always read back.  A row that fails that
+    check gets the full row check, which refuses it with the message of its first fault or lets it be written.
+    """
     isfinite = math.isfinite
-    lines = [FILE_HEADER]
+    inf = math.inf
+    parts = [FILE_HEADER + "\n"]
     ids = set()
     for utterance in utterances:
         uid = utterance.id
@@ -245,24 +277,23 @@ def serialize_features(utterances: list[UtteranceFeatures] | tuple[UtteranceFeat
             raise DataError(f"duplicate utterance id {uid!r}")
         ids.add(uid)
         variant = "norm" if utterance.normalized else "raw"
-        lines.append(f"{_UTTERANCE_TAG}\t{uid}\t{utterance.speaker_id}\t{variant}\t{utterance.text}")
-        for label, word_index, duration_s, f0, energy, voiced, pause in utterance.phones:
-            duration = f"{duration_s:.6f}"
-            if duration == "0.000000":  # written as zero, it could not be parsed back
-                raise DataError(f"utterance {uid}: phone duration {duration_s} rounds to 0.000000")
-            if not duration[0].isdigit():  # nor could a negative one, inf or nan
-                raise DataError(f"utterance {uid}: phone {label!r} duration {duration} is not finite and positive")
-            # nor a label that splits its row or line, or reads as a header; most labels are alphanumeric
-            if not label.isalnum() and ("\t" in label or "\n" in label or label.startswith(_UTTERANCE_TAG)):
-                raise DataError(f"utterance {uid}: phone label {label!r} would not read back as one phone row")
-            if not isfinite(energy) or (f0 is not None and not isfinite(f0)):
-                raise DataError(f"utterance {uid}: phone {label!r} has a non-finite F0 or energy")
-            f0_text = _ABSENT if f0 is None else f"{f0:.6f}"
-            lines.append(
-                f"{label}\t{_ABSENT if word_index is None else word_index}\t{duration}\t{f0_text}\t{energy:.6f}"
-                f"\t{'1' if voiced else '0'}\t{'1' if pause else '0'}"
-            )
-    return "\n".join(lines) + "\n"
+        parts.append(f"{_UTTERANCE_TAG}\t{uid}\t{utterance.speaker_id}\t{variant}\t{utterance.text}\n")
+        rows = []
+        values = []
+        for label, word_index, duration, f0, energy, voiced, pause in utterance.phones:
+            word = _ABSENT if word_index is None else word_index
+            if f0 is None:
+                if not (1e-6 <= duration < inf and isfinite(energy) and label.isalnum()):
+                    _check_row(uid, label, duration, f0, energy)
+                rows.append(_ROW)
+                values += (label, word, duration, energy, "1" if voiced else "0", "1" if pause else "0")
+            else:
+                if not (1e-6 <= duration < inf and isfinite(energy) and isfinite(f0) and label.isalnum()):
+                    _check_row(uid, label, duration, f0, energy)
+                rows.append(_ROW_F0)
+                values += (label, word, duration, f0, energy, "1" if voiced else "0", "1" if pause else "0")
+        parts.append("".join(rows) % tuple(values))
+    return "".join(parts)
 
 
 def parse_features(document: str) -> list[UtteranceFeatures]:

@@ -204,14 +204,6 @@ class _ConnectionPool:
         with self._lock:
             self._idle.setdefault((scheme, netloc), []).append(route)
 
-    def close_idle(self) -> None:
-        """Close and forget every idle connection."""
-        with self._lock:
-            idle, self._idle = self._idle, {}
-        for routes in idle.values():
-            for conn, _, _ in routes:
-                conn.close()
-
     def _open(self, scheme: str, netloc: str, timeout: float) -> tuple:
         """A new connection, through the proxy that the environment names now, if any."""
         import http.client

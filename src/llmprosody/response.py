@@ -149,19 +149,21 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
     n_words = len(expected_words)
     expected_next = 0
     lines = text.split("\n")
-    numbered = [(line_number, line) for line_number, line in enumerate(lines, start=1) if line.strip()]
-    if numbered:
-        first_number, first = numbered[0]
-        first_m = _REASONING_RE.match(first)
-        if first_m:
-            reasoning_lines.append(first_m.group(1))
-            del numbered[0]
-        else:  # reported here, then read again below as a reasoning, GLOBAL or WORD line
-            detail = f"expected a REASONING: line first, got {first!r}"
-            report(DiagnosticKind.UNPARSEABLE_LINE, first_number, detail)
+    reasoning_first = True  # until the first line that is not blank, which should be the REASONING: line
     in_words = False  # set by the first GLOBAL or WORD line
+    new = tuple.__new__  # a WordSuggestion without namedtuple's _make frame: read_values gives three values
 
-    for line_number, line in numbered:
+    for line_number, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        if reasoning_first:
+            reasoning_first = False
+            first_m = _REASONING_RE.match(line)
+            if first_m:
+                reasoning_lines.append(first_m.group(1))
+                continue
+            # reported here, then read below as a reasoning, GLOBAL or WORD line
+            report(DiagnosticKind.UNPARSEABLE_LINE, line_number, f"expected a REASONING: line first, got {line!r}")
         word_m = _WORD_RE.match(line)
         if not in_words:
             global_m = _GLOBAL_RE.match(line)
@@ -181,7 +183,7 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 detail = f"line is neither a WORD line nor blank: {line!r}"
             report(DiagnosticKind.UNPARSEABLE_LINE, line_number, detail)
             continue
-        index_text, surface, duration, pitch, energy = word_m.groups()
+        index_text, surface, raw_duration, raw_pitch, raw_energy = word_m.groups()
         index = int(index_text)
         if index in mentioned:
             detail = f"word index {index} appears more than once"
@@ -197,13 +199,14 @@ def parse_response(text: str, expected_words: tuple[Word, ...]) -> ParseResult:
                 detail = f"expected word index {expected_next} next, got {index}"
                 report(DiagnosticKind.WORD_COUNT_MISMATCH, line_number, detail)
             expected = expected_words[index]
-            if match_key(surface) != expected.key:
+            # a Word's key is match_key of its surface, so an echo of the surface itself matches
+            if surface != expected.surface and match_key(surface) != expected.key:
                 detail = f"word {index} should be {expected.surface!r}, response says {surface!r}"
                 report(DiagnosticKind.WORD_IDENTITY_MISMATCH, line_number, detail)
-            values = read_values((duration, pitch, energy), LOCAL_SCALE, line_number, index)
-            if None not in values:
-                # built without namedtuple's _make frame: read_values gives three values
-                entries[index] = tuple.__new__(WordSuggestion, (expected.key, *values))
+            raws = (raw_duration, raw_pitch, raw_energy)
+            duration, pitch, energy = read_values(raws, LOCAL_SCALE, line_number, index)
+            if duration is not None and pitch is not None and energy is not None:
+                entries[index] = new(WordSuggestion, (expected.key, duration, pitch, energy))
         if index >= expected_next:
             expected_next = index + 1
 

@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import core, is_hypothesis_test, settings
 from hypothesis.internal.conjecture import providers
 
 from llmprosody.features import (
@@ -32,6 +32,44 @@ PHONE_LABELS = ("AA1", "IY0", "EH1", "T", "K", "N", "S", "L", "R", "M")
 
 # property tests draw the same examples on every run, like the seeded generators
 PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# ``pytest --hypothesis-profile=deep`` runs each property with 10x its max_examples and not derandomized, from
+# one seed that the run prints at its end; ``--hypothesis-seed=N`` repeats a run.  CI keeps the default profile.
+DEEP_PROFILE = "deep"
+DEEP_FACTOR = 10
+settings.register_profile(DEEP_PROFILE, derandomize=False)
+
+
+def _deep() -> bool:
+    return settings.get_current_profile_name() == DEEP_PROFILE
+
+
+@pytest.hookimpl(trylast=True)  # after Hypothesis' own plugin has loaded the profile and read --hypothesis-seed
+def pytest_configure(config):
+    if _deep() and core.global_force_seed is None:
+        core.global_force_seed = random.SystemRandom().randrange(2**32)
+
+
+def pytest_collection_modifyitems(items):
+    if not _deep():
+        return
+    # a property's own settings fix its max_examples and derandomize, which no profile overrides
+    done = set()  # the items of a parametrized property share its function
+    for item in items:
+        function = getattr(item, "function", None)
+        if function is not None and is_hypothesis_test(function) and function not in done:
+            done.add(function)
+            own = function._hypothesis_internal_use_settings
+            function._hypothesis_internal_use_settings = settings(
+                own, max_examples=DEEP_FACTOR * own.max_examples, derandomize=False
+            )
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _deep():
+        seed = core.global_force_seed
+        terminalreporter.write_line(f"hypothesis profile {DEEP_PROFILE!r}: seed {seed} (--hypothesis-seed={seed})")
+
 
 # Hypothesis mixes the literals of every loaded module outside site-packages and the standard library (the
 # package under src/ and these tests) into its draws, so one literal added anywhere would change what every

@@ -11,6 +11,7 @@ import random
 import re
 from collections import Counter
 
+from llmprosody.errors import DataError
 from llmprosody.features import Word, match_key, tokenize_words
 from llmprosody.mapping import LlmScaleSuggestion, WordSuggestion
 
@@ -408,6 +409,42 @@ def naive_parse_features(document):
             return fault
         utterances.append((block[0], block[1], block[2], block[3], tuple(block[4])))
     return utterances
+
+
+FILE_HEADER = "#feature-file\tv1"
+_UTTERANCE_TAG = "#utterance"
+_ABSENT = "-"
+
+
+def naive_serialize_features(utterances):
+    """The feature-file writer with a string check and an f-string per row, raising what it raises."""
+    isfinite = math.isfinite
+    lines = [FILE_HEADER]
+    ids = set()
+    for utterance in utterances:
+        uid = utterance.id
+        if uid in ids:  # the reader refuses a repeated id
+            raise DataError(f"duplicate utterance id {uid!r}")
+        ids.add(uid)
+        variant = "norm" if utterance.normalized else "raw"
+        lines.append(f"{_UTTERANCE_TAG}\t{uid}\t{utterance.speaker_id}\t{variant}\t{utterance.text}")
+        for label, word_index, duration_s, f0, energy, voiced, pause in utterance.phones:
+            duration = f"{duration_s:.6f}"
+            if duration == "0.000000":  # written as zero, it could not be parsed back
+                raise DataError(f"utterance {uid}: phone duration {duration_s} rounds to 0.000000")
+            if not duration[0].isdigit():  # nor could a negative one, inf or nan
+                raise DataError(f"utterance {uid}: phone {label!r} duration {duration} is not finite and positive")
+            # nor a label that splits its row or line, or reads as a header; most labels are alphanumeric
+            if not label.isalnum() and ("\t" in label or "\n" in label or label.startswith(_UTTERANCE_TAG)):
+                raise DataError(f"utterance {uid}: phone label {label!r} would not read back as one phone row")
+            if not isfinite(energy) or (f0 is not None and not isfinite(f0)):
+                raise DataError(f"utterance {uid}: phone {label!r} has a non-finite F0 or energy")
+            f0_text = _ABSENT if f0 is None else f"{f0:.6f}"
+            lines.append(
+                f"{label}\t{_ABSENT if word_index is None else word_index}\t{duration}\t{f0_text}\t{energy:.6f}"
+                f"\t{'1' if voiced else '0'}\t{'1' if pause else '0'}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def naive_parse_plan(document):

@@ -2,10 +2,13 @@
 
 ``tests/conftest.py`` gives Hypothesis an empty pool of local constants through
 a private hook; these tests fail loudly when the hook moves, and check that a
-newly loaded literal changes no draw.
+newly loaded literal changes no draw.  They also check the ``deep`` profile
+that conftest registers.
 """
 
 import inspect
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +56,40 @@ def test_a_newly_loaded_literal_changes_no_draw(tmp_path):
         for extra in ([], [str(tmp_path)])
     ]
     assert runs[0].startswith("[") and runs[0] == runs[1]
+
+
+# a property at the suite's settings, and a test after it that prints what the property drew
+DEEP_RUN = """
+from conftest import PROPERTIES
+from hypothesis import given, strategies as st
+drawn = []
+@PROPERTIES
+@given(st.integers())
+def test_draw(x):
+    drawn.append(x)
+def test_print():
+    print("drew", len(drawn), drawn)
+"""
+
+
+def test_the_deep_profile_draws_ten_times_the_examples_from_the_seed_it_prints(tmp_path):
+    (tmp_path / "test_deep.py").write_text(DEEP_RUN, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TESTS_DIR), *sys.path])}
+
+    def run(*options):
+        completed = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", "-p", "conftest", *options,
+             "test_deep.py"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        return completed.stdout
+
+    default = run()
+    deep = run("--hypothesis-profile=deep")
+    assert "drew 200 " in default and "hypothesis profile" not in default
+    assert "drew 2000 " in deep
+    (seed,) = re.findall(r"hypothesis profile 'deep': seed (\d+) \(--hypothesis-seed=\1\)", deep)
+    again = run("--hypothesis-profile=deep", f"--hypothesis-seed={seed}")
+    drew = re.compile(r"drew .*")
+    assert drew.search(again).group() == drew.search(deep).group()

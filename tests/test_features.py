@@ -5,10 +5,12 @@ import random
 import string
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from llmprosody import features
 from llmprosody.errors import DataError
 from llmprosody.features import (
     PhoneFeature,
@@ -35,7 +37,9 @@ from conftest import (
     random_stats,
     random_utterance,
 )
-from reference import direct_mean, direct_percentile, direct_sample_std, naive_parse_features
+from reference import (
+    direct_mean, direct_percentile, direct_sample_std, naive_parse_features, naive_serialize_features,
+)
 
 WELL_FORMED = """\
 #feature-file\tv1
@@ -210,6 +214,11 @@ class TestValidateUtterance:
                          id="empty-speaker"),
             pytest.param({"speaker_id": "spk\t1"}, "speaker id 'spk\\t1' must be non-empty without whitespace",
                          id="spaced-speaker"),
+            pytest.param({"id": " u1"}, "utterance id ' u1' must be non-empty without whitespace", id="leading-space"),
+            pytest.param({"id": "u1\u3000"}, "utterance id 'u1\\u3000' must be non-empty without whitespace",
+                         id="trailing-ideographic-space"),
+            pytest.param({"speaker_id": "\x1c"}, "speaker id '\\x1c' must be non-empty without whitespace",
+                         id="separator-speaker"),
             pytest.param({"text": "Hello\tworld"}, "utterance u1: text must not contain tabs or newlines",
                          id="tab-in-text"),
             pytest.param({"text": "Hello\nworld"}, "utterance u1: text must not contain tabs or newlines",
@@ -224,6 +233,10 @@ class TestValidateUtterance:
                 utterance.phones, normalized=True,
             )
         assert fragment in str(caught.value)
+
+    def test_split_and_isspace_agree_on_every_code_point(self):
+        # so make_utterance's ``uid.split() != [uid]`` refuses exactly an empty id and one with an isspace() character
+        assert [c for c in map(chr, range(0x110000)) if (c.split() == []) != c.isspace()] == []
 
     def test_no_phones_refused(self):
         with pytest.raises(DataError) as caught:
@@ -689,6 +702,96 @@ class TestFormatProperties:
         with pytest.raises(DataError) as caught:
             parse_features(document)
         assert str(caught.value) == f"utterance u1 line {k + 3}: {message}"
+
+
+def _neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# the named values of a duration, F0 or energy: both sides of 5e-7, below which six decimals round to zero, and
+# of the writer's 1e-6 value check; the signed zeros, subnormals, the infinities, nan and a 309-digit number
+EDGE_NUMBERS = st.sampled_from(
+    [*_neighbours(5e-7), *_neighbours(1e-6), 0.0, -0.0, 5e-324, -5e-324, 2.5e-310, math.inf, -math.inf, math.nan, 1e308]
+)
+# labels the value check passes (alphanumeric), and labels it leaves to the full row check: ones that read back,
+# ones holding a tab or a newline, and ones starting with the utterance tag
+LABELS = st.one_of(
+    st.sampled_from(PHONE_LABELS),
+    st.text(string.ascii_letters + string.digits + "éΩ٣", min_size=1, max_size=4),
+    st.sampled_from(["", "#", "ə:", "A B", "A\rB", "x#utterance", "#utteranc", "sp-1"]),
+    st.tuples(st.text(max_size=3), st.sampled_from("\t\n"), st.text(max_size=3)).map("".join),
+    st.text(max_size=4).map("#utterance".__add__),
+)
+
+
+@st.composite
+def writer_inputs(draw):
+    """Utterances built with tuple.__new__, so they may hold what make_utterance refuses; ids may repeat."""
+    new = tuple.__new__
+    odds = draw(st.sampled_from([0, 12, 3]))  # one value in ``odds`` is a named edge, or none at 0
+
+    def rare(edges, plain):
+        return draw(edges) if odds and draw(st.integers(1, odds)) == 1 else draw(plain)
+
+    def number(plain):
+        return rare(EDGE_NUMBERS | st.floats(), plain)
+
+    utterances = []
+    for _ in range(draw(st.integers(0, 3))):
+        phones = []
+        for _ in range(draw(st.integers(0, 5))):
+            f0 = None if draw(st.booleans()) else number(st.floats(-4.0, 4.0))
+            label = rare(LABELS, st.sampled_from(PHONE_LABELS))
+            word_index = draw(st.none() | st.integers(0, 9))
+            phones.append(new(PhoneFeature, (
+                label, word_index, number(st.floats(1e-6, 2.0)), f0, number(st.floats(-4.0, 4.0)),
+                draw(st.booleans()), draw(st.booleans()),
+            )))
+        uid = draw(st.sampled_from(["u1", "u2"]) | st.text(max_size=3))
+        utterances.append(new(features.UtteranceFeatures, (
+            uid, draw(st.sampled_from(["spk1", ""])), draw(st.text(max_size=8)), (), tuple(phones), draw(st.booleans()),
+        )))
+    return utterances
+
+
+def written(writer, utterances):
+    """The document ``writer`` writes, or the message of its refusal."""
+    try:
+        return writer(utterances)
+    except DataError as exc:
+        return f"refused: {exc}"
+
+
+# module-level functions, not methods: the second calls the first, and a property must run on one executor
+@PROPERTIES
+@given(utterances=writer_inputs())
+def test_the_writer_gives_the_naive_writers_bytes_or_refusal(utterances):
+    assert written(features.serialize_features, utterances) == written(naive_serialize_features, utterances)
+
+
+def test_the_writer_property_reaches_the_value_check_and_both_ends_of_the_full_row_check(monkeypatch):
+    seen = Counter()
+    check_row, serialize = features._check_row, features.serialize_features
+
+    def counted_check_row(*row):
+        seen["full row check"] += 1
+        check_row(*row)
+        seen["written after the full row check"] += 1
+
+    def counted_serialize(utterances):
+        before = seen["written after the full row check"]
+        document = serialize(utterances)
+        rows = document.count("\n") - 1 - len(utterances)
+        seen["written after the value check alone"] += rows - (seen["written after the full row check"] - before)
+        seen["documents"] += 1
+        return document
+
+    monkeypatch.setattr(features, "_check_row", counted_check_row)
+    monkeypatch.setattr(features, "serialize_features", counted_serialize)
+    test_the_writer_gives_the_naive_writers_bytes_or_refusal()
+    refused = seen["full row check"] - seen["written after the full row check"]
+    assert refused > 0 and seen["written after the full row check"] > 0
+    assert seen["written after the value check alone"] > 0
 
 
 # numpy with its AVX-512 code paths off, where its exp equals math.exp.  numpy 2.4 names the

@@ -9,6 +9,7 @@ import socket
 import ssl
 import sys
 import threading
+import traceback
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -480,7 +481,45 @@ class TestAdversarialBackend:
         apply_plan(utterance, stats, parsed)
 
 
+class _LoopbackServer(ThreadingHTTPServer):
+    """A loopback HTTP server that keeps the traceback of each exception a handler thread raises.
+
+    Its handler threads are not daemons, so ``server_close`` joins them, and a fixture's teardown
+    sees every error before it asserts that there was none.
+    """
+
+    daemon_threads = False
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.errors = []
+
+    def handle_error(self, request, client_address):
+        self.errors.append(traceback.format_exc())
+
+
+def _serve(handler):
+    server = _LoopbackServer(handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def _stop(server):
+    # pooled connections would keep the handler threads waiting for a next request
+    for routes in llm._POOL._idle.values():
+        for conn, _, _ in routes:
+            conn.close()
+    llm._POOL._idle.clear()
+    server.shutdown()
+    server.server_close()
+    assert server.errors == [], "a handler thread raised:\n" + "\n".join(server.errors)
+
+
 class _ClosedEarlyHandler(BaseHTTPRequestHandler):
+    # a handler thread waits at most this long for a request on an open connection, so that closing
+    # the server, which joins the handler threads, cannot hang
+    timeout = 10
+
     def handle(self):
         try:
             super().handle()
@@ -517,14 +556,11 @@ def _ok_body(content="fine") -> bytes:
 
 @pytest.fixture
 def fake_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server = _serve(_ScriptedHandler)
     server.script = []
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     yield server
-    server.shutdown()
-    server.server_close()
+    _stop(server)
 
 
 def _config(server, **overrides) -> BackendConfig:
@@ -798,19 +834,14 @@ class _KeepAliveHandler(_ClosedEarlyHandler):
 
 @pytest.fixture
 def keep_alive_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server = _serve(_KeepAliveHandler)
     server.lock = threading.Lock()
     server.script = []
     server.requests = []
     server.close_each = False
     server.closed = threading.Event()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     yield server
-    # pooled connections would keep the handler threads waiting for a next request
-    llm._POOL.close_idle()
-    server.shutdown()
-    server.server_close()
+    _stop(server)
 
 
 def _connections(server) -> set[int]:
@@ -895,12 +926,24 @@ class TestConnectionPool:
             raise KeyboardInterrupt  # neither OSError nor HTTPException, so not a transient failure
 
         monkeypatch.setattr(http.client.HTTPConnection, "getresponse", interrupt)
+        keep_alive_server.script.append((200, _ok_body(), {}))  # the request "p" was sent: its answer
         sleeps = []
         with pytest.raises(KeyboardInterrupt):
             complete("p", _config(keep_alive_server), sleep=sleeps.append)
         assert sleeps == [] and len(interrupted) == 1
         assert interrupted[0].sock is None
         assert llm._POOL._idle.get(("http", f"127.0.0.1:{keep_alive_server.server_port}"), []) == []
+
+    def test_the_server_keeps_what_a_handler_thread_raises(self, keep_alive_server, monkeypatch):
+        # nothing is scripted, so the handler answers with the mock, which finds no word list in "p"
+        monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
+        with pytest.raises(NetworkError, match="gave up after 1 attempts"):
+            complete("p", _config(keep_alive_server, max_retries=0), sleep=NO_SLEEP)
+        keep_alive_server.shutdown()
+        keep_alive_server.server_close()  # joins the handler threads
+        (error,) = keep_alive_server.errors
+        assert "DataError: prompt contains no enumerated word list" in error
+        keep_alive_server.errors.clear()  # seen: the fixture's teardown asserts that none is left
 
     def test_redirect_is_not_followed(self, keep_alive_server, monkeypatch):
         monkeypatch.setenv("LLMPROSODY_TEST_KEY", "k")
