@@ -75,6 +75,25 @@ done
   -o "$out/plan_cli.tsv"
 "$bare" -m llmprosody apply --features tests/data/norm_utterance.tsv --stats "$out/stats_cli.tsv" \
   --plan "$out/plan_cli.tsv" -o "$out/modified_cli.tsv"
+# parse_features pauses the cyclic collector and ends with one young collection of its own, whatever the
+# release's collection schedule: a 1,000-utterance parse runs that one; with the collector off, none, and it stays off
+"$bare" -c '
+import gc, sys
+from llmprosody.features import parse_features
+with open("tests/data/norm_utterance.tsv", encoding="utf-8") as f:
+    header, body = f.read().split("\n", 1)
+document = header + "\n" + "".join(body.replace("\tu1\t", f"\tu{k}\t", 1) for k in range(1000))
+seen = []
+gc.callbacks.append(lambda phase, info: phase == "start" and seen.append(info["generation"]))
+runs = []
+for switch in (gc.enable, gc.disable):
+    switch()
+    gc.collect()
+    seen.clear()
+    parse_features(document)
+    runs.append((seen[:], gc.isenabled()))
+sys.exit(runs != [([0], True), ([], False)])
+'
 # the value types are namedtuples: a plan process, which loads every layer but evaluation, imports no
 # dataclasses (the llmprosody.prompting line shows that the import log covers those layers)
 "$bare" -X importtime -m llmprosody plan --features tests/data/norm_utterance.tsv --stats tests/data/stats.tsv \

@@ -149,8 +149,13 @@ def _prompt_spec(mode: str, context: str | None, text: str, exemplars_path: str 
 def stats(options) -> None:
     """Compute speaker statistics from raw feature files."""
     utterances: list[features.UtteranceFeatures] = []
+    read_from: dict[str, str] = {}  # each utterance id, and the file that holds it
     for path in options.raw_features:
-        utterances.extend(features.parse_features(_read(path)))
+        for utterance in features.parse_features(_read(path)):
+            if utterance.id in read_from:
+                raise DataError(f"{path}: utterance id {utterance.id!r} is already in {read_from[utterance.id]}")
+            read_from[utterance.id] = path
+            utterances.append(utterance)
     result = features.compute_speaker_stats(
         utterances,
         min_duration_s=options.min_duration_s,

@@ -11,6 +11,7 @@ The module also owns the log-domain normalization with a speaker's
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from collections import namedtuple
@@ -301,7 +302,27 @@ def parse_features(document: str) -> list[UtteranceFeatures]:
 
     Format errors report the offending line number; invariant violations name
     the utterance (and line, where one applies).
+
+    The cyclic garbage collector is paused while the values are built: they
+    are acyclic tuples of str, int, float, bool and None, which CPython keeps
+    tracked all the same because they are namedtuples.  Once the parse ends,
+    with its result or an error, the collector is turned back on and one young
+    collection runs, so the parse pays for its own.  If the collector was off
+    when the parse began, it stays off and no collection runs.  The collector
+    is one per process: a thread that turns it off during another thread's
+    parse finds it turned back on when that parse ends.
     """
+    if not gc.isenabled():
+        return _parse_features(document)
+    gc.disable()
+    try:
+        return _parse_features(document)
+    finally:
+        gc.enable()
+        gc.collect(0)
+
+
+def _parse_features(document: str) -> list[UtteranceFeatures]:
     new = tuple.__new__  # a PhoneFeature without namedtuple's _make frame: the field count is fixed here
     isfinite = math.isfinite
     utterances: list[UtteranceFeatures] = []

@@ -1036,10 +1036,23 @@ class TestUtteranceSelection:
         assert "line 24: duplicate utterance id 'u1'" in result.stderr
         assert not out.exists()
 
-    def test_ids_are_checked_per_file(self, runner):
-        """stats reads each file on its own: the same ids in two files are not a repeat."""
-        result = runner.invoke(main, ["stats", RAW, RAW_WITH_SHORT])
+    def test_stats_refuses_an_id_that_an_earlier_file_holds(self, runner, tmp_path):
+        """stats reads its files as one corpus: a repeated id would count an utterance twice."""
+        out = tmp_path / "stats.tsv"
+        for first, second in [(RAW, RAW), (RAW, RAW_WITH_SHORT)]:
+            result = runner.invoke(main, ["stats", first, second, "-o", str(out)])
+            assert result.exit_code == 2
+            assert result.stderr == f"error: {second}: utterance id 'u0' is already in {first}\n"
+            assert not out.exists()
+        # split into two files with their own ids, the corpus gives its own stats
+        header, body = Path(RAW).read_text(encoding="utf-8").split("\n", 1)
+        cut = body.index("#utterance\tu2\t")
+        halves = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+        for half, text in zip(halves, [body[:cut], body[cut:]]):
+            half.write_text(f"{header}\n{text}", encoding="utf-8")
+        result = runner.invoke(main, ["stats", *map(str, halves), "-o", str(out)])
         assert result.exit_code == 0, result.output
+        assert out.read_text(encoding="utf-8") == RAW_CORPUS_STATS
 
     def test_unknown_id_exits_2(self, runner, tmp_path):
         result = runner.invoke(

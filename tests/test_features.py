@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 import math
 import os
@@ -5,7 +7,9 @@ import random
 import string
 import subprocess
 import sys
+import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -202,6 +206,85 @@ class TestParseFeatures:
         with pytest.raises(DataError) as caught:
             parse_features(WELL_FORMED.replace("AH\t0\t0.060000\t0.350000\t0.500000\t1\t0", row))
         assert str(caught.value) == message
+
+
+def corpus_document(n):
+    """The test utterance (tests/data/norm_utterance.tsv) ``n`` times, with the ids u0 .. u<n-1>."""
+    header, body = (Path(__file__).parent / "data" / "norm_utterance.tsv").read_text(encoding="utf-8").split("\n", 1)
+    return header + "\n" + "".join(body.replace("\tu1\t", f"\tu{k}\t", 1) for k in range(n))
+
+
+@contextlib.contextmanager
+def collections():
+    """The generation of each collection that starts in the block, in order."""
+    seen = []
+
+    def record(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.collect()  # no young object is left over, so no collection is due as the block starts
+    gc.callbacks.append(record)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(record)
+
+
+class TestParseCollector:
+    """parse_features pauses the cyclic collector and closes with one young collection of its own."""
+
+    def test_a_corpus_parse_runs_one_young_collection(self):
+        document = corpus_document(1000)
+        assert gc.isenabled()
+        with collections() as seen:
+            utterances = parse_features(document)
+        assert seen == [0]
+        assert gc.isenabled()
+        assert [u.id for u in utterances] == [f"u{k}" for k in range(1000)]
+
+    def test_a_refusal_mid_document_turns_the_collector_back_on(self):
+        lines = corpus_document(1000).split("\n")
+        middle = len(lines) // 2
+        lines[middle] = "AH\t0\t0.1"
+        with collections() as seen, pytest.raises(DataError) as caught:
+            parse_features("\n".join(lines))
+        assert str(caught.value) == f"line {middle + 1}: expected 7 tab-separated fields, got 3"
+        assert seen == [0]
+        assert gc.isenabled()
+
+    def test_a_caller_with_the_collector_off_sees_no_collection(self):
+        document = corpus_document(1000)
+        gc.disable()
+        try:
+            with collections() as seen:
+                parse_features(document)
+            assert seen == []
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_threads_parsing_at_once_get_the_serial_result(self):
+        document = corpus_document(300)
+        serial = parse_features(document)
+        results = {}
+
+        def parse(k):
+            results[k] = [parse_features(document) for _ in range(3)]
+
+        threads = [threading.Thread(target=parse, args=(k,)) for k in range(4)]  # more threads than CPUs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {k: [serial] * 3 for k in range(4)}
+        assert gc.isenabled()
 
 
 class TestValidateUtterance:
@@ -555,9 +638,41 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+def _neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# the named finite values of the readers: the signed zero, subnormals, and 1e308 and its upper neighbour, whose six
+# decimals take 309 digits; for a duration, also both sides of 5e-7, below which six decimals round to zero, and of
+# the writer's 1e-6 value check
+EDGE_FINITE = st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, 1e308, math.nextafter(1e308, math.inf), -1e308])
+EDGE_POSITIVE = st.sampled_from(
+    [5e-324, 2.5e-310, 1e308, math.nextafter(1e308, math.inf), *_neighbours(5e-7), *_neighbours(1e-6)]
+)
+
+
+def edge_drawer(draw):
+    """``rare(edges, plain)``: a value of ``edges`` once in ``odds`` draws, else of ``plain``.  ``odds`` is drawn
+    once per example: 0 (never an edge), 12 or 3."""
+    odds = draw(st.sampled_from([0, 12, 3]))
+
+    def rare(edges, plain):
+        return draw(edges) if odds and draw(st.integers(1, odds)) == 1 else draw(plain)
+
+    return rare
+
+
 @st.composite
 def feature_documents(draw):
-    """A valid feature document whose numbers are written with any number of digits."""
+    """A valid feature document whose numbers are written with any number of digits; some are named edges."""
+    rare = edge_drawer(draw)
+
+    def finite():
+        return repr(rare(EDGE_FINITE, FINITE))
+
+    def duration():
+        return repr(rare(EDGE_POSITIVE, POSITIVE))
+
     lines = ["#feature-file\tv1"]
     for u in range(draw(st.integers(1, 3))):
         words = draw(st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=5))
@@ -566,12 +681,12 @@ def feature_documents(draw):
         for j in range(len(words)):
             for _ in range(draw(st.integers(1, 3))):
                 voiced = draw(st.booleans())
-                f0 = repr(draw(FINITE)) if voiced else "-"
+                f0 = finite() if voiced else "-"
                 label = draw(st.sampled_from(PHONE_LABELS))
-                row = [label, str(j), repr(draw(POSITIVE)), f0, repr(draw(FINITE))]
+                row = [label, str(j), duration(), f0, finite()]
                 lines.append("\t".join(row + ["1" if voiced else "0", "0"]))
             if draw(st.booleans()):
-                lines.append(f"sp\t-\t{draw(POSITIVE)!r}\t-\t{draw(FINITE)!r}\t0\t1")
+                lines.append(f"sp\t-\t{duration()}\t-\t{finite()}\t0\t1")
     return "\n".join(lines) + "\n"
 
 
@@ -660,15 +775,16 @@ class TestFormatProperties:
 
     @PROPERTIES
     @given(
-        mu_logf0=FINITE,
-        sigma_logf0=POSITIVE,
-        mu_loge=FINITE,
-        sigma_loge=POSITIVE,
-        f0_range=st.lists(POSITIVE, min_size=2, max_size=2, unique=True).map(sorted),
+        mu_logf0=EDGE_FINITE | FINITE,
+        sigma_logf0=EDGE_POSITIVE | POSITIVE,
+        mu_loge=EDGE_FINITE | FINITE,
+        sigma_loge=EDGE_POSITIVE | POSITIVE,
+        f0_range=st.lists(EDGE_POSITIVE | POSITIVE, min_size=2, max_size=2, unique=True).map(sorted),
     )
     def test_stats_round_trip(self, mu_logf0, sigma_logf0, mu_loge, sigma_loge, f0_range):
         stats = SpeakerStats(mu_logf0, sigma_logf0, mu_loge, sigma_loge, *f0_range)
-        assert parse_speaker_stats(serialize_speaker_stats(stats)) == stats
+        again = parse_speaker_stats(serialize_speaker_stats(stats))
+        assert list(map(repr, again)) == list(map(repr, stats))  # -0.0 too
 
     @PROPERTIES
     @given(document=feature_documents())
@@ -704,10 +820,6 @@ class TestFormatProperties:
         assert str(caught.value) == f"utterance u1 line {k + 3}: {message}"
 
 
-def _neighbours(x):
-    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
-
-
 # the named values of a duration, F0 or energy: both sides of 5e-7, below which six decimals round to zero, and
 # of the writer's 1e-6 value check; the signed zeros, subnormals, the infinities, nan and a 309-digit number
 EDGE_NUMBERS = st.sampled_from(
@@ -728,10 +840,7 @@ LABELS = st.one_of(
 def writer_inputs(draw):
     """Utterances built with tuple.__new__, so they may hold what make_utterance refuses; ids may repeat."""
     new = tuple.__new__
-    odds = draw(st.sampled_from([0, 12, 3]))  # one value in ``odds`` is a named edge, or none at 0
-
-    def rare(edges, plain):
-        return draw(edges) if odds and draw(st.integers(1, odds)) == 1 else draw(plain)
+    rare = edge_drawer(draw)
 
     def number(plain):
         return rare(EDGE_NUMBERS | st.floats(), plain)
